@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
@@ -232,6 +233,28 @@ def _decode_lines(source: IO[bytes] | IO[str] | Iterable[str | bytes]) -> Iterat
         yield line.decode("utf-8") if isinstance(line, bytes) else line
 
 
+def _check_detection(
+    cls: str, cx: float, cy: float, w: float, h: float, obj: float, confs: tuple[float, ...]
+) -> None:
+    """Raise ValueError for a logged detection that :func:`decode_grid` could not produce.
+
+    The class must be known, with one confidence per class; box fields must
+    be finite and the size non-negative; objectness and class confidences
+    must lie in [0, 1]. The chained comparisons are False for NaN.
+    """
+    if cls not in CLASSES:
+        raise ValueError(f"unknown class {cls!r}")
+    if len(confs) != len(CLASSES):
+        raise ValueError(f"expected {len(CLASSES)} class confidences, got {len(confs)}")
+    if not (-math.inf < cx < math.inf and -math.inf < cy < math.inf):
+        raise ValueError(f"box center must be finite, got cx={cx} cy={cy}")
+    if not (0.0 <= w < math.inf and 0.0 <= h < math.inf):
+        raise ValueError(f"box size must be finite and >= 0, got w={w} h={h}")
+    for p in (obj, *confs):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"scores must be in [0, 1], got obj={obj} conf={list(confs)}")
+
+
 def parse_detection_log(
     source: IO[bytes] | IO[str] | Iterable[str | bytes],
 ) -> Iterator[FrameDetections]:
@@ -257,7 +280,7 @@ def parse_detection_log(
             raise LogParseError(f"line {lineno}: unknown camera {camera!r}", lineno)
         if not isinstance(frame_index, int) or isinstance(frame_index, bool) or frame_index < 0:
             raise LogParseError(f"line {lineno}: bad frame index {frame_index!r}", lineno)
-        if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool):
+        if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool) or not math.isfinite(timestamp):
             raise LogParseError(f"line {lineno}: bad timestamp {timestamp!r}", lineno)
         if camera in last_t and timestamp <= last_t[camera]:
             raise StreamOrderError(
@@ -269,30 +292,23 @@ def parse_detection_log(
         detections = []
         try:
             for d in raw_dets:
-                confs = tuple(float(c) for c in d["conf"])
-                if len(confs) != len(CLASSES):
-                    raise LogParseError(
-                        f"line {lineno}: expected {len(CLASSES)} class confidences, got {len(confs)}",
-                        lineno,
-                    )
+                cx, cy, w, h = float(d["cx"]), float(d["cy"]), float(d["w"]), float(d["h"])
                 obj = float(d["obj"])
-                if d["cls"] not in CLASSES:
-                    raise LogParseError(f"line {lineno}: unknown class {d['cls']!r}", lineno)
+                confs = tuple(float(c) for c in d["conf"])
+                _check_detection(d["cls"], cx, cy, w, h, obj, confs)
                 detections.append(
                     Detection(
                         frame_index=frame_index,
-                        cx=float(d["cx"]),
-                        cy=float(d["cy"]),
-                        width=float(d["w"]),
-                        height=float(d["h"]),
+                        cx=cx,
+                        cy=cy,
+                        width=w,
+                        height=h,
                         objectness=obj,
                         class_confidences=confs,
                         combined_score=obj * max(confs),
                         best_class=d["cls"],
                     )
                 )
-        except LogParseError:
-            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
         yield FrameDetections(

@@ -6,6 +6,13 @@ to tracks by minimizing total Euclidean center distance (Hungarian method,
 gated), and manages the tentative/active/terminated lifecycle. Confirming a
 tentative track emits exactly one ``new_vehicle`` event, which is what the
 downstream warning stage consumes.
+
+The tracker runs the filter per axis on plain floats. F, Q, R and the spawn
+covariance are axis-separable and identical on x and y, so every covariance
+a track can reach is two copies of one 2x2 (position, velocity) block, and
+three scalars per track carry it exactly. The general 4x4 :func:`predict`
+and :func:`update` stay as the public reference that the tests compare the
+tracker against.
 """
 
 from __future__ import annotations
@@ -164,41 +171,6 @@ def update(state: KalmanState, observation: Sequence[float], r: float) -> Kalman
     return KalmanState(mean=mean, covariance=cov)
 
 
-def _batch_transition(
-    means: np.ndarray, covs: np.ndarray, F: np.ndarray, Q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized _transition over stacked states (N,4) and (N,4,4)."""
-    means_out = means @ F.T
-    covs_out = F @ covs @ F.T + Q
-    covs_out = (covs_out + covs_out.transpose(0, 2, 1)) * 0.5
-    return means_out, covs_out
-
-
-def _batch_update(
-    means: np.ndarray, covs: np.ndarray, obs: np.ndarray, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized update over stacked states; same math as :func:`update`."""
-    n = means.shape[0]
-    s00 = covs[:, 0, 0] + r
-    s01 = covs[:, 0, 1]
-    s11 = covs[:, 1, 1] + r
-    det = s00 * s11 - s01 * s01
-    s_inv = np.empty((n, 2, 2))
-    s_inv[:, 0, 0] = s11
-    s_inv[:, 0, 1] = -s01
-    s_inv[:, 1, 0] = -s01
-    s_inv[:, 1, 1] = s00
-    s_inv /= det[:, None, None]
-    gain = covs[:, :, :2] @ s_inv
-    innovation = obs - means[:, :2]
-    means_out = means + (gain @ innovation[:, :, None])[:, :, 0]
-    a = np.broadcast_to(np.eye(4), (n, 4, 4)).copy()
-    a[:, :, :2] -= gain
-    covs_out = a @ covs @ a.transpose(0, 2, 1) + r * (gain @ gain.transpose(0, 2, 1))
-    covs_out = (covs_out + covs_out.transpose(0, 2, 1)) * 0.5
-    return means_out, covs_out
-
-
 def cost_matrix(
     predictions: Sequence[Sequence[float]] | np.ndarray,
     detections: Sequence[Sequence[float]] | np.ndarray,
@@ -247,13 +219,23 @@ def assign(
     return matches, unmatched_tracks, unmatched_dets
 
 
-@dataclass
+@dataclass(slots=True)
 class Track:
-    """One vehicle trajectory and its lifecycle bookkeeping."""
+    """One vehicle trajectory, its Kalman state and lifecycle bookkeeping.
+
+    ``x, y, vx, vy`` is the mean; ``p_pos``, ``p_cross`` and ``p_vel`` are
+    the 2x2 (position, velocity) covariance block that both axes share.
+    """
 
     track_id: int
-    state: KalmanState
+    x: float
+    y: float
+    p_pos: float
+    p_vel: float
     created_at: float
+    vx: float = 0.0
+    vy: float = 0.0
+    p_cross: float = 0.0
     status: str = TENTATIVE
     consecutive_hits: int = 1
     consecutive_misses: int = 0
@@ -261,6 +243,31 @@ class Track:
     history: list[tuple[int, tuple[float, float]]] = field(default_factory=list)
     class_counts: Counter = field(default_factory=Counter)
     class_recency: dict[str, int] = field(default_factory=dict)
+
+    def predict(self, dt: float, q_pos: float, q_cross: float, q_vel: float) -> None:
+        """Constant-velocity step; ``q_*`` are the per-axis blocks of Q."""
+        self.x += dt * self.vx
+        self.y += dt * self.vy
+        self.p_pos += dt * self.p_cross + dt * (self.p_cross + dt * self.p_vel) + q_pos
+        self.p_cross += dt * self.p_vel + q_cross
+        self.p_vel += q_vel
+
+    def update(self, zx: float, zy: float, r: float) -> None:
+        """Fold in a position observation; Joseph-form covariance."""
+        s = self.p_pos + r
+        k0 = self.p_pos / s
+        k1 = self.p_cross / s
+        ix = zx - self.x
+        iy = zy - self.y
+        self.x += k0 * ix
+        self.y += k0 * iy
+        self.vx += k1 * ix
+        self.vy += k1 * iy
+        a0 = 1.0 - k0
+        p_pos, p_cross = self.p_pos, self.p_cross
+        self.p_pos = a0 * a0 * p_pos + r * k0 * k0
+        self.p_cross = a0 * (p_cross - k1 * p_pos) + r * k0 * k1
+        self.p_vel += k1 * (k1 * p_pos - 2.0 * p_cross) + r * k1 * k1
 
     def record_assignment(self, frame_index: int, center: tuple[float, float], object_class: str):
         self.history.append((frame_index, center))
@@ -291,8 +298,6 @@ class VehicleTracker:
         self.archive: dict[int, Track] = {}
         self._next_id = 1
         self._last_timestamp: float | None = None
-        self._cached_dt: float | None = None
-        self._cached_fq: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, frame: FrameDetections) -> list[TrackerEvent]:
         """Advance the tracker by one frame, returning lifecycle events."""
@@ -309,18 +314,14 @@ class VehicleTracker:
 
         if self.tracks and self._last_timestamp is not None:
             dt = frame.timestamp - self._last_timestamp
-            if dt != self._cached_dt:
-                self._cached_dt = dt
-                self._cached_fq = (transition_matrix(dt), process_noise(dt, cfg.process_noise))
-            F, Q = self._cached_fq
-            means = np.stack([t.state.mean for t in self.tracks])
-            covs = np.stack([t.state.covariance for t in self.tracks])
-            means, covs = _batch_transition(means, covs, F, Q)
-            for i, track in enumerate(self.tracks):
-                track.state = KalmanState(mean=means[i], covariance=covs[i])
+            dt2 = dt * dt
+            q = cfg.process_noise
+            q_pos, q_cross, q_vel = q * dt2 * dt2 / 4.0, q * dt2 * dt / 2.0, q * dt2
+            for track in self.tracks:
+                track.predict(dt, q_pos, q_cross, q_vel)
 
         if self.tracks or frame.detections:
-            predicted = [(t.state.mean[0], t.state.mean[1]) for t in self.tracks]
+            predicted = [(t.x, t.y) for t in self.tracks]
             centers = [d.center for d in frame.detections]
             matches, unmatched_tracks, unmatched_dets = assign(
                 cost_matrix(predicted, centers), cfg.gate_distance
@@ -328,22 +329,17 @@ class VehicleTracker:
         else:
             matches, unmatched_tracks, unmatched_dets = [], [], []
 
-        if matches:
-            matched = [self.tracks[ti] for ti, _ in matches]
-            means = np.stack([t.state.mean for t in matched])
-            covs = np.stack([t.state.covariance for t in matched])
-            obs = np.array([frame.detections[di].center for _, di in matches])
-            means, covs = _batch_update(means, covs, obs, cfg.measurement_noise)
-            for i, (track, (_, det_idx)) in enumerate(zip(matched, matches)):
-                det = frame.detections[det_idx]
-                track.state = KalmanState(mean=means[i], covariance=covs[i])
-                track.record_assignment(frame.frame_index, det.center, det.best_class)
-                track.consecutive_hits += 1
-                track.consecutive_misses = 0
-                if track.status == TENTATIVE and track.consecutive_hits >= cfg.confirm_hits:
-                    track.status = ACTIVE
-                    track.confirmed_at = frame.timestamp
-                    events.append(self._event(NEW_VEHICLE, track, frame.timestamp))
+        for track_idx, det_idx in matches:
+            track = self.tracks[track_idx]
+            det = frame.detections[det_idx]
+            track.update(det.cx, det.cy, cfg.measurement_noise)
+            track.record_assignment(frame.frame_index, det.center, det.best_class)
+            track.consecutive_hits += 1
+            track.consecutive_misses = 0
+            if track.status == TENTATIVE and track.consecutive_hits >= cfg.confirm_hits:
+                track.status = ACTIVE
+                track.confirmed_at = frame.timestamp
+                events.append(self._event(NEW_VEHICLE, track, frame.timestamp))
 
         terminated: list[Track] = []
         for track_idx in unmatched_tracks:
@@ -374,18 +370,12 @@ class VehicleTracker:
 
     def _spawn(self, det, frame: FrameDetections) -> Track:
         cfg = self.config
-        mean = np.array([det.cx, det.cy, 0.0, 0.0])
-        cov = np.diag(
-            [
-                cfg.measurement_noise,
-                cfg.measurement_noise,
-                cfg.initial_velocity_variance,
-                cfg.initial_velocity_variance,
-            ]
-        )
         track = Track(
             track_id=self._next_id,
-            state=KalmanState(mean=mean, covariance=cov),
+            x=det.cx,
+            y=det.cy,
+            p_pos=cfg.measurement_noise,
+            p_vel=cfg.initial_velocity_variance,
             created_at=frame.timestamp,
         )
         self._next_id += 1

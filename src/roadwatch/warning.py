@@ -154,7 +154,6 @@ class FlowCheckMonitor:
         self.warnings: list[WarningEvent] = []
         self.events_checked = 0
         self.emit_failures = 0
-        self._emitted: set[tuple[float, str, int]] = set()
 
     def observe(self, event: TrackerEvent) -> WarningEvent | None:
         """Feed one tracker event; returns the warning if one fired."""
@@ -188,15 +187,6 @@ class FlowCheckMonitor:
         )
         if warning:
             self.warnings.append(warning)
-            self._deliver(warning)
+            if self.device is not None and not emit_warning(warning, self.device):
+                self.emit_failures += 1
         return warning
-
-    def _deliver(self, warning: WarningEvent) -> None:
-        if self.device is None:
-            return
-        key = (warning.timestamp, warning.camera, warning.track_id)
-        if key in self._emitted:
-            return
-        self._emitted.add(key)
-        if not emit_warning(warning, self.device):
-            self.emit_failures += 1

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: simulate / replay / report, devices, exit codes."""
 
+import hashlib
 import json
 import socket
 import subprocess
@@ -92,6 +93,20 @@ class TestSimulate:
         assert code == 2
         assert "duration_s" in capsys.readouterr().err
 
+    def test_builtin_scenario_audit_trace_pinned(self, tmp_path, capsys):
+        # digests of a known-good run: any change to tracking or flow-check
+        # behaviour shows up here, not only a simulate/replay mismatch
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", "occluded-curve", "--seed", "1", "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("audit.jsonl", "report.json")
+        }
+        assert digests == {
+            "audit.jsonl": "51ed1f57e24818dccd29c0f911c1668dad71a83def4e966aa98b5c23af71d07f",
+            "report.json": "dc36cfc2db50827fbb8b81cd662e32197265ab0f75863b4840c4bad36e7027d6",
+        }
+
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path / "o")])
         assert code == 2
@@ -153,6 +168,33 @@ class TestReplayEquivalence:
         code = main(["replay", "--log", str(log), "--device", "stdout"])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("cx", "NaN"), ("cy", "Infinity"), ("w", "-3.0"), ("obj", "7.0"), ("conf", "[0.05,1.5,0.05]")],
+    )
+    def test_invalid_detection_exit_2_before_its_frame(self, tmp_path, capsys, field, value):
+        fields = {
+            "cx": "640.0",
+            "cy": "360.0",
+            "w": "40.0",
+            "h": "30.0",
+            "cls": '"vehicle"',
+            "obj": "0.95",
+            "conf": "[0.05,0.9,0.05]",
+        }
+        lines = []
+        for k in range(4):
+            raw = {**fields, field: value} if k == 2 else fields
+            det = ",".join(f'"{name}":{token}' for name, token in raw.items())
+            lines.append(f'{{"camera":"front","frame":{k},"t":{k / 30:.3f},"dets":[{{{det}}}]}}\n')
+        log = tmp_path / "bad.log"
+        log.write_text("".join(lines), encoding="utf-8")
+        code = main(["replay", "--log", str(log), "--device", "stdout"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "line 3" in captured.err
+        assert "frames" not in captured.out
 
     def test_missing_log_exit_2(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "none.log")]) == 2

@@ -1,6 +1,8 @@
 """Decoder and detection-log tests, including brute-force and round-trip oracles."""
 
 import io
+import json
+import math
 
 import numpy as np
 import pytest
@@ -198,6 +200,22 @@ def random_canonical_frames(rng, n_frames):
     return frames
 
 
+def log_line(frame, **raw_fields):
+    """One front-camera log line with one detection; values are raw JSON tokens."""
+    fields = {
+        "cx": "640.0",
+        "cy": "360.0",
+        "w": "40.0",
+        "h": "30.0",
+        "cls": '"vehicle"',
+        "obj": "0.9500",
+        "conf": "[0.0500,0.9000,0.0500]",
+        **raw_fields,
+    }
+    det = ",".join(f'"{k}":{v}' for k, v in fields.items())
+    return f'{{"camera":"front","frame":{frame},"t":{frame / 30:.3f},"dets":[{{{det}}}]}}\n'
+
+
 class TestDetectionLog:
     def test_empty_source(self):
         assert list(parse_detection_log(io.BytesIO(b""))) == []
@@ -280,3 +298,36 @@ class TestDetectionLog:
         )
         with pytest.raises(LogParseError, match="bicycle"):
             list(parse_detection_log(io.StringIO(line)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cx", "NaN"),
+            ("cy", "Infinity"),
+            ("w", "-Infinity"),
+            ("w", "-1.0"),
+            ("h", "-0.5"),
+            ("obj", "7.0"),
+            ("obj", "-0.1"),
+            ("obj", "NaN"),
+            ("conf", "[0.05,1.5,0.05]"),
+            ("conf", "[NaN,0.9,0.05]"),
+        ],
+    )
+    def test_out_of_range_detection_rejected(self, field, value):
+        text = log_line(0) + log_line(1, **{field: value}) + log_line(2)
+        with pytest.raises(LogParseError, match="line 2") as info:
+            list(parse_detection_log(io.StringIO(text)))
+        assert info.value.line_number == 2
+
+    def test_range_boundaries_accepted(self):
+        text = log_line(0, w="0.0", h="0.0", obj="1.0", conf="[0.0,1.0,0.0]")
+        (frame,) = parse_detection_log(io.StringIO(text))
+        assert frame.detections[0].combined_score == 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_timestamp_rejected(self, value):
+        text = log_line(0) + log_line(1).replace('"t":0.033', f'"t":{json.dumps(value)}')
+        with pytest.raises(LogParseError, match="line 2"):
+            list(parse_detection_log(io.StringIO(text)))
+

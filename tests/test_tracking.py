@@ -421,43 +421,111 @@ class TestTrackerLifecycle:
                     seen.add(event.track_id)
 
 
+def random_track(rng, scale=100.0):
+    """A Track with a random mean and a random PSD per-axis covariance block."""
+    from roadwatch.tracking import Track
+
+    x, y, vx, vy = rng.normal(0, scale, 4)
+    a = rng.normal(size=(2, 2))
+    block = a @ a.T + 1e-3 * np.eye(2)
+    return Track(
+        track_id=1, x=x, y=y, vx=vx, vy=vy,
+        p_pos=block[0, 0], p_cross=block[0, 1], p_vel=block[1, 1], created_at=0.0,
+    )
+
+
+def track_state(track):
+    cov = np.zeros((4, 4))
+    cov[0, 0] = cov[1, 1] = track.p_pos
+    cov[0, 2] = cov[2, 0] = cov[1, 3] = cov[3, 1] = track.p_cross
+    cov[2, 2] = cov[3, 3] = track.p_vel
+    return make_state([track.x, track.y, track.vx, track.vy], cov)
+
+
 class TestBatchedPaths:
-    """The tracker's vectorized fast path must agree with the public ops."""
+    """The tracker's per-track fast path (``Track.predict``/``Track.update``,
+    which replaced the batched numpy filter) must agree with the public ops."""
 
     def test_batch_transition_matches_predict(self):
-        from roadwatch.tracking import _batch_transition, process_noise, transition_matrix
+        from roadwatch.tracking import process_noise
 
         rng = np.random.default_rng(79)
-        states = [random_state(rng) for _ in range(40)]
+        tracks = [random_track(rng) for _ in range(40)]
         dt, q = 1.0 / 30.0, 10.0
-        means, covs = _batch_transition(
-            np.stack([s.mean for s in states]),
-            np.stack([s.covariance for s in states]),
-            transition_matrix(dt),
-            process_noise(dt, q),
-        )
-        for i, state in enumerate(states):
-            expected = predict(state, dt, q)
-            np.testing.assert_allclose(means[i], expected.mean, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(covs[i], expected.covariance, rtol=1e-12, atol=1e-12)
+        Q = process_noise(dt, q)
+        for track in tracks:
+            expected = predict(track_state(track), dt, q)
+            track.predict(dt, Q[0, 0], Q[0, 2], Q[2, 2])
+            got = track_state(track)
+            np.testing.assert_allclose(got.mean, expected.mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.covariance, expected.covariance, rtol=1e-12, atol=1e-12)
 
     def test_batch_update_matches_update(self):
-        from roadwatch.tracking import _batch_update
-
         rng = np.random.default_rng(83)
-        states = [random_state(rng) for _ in range(40)]
-        obs = np.array([s.mean[:2] + rng.normal(0, 5, 2) for s in states])
+        tracks = [random_track(rng) for _ in range(40)]
         r = 4.0
-        means, covs = _batch_update(
-            np.stack([s.mean for s in states]),
-            np.stack([s.covariance for s in states]),
-            obs,
-            r,
-        )
-        for i, state in enumerate(states):
-            expected = update(state, obs[i], r)
-            np.testing.assert_allclose(means[i], expected.mean, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(covs[i], expected.covariance, rtol=1e-12, atol=1e-12)
+        for track in tracks:
+            obs = np.array([track.x, track.y]) + rng.normal(0, 5, 2)
+            expected = update(track_state(track), obs, r)
+            track.update(obs[0], obs[1], r)
+            got = track_state(track)
+            np.testing.assert_allclose(got.mean, expected.mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(got.covariance, expected.covariance, rtol=1e-12, atol=1e-12)
+
+
+class TestScalarFilter:
+    """The tracker's per-axis scalar filter must agree with the public ops."""
+
+    def test_live_tracks_match_predict_update(self):
+        cfg = TrackerConfig(confirm_hits=2, max_misses=3)
+        q, r = cfg.process_noise, cfg.measurement_noise
+        v0 = cfg.initial_velocity_variance
+        rng = np.random.default_rng(79)
+        tracker = VehicleTracker("front", cfg)
+        # two vehicles with dropouts (misses) and a clutter point (short tracks)
+        starts = [np.array([100.0, 200.0]), np.array([900.0, 500.0])]
+        velocities = [np.array([150.0, 20.0]), np.array([-120.0, -10.0])]
+        reference: dict[int, KalmanState] = {}
+        t, last_t = 0.0, None
+        saw_miss = False
+        for k in range(300):
+            t = round(t + rng.choice([1 / 30, 1 / 15, 0.1, 0.0417]), 3)  # irregular dt
+            centers = [
+                tuple(s + v * t + rng.normal(0, 1.5, 2))
+                for s, v in zip(starts, velocities)
+                if rng.uniform() > 0.15
+            ]
+            if rng.uniform() < 0.1:
+                centers.append((rng.uniform(0, 1280), rng.uniform(0, 720)))
+            tracker.step(
+                FrameDetections(
+                    frame_index=k,
+                    timestamp=t,
+                    camera="front",
+                    detections=[det(cx, cy, frame_index=k) for cx, cy in centers],
+                )
+            )
+            for track in tracker.tracks:
+                saw_miss = saw_miss or track.consecutive_misses > 0
+                frame_index, (zx, zy) = track.history[-1]
+                if track.track_id not in reference:
+                    reference[track.track_id] = make_state(
+                        [zx, zy, 0.0, 0.0], np.diag([r, r, v0, v0])
+                    )
+                else:
+                    state = predict(reference[track.track_id], t - last_t, q)
+                    if frame_index == k:
+                        state = update(state, (zx, zy), r)
+                    reference[track.track_id] = state
+                expected = reference[track.track_id]
+                got = track_state(track)
+                np.testing.assert_allclose(got.mean, expected.mean, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(
+                    got.covariance, expected.covariance, rtol=1e-12, atol=1e-12
+                )
+            last_t = t
+        assert saw_miss
+        assert len(tracker.archive) > 2
 
 
 class TestEventLog:
