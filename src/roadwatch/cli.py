@@ -5,8 +5,9 @@ writes field-style report artifacts; ``replay`` pushes a recorded detection
 log through the tracker + flow check at data time; ``report`` re-renders the
 summary from previously written artifacts.
 
-Exit codes: 0 success, 2 invalid input/config, 3 internal invariant
-violation. ``ROADWATCH_LOG_LEVEL`` controls diagnostics verbosity.
+Exit codes: 0 success, 2 invalid input/config or a path that cannot be
+opened, 3 internal invariant violation. ``ROADWATCH_LOG_LEVEL`` controls
+diagnostics verbosity.
 """
 
 from __future__ import annotations
@@ -50,10 +51,13 @@ def open_device(spec: str):
         return StdoutDevice()
     if spec.startswith("udp:"):
         try:
-            _, host, port = spec.split(":")
-            return UdpDevice(host, int(port))
+            _, host, port_text = spec.split(":")
+            port = int(port_text)
         except ValueError as exc:
             raise ConfigError(f"bad device spec {spec!r} (want udp:<host>:<port>)") from exc
+        if not 1 <= port <= 65535:
+            raise ConfigError(f"bad device spec {spec!r}: port must be 1-65535")
+        return UdpDevice(host, port)
     raise ConfigError(f"unknown device {spec!r} (want stdout or udp:<host>:<port>)")
 
 
@@ -217,10 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RoadwatchError as exc:
+    except (OSError, RoadwatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -724,29 +724,37 @@ def load_report(out_dir: str | Path) -> SimulationReport:
     audit_path = out / AUDIT_FILE
     if not meta_path.is_file() or not audit_path.is_file():
         raise ConfigError(f"report artifacts not found in {out} (need {META_FILE} and {AUDIT_FILE})")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        duration, t_duration = meta["duration_s"], meta["t_duration_s"]
+        seed, emit_failures = meta["seed"], meta["emit_failures"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{META_FILE}: malformed report metadata: {exc}") from exc
     entries = []
-    for line in audit_path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(audit_path.read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        entries.append(
-            ReportEntry(
-                timestamp=rec["t"],
-                camera=rec["cam"],
-                track_id=rec["track"],
-                object_class=rec["cls"],
-                decision=rec["decision"],
-                gap=rec["gap"],
-                vehicle_id=rec["vehicle"],
-                pass_time=rec["pass_t"],
-                delta=rec["delta"],
+        try:
+            rec = json.loads(line)
+            entries.append(
+                ReportEntry(
+                    timestamp=rec["t"],
+                    camera=rec["cam"],
+                    track_id=rec["track"],
+                    object_class=rec["cls"],
+                    decision=rec["decision"],
+                    gap=rec["gap"],
+                    vehicle_id=rec["vehicle"],
+                    pass_time=rec["pass_t"],
+                    delta=rec["delta"],
+                )
             )
-        )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{AUDIT_FILE} line {lineno}: malformed record: {exc}") from exc
     return SimulationReport(
-        duration=meta["duration_s"],
-        t_duration=meta["t_duration_s"],
-        seed=meta["seed"],
+        duration=duration,
+        t_duration=t_duration,
+        seed=seed,
         entries=entries,
-        emit_failures=meta["emit_failures"],
+        emit_failures=emit_failures,
     )

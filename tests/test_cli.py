@@ -41,6 +41,40 @@ false_positive_rate = 0.0
 """
 
 
+# rush-hour arrivals with no center jitter: every vehicle renders at the
+# same image point, so frames with several vehicles tie on every cost and
+# the assignment's tie-breaking decides the track identities
+TIES_SCENARIO = """\
+[scenario]
+duration_s = 300
+seed = 9
+frame_rate_hz = 30
+
+[arrivals.front]
+profile = 0:0.2666666667
+
+[arrivals.rear]
+profile = 0:0.2666666667
+
+[road]
+speed_min_mps = 18
+speed_max_mps = 30
+detection_range_m = 120
+occlusions =
+
+[camera]
+focal_length_px = 1000
+vehicle_height_m = 1.5
+image_width_px = 1280
+image_height_px = 720
+
+[noise]
+center_jitter_px = 0
+dropout_prob = 0.02
+false_positive_rate = 0.0
+"""
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     path = tmp_path / "site.cfg"
@@ -105,6 +139,22 @@ class TestSimulate:
         assert digests == {
             "audit.jsonl": "51ed1f57e24818dccd29c0f911c1668dad71a83def4e966aa98b5c23af71d07f",
             "report.json": "dc36cfc2db50827fbb8b81cd662e32197265ab0f75863b4840c4bad36e7027d6",
+        }
+
+    def test_tie_heavy_audit_trace_pinned(self, tmp_path, capsys):
+        # digests of a known-good run of the zero-jitter scenario: pins how
+        # ties between co-located vehicles are resolved
+        scenario = tmp_path / "ties.cfg"
+        scenario.write_text(TIES_SCENARIO, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("audit.jsonl", "report.json")
+        }
+        assert digests == {
+            "audit.jsonl": "f8e33e7a2079f157f00d75f4fe7276aeeb9141fc87afdaa1f6da84f816732815",
+            "report.json": "95fa28b8ef0ea2cd7239ed8ac12ca04725a84a8988c1930153002fa29d4b4ae3",
         }
 
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
@@ -199,6 +249,10 @@ class TestReplayEquivalence:
     def test_missing_log_exit_2(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "none.log")]) == 2
 
+    def test_directory_as_log_exit_2(self, tmp_path, capsys):
+        assert main(["replay", "--log", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDevices:
     def test_udp_device_receives_datagrams(self, scenario_file, tmp_path):
@@ -228,6 +282,16 @@ class TestDevices:
                      str(tmp_path / "o"), "--device", "serial:/dev/ttyS0"])
         assert code == 2
 
+    @pytest.mark.parametrize("port", ["0", "99999", "-1"])
+    def test_udp_port_out_of_range_exit_2(self, tmp_path, capsys, port):
+        log = tmp_path / "d.log"
+        log.write_text('{"camera":"front","frame":0,"t":0.000,"dets":[]}\n', encoding="utf-8")
+        code = main(["replay", "--log", str(log), "--device", f"udp:127.0.0.1:{port}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "port must be 1-65535" in captured.err
+        assert "frames" not in captured.out
+
 
 class TestReport:
     def test_report_renders_same_summary(self, scenario_file, tmp_path, capsys):
@@ -250,6 +314,29 @@ class TestReport:
 
     def test_missing_artifacts_exit_2(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path / "nothing")]) == 2
+
+    @pytest.mark.parametrize(
+        "name, damage, message",
+        [
+            ("audit.jsonl", lambda text: text[:-20], "audit.jsonl line "),
+            (
+                "audit.jsonl",
+                lambda text: text.replace('"decision"', '"decided"', 1),
+                "audit.jsonl line 1:",
+            ),
+            ("report.json", lambda text: text[:-10], "report.json: "),
+            ("report.json", lambda text: text.replace('"seed"', '"sead"'), "report.json: "),
+        ],
+        ids=["truncated-audit", "audit-missing-key", "truncated-meta", "meta-missing-key"],
+    )
+    def test_damaged_artifacts_exit_2(self, scenario_file, tmp_path, capsys, name, damage, message):
+        out = tmp_path / "out"
+        main(["simulate", "--scenario", str(scenario_file), "--out", str(out)])
+        capsys.readouterr()
+        path = out / name
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        assert main(["report", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestFlags:

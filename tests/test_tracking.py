@@ -1,6 +1,5 @@
 """Tracking tests: Kalman oracles, assignment optimality, lifecycle rules."""
 
-import io
 from itertools import permutations
 
 import numpy as np
@@ -18,10 +17,8 @@ from roadwatch.tracking import (
     VehicleTracker,
     assign,
     cost_matrix,
-    format_event_line,
     predict,
     update,
-    write_event_log,
 )
 
 
@@ -247,6 +244,110 @@ class TestAssign:
             assign(np.array([[-1.0]]), 10.0)
 
 
+def association_outcome(solve, predicted, centers, gate):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return solve(predicted, centers, gate)
+    except ValidationError as exc:
+        return ("ValidationError", str(exc))
+
+
+def scipy_association(predicted, centers, gate):
+    return assign(cost_matrix(predicted, centers), gate)
+
+
+class TestAssociate:
+    """The tracker's association helper against ``assign(cost_matrix(...))``."""
+
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        import roadwatch.tracking as tracking
+
+        calls = []
+
+        def counted(costs, gate):
+            calls.append(costs.shape)
+            return assign(costs, gate)
+
+        monkeypatch.setattr(tracking, "assign", counted)
+        return calls
+
+    def check(self, predicted, centers, gate):
+        from roadwatch.tracking import _associate
+
+        got = association_outcome(_associate, predicted, centers, gate)
+        expected = association_outcome(scipy_association, predicted, centers, gate)
+        assert got == expected, (predicted, centers, gate)
+        return got
+
+    def test_random_small_frames(self, solver_calls):
+        # points on a 3 x 4 px lattice: many exact ties and many distances
+        # of exactly 3, 4 or 5 px, equal to the gates below
+        rng = np.random.default_rng(59)
+        fast_matches = 0
+        for _ in range(3000):
+            n, m = rng.integers(0, 5, 2)
+            predicted = [(3.0 * rng.integers(0, 4), 4.0 * rng.integers(0, 3)) for _ in range(n)]
+            centers = [(3.0 * rng.integers(0, 4), 4.0 * rng.integers(0, 3)) for _ in range(m)]
+            gate = float(rng.choice([2.0, 3.0, 4.0, 5.0, 9.0, np.inf]))
+            calls_before = len(solver_calls)
+            matches, _, _ = self.check(predicted, centers, gate)
+            if len(solver_calls) == calls_before and matches:
+                fast_matches += 1
+        # both paths ran many times, the fast one on frames with matches
+        assert fast_matches > 300
+        assert len(solver_calls) > 300
+
+    def test_large_frames(self, solver_calls):
+        # criterion 7's lattice: 50 tracks, 20 detections, each in the gate
+        # of one track only, then every point doubled; both are past the
+        # size where the scipy solve is the faster path
+        rng = np.random.default_rng(61)
+        slots = [(64.0 + 128 * i, 72.0 + 144 * j) for i in range(10) for j in range(5)]
+        centers = [
+            (slots[k][0] + rng.uniform(-3, 3), slots[k][1] + rng.uniform(-3, 3))
+            for k in rng.choice(len(slots), 20, replace=False)
+        ]
+        matches, _, _ = self.check(slots, centers, 75.0)
+        assert len(matches) == 20
+        self.check(slots * 2, centers * 2, 75.0)
+        assert solver_calls == [(50, 20), (100, 40)]
+
+    def test_co_located_tracks_and_detections(self):
+        point = (640.0, 360.0)
+        for n in range(4):
+            for m in range(4):
+                self.check([point] * n, [point] * m, 75.0)
+
+    def test_distance_equal_to_gate(self):
+        assert self.check([(0.0, 0.0)], [(3.0, 4.0)], 5.0)[0] == [(0, 0)]
+        assert self.check([(0.0, 0.0)], [(3.0, 4.0)], np.nextafter(5.0, 0.0))[0] == []
+        self.check([(0.0, 0.0), (6.0, 8.0)], [(3.0, 4.0)], 5.0)
+        self.check([(0.0, 0.0), (100.0, 0.0)], [(3.0, 4.0), (100.0, 5.0)], 5.0)
+
+    def test_empty_lists(self):
+        assert self.check([], [], 75.0) == ([], [], [])
+        assert self.check([(1.0, 2.0)], [], 75.0) == ([], [0], [])
+        assert self.check([], [(1.0, 2.0), (3.0, 4.0)], 75.0) == ([], [], [0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    @pytest.mark.parametrize("gate", [75.0, np.inf])
+    def test_non_finite_distance_rejected(self, bad, gate):
+        cases = [
+            ([(bad, 0.0)], [(0.0, 0.0)]),
+            ([(0.0, 0.0)], [(0.0, bad)]),
+            ([(0.0, 0.0), (500.0, 0.0)], [(500.0, 0.0), (bad, bad)]),
+            ([(0.0, 0.0), (0.0, 0.0)], [(0.0, 0.0), (0.0, bad)]),
+            # a conflict comes first: the full solve must reject the frame
+            ([(0.0, 0.0), (0.0, 0.0), (bad, 0.0)], [(0.0, 0.0)]),
+        ]
+        for predicted, centers in cases:
+            assert self.check(predicted, centers, gate) == (
+                "ValidationError",
+                "costs must be finite and non-negative",
+            )
+
+
 def det(cx, cy, cls="vehicle", frame_index=0):
     confs = tuple(0.9 if c == cls else 0.05 for c in CLASSES)
     return Detection(
@@ -395,15 +496,15 @@ class TestTrackerLifecycle:
         def run():
             rng = np.random.default_rng(71)
             tracker = VehicleTracker("front", TrackerConfig(confirm_hits=2, max_misses=2))
-            lines = io.StringIO()
+            events = []
             for k in range(300):
                 centers = []
                 if rng.uniform() < 0.6:
                     centers.append((300 + rng.normal(0, 2), 150 + rng.normal(0, 2)))
                 if rng.uniform() < 0.3:
                     centers.append((700 + rng.normal(0, 2), 500 + rng.normal(0, 2)))
-                write_event_log(tracker.step(frame(k, centers)), lines)
-            return lines.getvalue()
+                events.extend(tracker.step(frame(k, centers)))
+            return events
 
         first, second = run(), run()
         assert first == second
@@ -527,15 +628,3 @@ class TestScalarFilter:
         assert saw_miss
         assert len(tracker.archive) > 2
 
-
-class TestEventLog:
-    def test_line_format(self):
-        from roadwatch.tracking import TrackerEvent
-
-        event = TrackerEvent(
-            kind=NEW_VEHICLE, track_id=3, timestamp=4.1, camera="front", object_class="vehicle"
-        )
-        assert (
-            format_event_line(event)
-            == '{"kind":"new_vehicle","track":3,"t":4.100,"cam":"front","cls":"vehicle"}\n'
-        )
