@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -24,8 +25,8 @@ from .detection import FrameDetections, parse_detection_log
 from .errors import ConfigError, RoadwatchError
 from .simulation import (
     DIRECTIONS,
-    ReportEntry,
-    SimulationReport,
+    build_report,
+    drive,
     histogram_csv,
     load_report,
     load_scenario,
@@ -74,17 +75,27 @@ def _tracker_config(args, image_width: int | None = None) -> TrackerConfig:
     return TrackerConfig(**overrides)
 
 
+@contextmanager
+def _device(spec: str | None):
+    """The device named by ``spec`` (None for none), closed on the way out."""
+    device = open_device(spec) if spec else None
+    try:
+        yield device
+    finally:
+        if device is not None:
+            device.close()
+
+
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
     config = _tracker_config(args, image_width=scenario.camera.image_width)
-    device = open_device(args.device) if args.device else None
-
-    dump_sink = None
-    if args.dump_detections:
-        dump_sink = open(args.dump_detections, "w", encoding="utf-8", newline="")
-    try:
+    with _device(args.device) as device, (
+        open(args.dump_detections, "w", encoding="utf-8", newline="")
+        if args.dump_detections
+        else nullcontext()
+    ) as dump_sink:
         report = run_pipeline(
             scenario,
             tracker_config=config,
@@ -92,10 +103,6 @@ def cmd_simulate(args) -> int:
             device=device,
             dump_sink=dump_sink,
         )
-    finally:
-        if dump_sink is not None:
-            dump_sink.close()
-
     write_report(report, args.out)
     log.info(
         "simulated %.0f s: %d events, %d warnings",
@@ -122,43 +129,13 @@ def _paced(frames: Iterable[FrameDetections]) -> Iterator[FrameDetections]:
 
 def cmd_replay(args) -> int:
     config = _tracker_config(args)
-    device = open_device(args.device) if args.device else None
     trackers = {d: VehicleTracker(d, config) for d in DIRECTIONS}
-    monitor = FlowCheckMonitor(t_duration=args.t_duration, start_time=0.0, device=device)
-
-    last_t = 0.0
-    frame_count = 0
-    with open(args.log, "rb") as source:
+    with _device(args.device) as device, open(args.log, "rb") as source:
+        monitor = FlowCheckMonitor(t_duration=args.t_duration, start_time=0.0, device=device)
         frames = parse_detection_log(source)
-        if args.pace_realtime:
-            frames = _paced(frames)
-        for frame in frames:
-            frame_count += 1
-            last_t = max(last_t, frame.timestamp)
-            for event in trackers[frame.camera].step(frame):
-                monitor.observe(event)
-
+        frame_count, last_t = drive(_paced(frames) if args.pace_realtime else frames, trackers, monitor)
     if args.out:
-        entries = [
-            ReportEntry(
-                timestamp=rec.timestamp,
-                camera=rec.camera,
-                track_id=rec.track_id,
-                object_class=rec.object_class,
-                decision=rec.decision,
-                gap=rec.gap,
-            )
-            for rec in monitor.audit
-        ]
-        report = SimulationReport(
-            duration=last_t,
-            t_duration=args.t_duration,
-            seed=0,
-            entries=entries,
-            emit_failures=monitor.emit_failures,
-        )
-        write_report(report, args.out)
-
+        write_report(build_report(monitor, last_t, args.t_duration, 0), args.out)
     sys.stdout.write(
         f"frames              {frame_count}\n"
         f"new_vehicle_events  {monitor.events_checked}\n"

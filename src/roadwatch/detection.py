@@ -13,6 +13,7 @@ import io
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -228,9 +229,11 @@ def format_detection_line(frame: FrameDetections) -> str:
     return f'{{"camera":"{frame.camera}","frame":{frame.frame_index},"t":{frame.timestamp:.3f},"dets":[{dets}]}}\n'
 
 
-def _decode_lines(source: IO[bytes] | IO[str] | Iterable[str | bytes]) -> Iterator[str]:
-    for line in source:
-        yield line.decode("utf-8") if isinstance(line, bytes) else line
+# what a malformed line can raise before it is validated: json.loads raises
+# RecursionError on deep nesting, float() OverflowError on an integer literal
+# beyond the float range, and decoding UnicodeDecodeError (a ValueError)
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _check_detection(
@@ -264,23 +267,26 @@ def parse_detection_log(
     raise :class:`LogParseError` with the offending line number.
     """
     last_t: dict[str, float] = {}
-    for lineno, line in enumerate(_decode_lines(source), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(source, start=1):
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            line = line.strip()
+            if not line:
+                continue
             record = json.loads(line)
             camera = record["camera"]
             frame_index = record["frame"]
             timestamp = record["t"]
             raw_dets = record["dets"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except _MALFORMED as exc:
             raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
         if camera not in CAMERAS:
             raise LogParseError(f"line {lineno}: unknown camera {camera!r}", lineno)
         if not isinstance(frame_index, int) or isinstance(frame_index, bool) or frame_index < 0:
             raise LogParseError(f"line {lineno}: bad frame index {frame_index!r}", lineno)
-        if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool) or not math.isfinite(timestamp):
+        # False for NaN, infinities and integers that do not fit a float
+        if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool) or not -_FLOAT_MAX <= timestamp <= _FLOAT_MAX:
             raise LogParseError(f"line {lineno}: bad timestamp {timestamp!r}", lineno)
         if camera in last_t and timestamp <= last_t[camera]:
             raise StreamOrderError(
@@ -309,7 +315,7 @@ def parse_detection_log(
                         best_class=d["cls"],
                     )
                 )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
         yield FrameDetections(
             frame_index=frame_index,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -28,7 +29,7 @@ import numpy as np
 
 from .detection import CLASSES, Detection, FrameDetections, write_detection_log
 from .errors import ConfigError
-from .tracking import TrackerConfig, VehicleTracker
+from .tracking import TrackerConfig, VehicleTracker, majority
 from .warning import DECISION_SKIP_CLASS, DECISION_WARN, FlowCheckMonitor
 
 DIRECTIONS = ("front", "rear")
@@ -517,14 +518,20 @@ def drive(
     frames: Iterable[FrameDetections],
     trackers: dict[str, VehicleTracker],
     monitor: FlowCheckMonitor,
-) -> int:
-    """Feed frames (already in merged stream order) through the pipeline."""
+) -> tuple[int, float]:
+    """Feed frames (already in merged stream order) through the pipeline.
+
+    Returns the frame count and the largest frame timestamp (0.0 for none).
+    """
     count = 0
+    last_t = 0.0
     for frame in frames:
         count += 1
+        if frame.timestamp > last_t:
+            last_t = frame.timestamp
         for event in trackers[frame.camera].step(frame):
             monitor.observe(event)
-    return count
+    return count, last_t
 
 
 def _majority_vehicle(
@@ -544,10 +551,35 @@ def _majority_vehicle(
         label = labels.get((camera, frame_index, center[0], center[1]))
         counts[label] += 1
         recency[label] = i
-    if not counts:
-        return None
-    winner = max(counts, key=lambda lbl: (counts[lbl], recency[lbl]))
-    return winner
+    return majority(counts, recency) if counts else None
+
+
+def build_report(
+    monitor: FlowCheckMonitor,
+    duration: float,
+    t_duration: float,
+    seed: int,
+    matches: dict[tuple[float, str, int], tuple[int, float, float]] | None = None,
+) -> SimulationReport:
+    """One report entry per audit record of ``monitor``.
+
+    A record whose (timestamp, camera, track id) is in ``matches`` takes its
+    (vehicle id, pass time, delta) from there; every other record has none.
+    """
+    matches = matches or {}
+    entries = [
+        ReportEntry(
+            rec.timestamp,
+            rec.camera,
+            rec.track_id,
+            rec.object_class,
+            rec.decision,
+            rec.gap,
+            *matches.get((rec.timestamp, rec.camera, rec.track_id), (None, None, None)),
+        )
+        for rec in monitor.audit
+    ]
+    return SimulationReport(duration, t_duration, seed, entries, monitor.emit_failures)
 
 
 def run_passes(
@@ -570,44 +602,15 @@ def run_passes(
     drive(merged, trackers, monitor)
 
     by_id = {p.vehicle_id: p for p in passes}
-    warned: dict[tuple[float, str, int], tuple[int | None, float | None, float | None]] = {}
+    warned: dict[tuple[float, str, int], tuple[int, float, float]] = {}
     for w in monitor.warnings:
         track = trackers[w.camera].archive[w.track_id]
         warn_frame = int(round(w.timestamp * scenario.frame_rate))
         vehicle_id = _majority_vehicle(track, w.camera, labels, max_frame_index=warn_frame)
-        if vehicle_id is None:
-            warned[(w.timestamp, w.camera, w.track_id)] = (None, None, None)
-        else:
-            vehicle = by_id[vehicle_id]
-            warned[(w.timestamp, w.camera, w.track_id)] = (
-                vehicle_id,
-                vehicle.pass_time,
-                vehicle.pass_time - w.timestamp,
-            )
-
-    entries = []
-    for record in monitor.audit:
-        match = warned.get((record.timestamp, record.camera, record.track_id), (None, None, None))
-        entries.append(
-            ReportEntry(
-                timestamp=record.timestamp,
-                camera=record.camera,
-                track_id=record.track_id,
-                object_class=record.object_class,
-                decision=record.decision,
-                gap=record.gap,
-                vehicle_id=match[0],
-                pass_time=match[1],
-                delta=match[2],
-            )
-        )
-    return SimulationReport(
-        duration=scenario.duration,
-        t_duration=t_duration,
-        seed=scenario.seed,
-        entries=entries,
-        emit_failures=monitor.emit_failures,
-    )
+        if vehicle_id is not None:
+            pass_time = by_id[vehicle_id].pass_time
+            warned[(w.timestamp, w.camera, w.track_id)] = (vehicle_id, pass_time, pass_time - w.timestamp)
+    return build_report(monitor, scenario.duration, t_duration, scenario.seed, warned)
 
 
 def run_pipeline(
@@ -717,6 +720,27 @@ def write_report(report: SimulationReport, out_dir: str | Path) -> None:
     (out / SUMMARY_FILE).write_text(summary_text(report), encoding="utf-8")
 
 
+_KINDS = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _field(record: dict, key: str, kind: type, null: bool = False):
+    """``record[key]`` if it has the type the report writer gives that field.
+
+    ``kind`` is float (any number that fits a finite float), int or str;
+    None passes only where the writer can write null.
+    """
+    value = record[key]
+    if value is None and null:
+        return None
+    if kind is float:
+        ok = type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ValueError(f"{key} must be {_KINDS[kind]}{' or null' if null else ''}, got {value!r}")
+    return value
+
+
 def load_report(out_dir: str | Path) -> SimulationReport:
     """Rebuild a report from its artifacts (report.json + audit.jsonl)."""
     out = Path(out_dir)
@@ -726,9 +750,9 @@ def load_report(out_dir: str | Path) -> SimulationReport:
         raise ConfigError(f"report artifacts not found in {out} (need {META_FILE} and {AUDIT_FILE})")
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        duration, t_duration = meta["duration_s"], meta["t_duration_s"]
-        seed, emit_failures = meta["seed"], meta["emit_failures"]
-    except (ValueError, KeyError, TypeError) as exc:
+        duration, t_duration = _field(meta, "duration_s", float), _field(meta, "t_duration_s", float)
+        seed, emit_failures = _field(meta, "seed", int), _field(meta, "emit_failures", int)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"{META_FILE}: malformed report metadata: {exc}") from exc
     entries = []
     for lineno, line in enumerate(audit_path.read_bytes().splitlines(), start=1):
@@ -738,18 +762,18 @@ def load_report(out_dir: str | Path) -> SimulationReport:
             rec = json.loads(line)
             entries.append(
                 ReportEntry(
-                    timestamp=rec["t"],
-                    camera=rec["cam"],
-                    track_id=rec["track"],
-                    object_class=rec["cls"],
-                    decision=rec["decision"],
-                    gap=rec["gap"],
-                    vehicle_id=rec["vehicle"],
-                    pass_time=rec["pass_t"],
-                    delta=rec["delta"],
+                    timestamp=_field(rec, "t", float),
+                    camera=_field(rec, "cam", str),
+                    track_id=_field(rec, "track", int),
+                    object_class=_field(rec, "cls", str),
+                    decision=_field(rec, "decision", str),
+                    gap=_field(rec, "gap", float, null=True),
+                    vehicle_id=_field(rec, "vehicle", int, null=True),
+                    pass_time=_field(rec, "pass_t", float, null=True),
+                    delta=_field(rec, "delta", float, null=True),
                 )
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ConfigError(f"{AUDIT_FILE} line {lineno}: malformed record: {exc}") from exc
     return SimulationReport(
         duration=duration,

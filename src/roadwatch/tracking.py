@@ -271,6 +271,11 @@ def _associate(
     )
 
 
+def majority(counts: dict, recency: dict):
+    """The key with the highest count; ties go to the highest recency."""
+    return max(counts, key=lambda key: (counts[key], recency[key]))
+
+
 @dataclass(slots=True)
 class Track:
     """One vehicle trajectory, its Kalman state and lifecycle bookkeeping.
@@ -328,11 +333,7 @@ class Track:
 
     def majority_class(self) -> str:
         """Majority class over assigned detections; ties go to the most recent."""
-        best = max(
-            self.class_counts.items(),
-            key=lambda item: (item[1], self.class_recency[item[0]]),
-        )
-        return best[0]
+        return majority(self.class_counts, self.class_recency)
 
 
 class VehicleTracker:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -246,6 +247,48 @@ class TestReplayEquivalence:
         assert "line 3" in captured.err
         assert "frames" not in captured.out
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            b"\xff\xfe",
+            b'{"camera":"front","frame":1,"t":1' + b"0" * 400 + b',"dets":[]}',
+            b'{"camera":"front","frame":1,"t":0.1,"dets":[{"cx":1' + b"0" * 400
+            + b',"cy":1.0,"w":1.0,"h":1.0,"cls":"vehicle","obj":0.9,"conf":[0.1,0.8,0.1]}]}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["not-utf8", "huge-int-timestamp", "huge-int-box-field", "deep-nesting"],
+    )
+    def test_undecodable_line_exit_2(self, tmp_path, capsys, bad_line):
+        log = tmp_path / "bad.log"
+        log.write_bytes(b'{"camera":"front","frame":0,"t":0.000,"dets":[]}\n' + bad_line + b"\n")
+        code = main(["replay", "--log", str(log), "--device", "stdout"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error: line 2: " in captured.err
+        assert "frames" not in captured.out
+
+    def test_replay_report_artifacts_pinned(self, tmp_path, capsys):
+        # digests taken before replay shared simulate's drive() and report
+        # builder: a replay report has seed 0, the last frame's timestamp as
+        # its duration, and no ground-truth match on any entry
+        scenario = tmp_path / "ties.cfg"
+        scenario.write_text(TIES_SCENARIO, encoding="utf-8")
+        dump = tmp_path / "d.log"
+        assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "sim"),
+                     "--dump-detections", str(dump)]) == 0
+        out = tmp_path / "rep"
+        assert main(["replay", "--log", str(dump), "--out", str(out), "--device", "stdout"]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("audit.jsonl", "report.json", "summary.txt", "histogram.csv")
+        }
+        assert digests == {
+            "audit.jsonl": "696a815002edc75a094d976186cdb817a7151c9dc4f8f69533d0c987633404f6",
+            "report.json": "c755d7354106a39f6f15949b3d28dc290e11791e66ec9f7f6c241d5aae1173fa",
+            "summary.txt": "9deb71fcbd97d74be8c57240ebbc56cd8ccc28b15d2e5d5a70124d690c4934f9",
+            "histogram.csv": "1d5109d521cc662255c06f1510965403c837698bdd3073a19a1d1c5214a46ce6",
+        }
+
     def test_missing_log_exit_2(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "none.log")]) == 2
 
@@ -293,6 +336,47 @@ class TestDevices:
         assert "frames" not in captured.out
 
 
+class FakeDevice:
+    def __init__(self):
+        self.lines = []
+        self.closed = False
+
+    def send(self, line):
+        self.lines.append(line)
+
+    def close(self):
+        self.closed = True
+
+
+class TestDeviceClosed:
+    @pytest.fixture
+    def devices(self, monkeypatch):
+        opened = []
+
+        def open_device(spec):
+            opened.append(FakeDevice())
+            return opened[-1]
+
+        monkeypatch.setattr("roadwatch.cli.open_device", open_device)
+        return opened
+
+    def test_closed_after_simulate_and_replay(self, scenario_file, tmp_path, capsys, devices):
+        dump = tmp_path / "d.log"
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "s"),
+                     "--device", "stdout", "--dump-detections", str(dump)]) == 0
+        assert main(["replay", "--log", str(dump), "--device", "stdout"]) == 0
+        simulated, replayed = devices
+        assert simulated.lines and replayed.lines == simulated.lines
+        assert simulated.closed and replayed.closed
+
+    def test_closed_after_bad_line(self, tmp_path, capsys, devices):
+        log = tmp_path / "bad.log"
+        log.write_text('{"camera":"front","frame":0,"t":0.000,"dets":[]}\ngarbage\n', encoding="utf-8")
+        assert main(["replay", "--log", str(log), "--device", "stdout"]) == 2
+        (device,) = devices
+        assert device.closed
+
+
 class TestReport:
     def test_report_renders_same_summary(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -326,8 +410,31 @@ class TestReport:
             ),
             ("report.json", lambda text: text[:-10], "report.json: "),
             ("report.json", lambda text: text.replace('"seed"', '"sead"'), "report.json: "),
+            (
+                "audit.jsonl",
+                lambda text: re.sub(r'"delta":[^}]*', '"delta":"x"', text, count=1),
+                "audit.jsonl line 1: malformed record: delta must be a number or null",
+            ),
+            (
+                "audit.jsonl",
+                lambda text: re.sub(r'"delta":[^}]*', '"delta":Infinity', text, count=1),
+                "audit.jsonl line 1: malformed record: delta must be a number or null",
+            ),
+            (
+                "audit.jsonl",
+                lambda text: re.sub(r'"t":[^,]*', '"t":"x"', text, count=1),
+                "audit.jsonl line 1: malformed record: t must be a number",
+            ),
+            (
+                "report.json",
+                lambda text: re.sub(r'"duration_s":[^,]*', '"duration_s":"x"', text),
+                "report.json: malformed report metadata: duration_s must be a number",
+            ),
+            ("report.json", lambda text: "[" * 100_000 + "]" * 100_000, "report.json: "),
         ],
-        ids=["truncated-audit", "audit-missing-key", "truncated-meta", "meta-missing-key"],
+        ids=["truncated-audit", "audit-missing-key", "truncated-meta", "meta-missing-key",
+             "audit-str-delta", "audit-infinite-delta", "audit-str-timestamp", "meta-str-duration",
+             "meta-deep-nesting"],
     )
     def test_damaged_artifacts_exit_2(self, scenario_file, tmp_path, capsys, name, damage, message):
         out = tmp_path / "out"
