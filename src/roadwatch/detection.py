@@ -234,28 +234,30 @@ def format_detection_line(frame: FrameDetections) -> str:
 # beyond the float range, and decoding UnicodeDecodeError (a ValueError)
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 _FLOAT_MAX = sys.float_info.max
+_NUMBER = (float, int)  # the types json.loads gives a JSON number; bool is neither
 
 
-def _check_detection(
-    cls: str, cx: float, cy: float, w: float, h: float, obj: float, confs: tuple[float, ...]
-) -> None:
+def _check_detection(cls, cx, cy, w, h, obj, confs) -> None:
     """Raise ValueError for a logged detection that :func:`decode_grid` could not produce.
 
-    The class must be known, with one confidence per class; box fields must
-    be finite and the size non-negative; objectness and class confidences
-    must lie in [0, 1]. The chained comparisons are False for NaN.
+    The class must be known, with a list of one confidence per class. Box
+    fields, objectness and confidences must be JSON numbers (not strings or
+    booleans); box fields must be finite and the size non-negative;
+    objectness and class confidences must lie in [0, 1]. The chained
+    comparisons are False for NaN.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")
-    if len(confs) != len(CLASSES):
-        raise ValueError(f"expected {len(CLASSES)} class confidences, got {len(confs)}")
-    if not (-math.inf < cx < math.inf and -math.inf < cy < math.inf):
-        raise ValueError(f"box center must be finite, got cx={cx} cy={cy}")
-    if not (0.0 <= w < math.inf and 0.0 <= h < math.inf):
-        raise ValueError(f"box size must be finite and >= 0, got w={w} h={h}")
+    if type(confs) is not list or len(confs) != len(CLASSES):
+        raise ValueError(f"conf must be a list of {len(CLASSES)} class confidences, got {confs!r}")
+    if not (type(cx) in _NUMBER and type(cy) in _NUMBER
+            and -math.inf < cx < math.inf and -math.inf < cy < math.inf):
+        raise ValueError(f"box center must be finite numbers, got cx={cx!r} cy={cy!r}")
+    if not (type(w) in _NUMBER and type(h) in _NUMBER and 0.0 <= w < math.inf and 0.0 <= h < math.inf):
+        raise ValueError(f"box size must be finite numbers >= 0, got w={w!r} h={h!r}")
     for p in (obj, *confs):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"scores must be in [0, 1], got obj={obj} conf={list(confs)}")
+        if type(p) not in _NUMBER or not 0.0 <= p <= 1.0:
+            raise ValueError(f"scores must be numbers in [0, 1], got obj={obj!r} conf={confs!r}")
 
 
 def parse_detection_log(
@@ -298,21 +300,22 @@ def parse_detection_log(
         detections = []
         try:
             for d in raw_dets:
-                cx, cy, w, h = float(d["cx"]), float(d["cy"]), float(d["w"]), float(d["h"])
-                obj = float(d["obj"])
-                confs = tuple(float(c) for c in d["conf"])
-                _check_detection(d["cls"], cx, cy, w, h, obj, confs)
+                cls, obj, confs = d["cls"], d["obj"], d["conf"]
+                cx, cy, w, h = d["cx"], d["cy"], d["w"], d["h"]
+                _check_detection(cls, cx, cy, w, h, obj, confs)
+                obj = float(obj)
+                confs = tuple(map(float, confs))
                 detections.append(
                     Detection(
                         frame_index=frame_index,
-                        cx=cx,
-                        cy=cy,
-                        width=w,
-                        height=h,
+                        cx=float(cx),
+                        cy=float(cy),
+                        width=float(w),
+                        height=float(h),
                         objectness=obj,
                         class_confidences=confs,
                         combined_score=obj * max(confs),
-                        best_class=d["cls"],
+                        best_class=cls,
                     )
                 )
         except _MALFORMED as exc:
@@ -325,11 +328,20 @@ def parse_detection_log(
         )
 
 
-def write_detection_log(
+def tee_detection_log(
     frames: Iterable[FrameDetections], sink: IO[bytes] | IO[str]
-) -> None:
-    """Write frames as canonical-form log lines (byte-stable round trip)."""
+) -> Iterator[FrameDetections]:
+    """Yield ``frames``, writing each one's canonical log line to ``sink`` first."""
     text_sink = isinstance(sink, io.TextIOBase) or hasattr(sink, "encoding")
     for frame in frames:
         line = format_detection_line(frame)
         sink.write(line if text_sink else line.encode("utf-8"))
+        yield frame
+
+
+def write_detection_log(
+    frames: Iterable[FrameDetections], sink: IO[bytes] | IO[str]
+) -> None:
+    """Write frames as canonical-form log lines (byte-stable round trip)."""
+    for _ in tee_detection_log(frames, sink):
+        pass

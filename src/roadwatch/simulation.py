@@ -15,19 +15,30 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import bisect
 import configparser
+import heapq
 import json
 import math
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .detection import CLASSES, Detection, FrameDetections, write_detection_log
+# write_detection_log stays importable from here: perfbench/tracer.py wraps
+# it under this module's name
+from .detection import (  # noqa: F401
+    CLASSES,
+    Detection,
+    FrameDetections,
+    tee_detection_log,
+    write_detection_log,
+)
 from .errors import ConfigError
 from .tracking import TrackerConfig, VehicleTracker, majority
 from .warning import DECISION_SKIP_CLASS, DECISION_WARN, FlowCheckMonitor
@@ -315,7 +326,170 @@ def _class_confidences(best_class: str) -> tuple[float, ...]:
     return tuple(NOMINAL_CONFIDENCE if c == best_class else other for c in CLASSES)
 
 
+def _detection(k: int, cx: float, cy: float, w: float, h: float, cls: str) -> Detection:
+    confs = _class_confidences(cls)
+    return Detection(
+        frame_index=k,
+        cx=cx,
+        cy=cy,
+        width=w,
+        height=h,
+        objectness=NOMINAL_OBJECTNESS,
+        class_confidences=confs,
+        combined_score=NOMINAL_OBJECTNESS * max(confs),
+        best_class=cls,
+    )
+
+
 DetectionLabels = dict[tuple[str, int, float, float], int]
+
+
+class _Drawn(NamedTuple):
+    """One vehicle's kept ticks and rounded box centres; ``position`` is its index in passes."""
+
+    position: int
+    vehicle: VehiclePass
+    ticks: array
+    cx: array
+    cy: array
+
+
+def _merge_key(frame: FrameDetections) -> tuple[float, int]:
+    return (frame.timestamp, DIRECTIONS.index(frame.camera))
+
+
+class _Rendering:
+    """The random draws of one render, built into frames one at a time.
+
+    The constructor makes every random draw, in the order the streams have
+    always been drawn in: per vehicle in ``passes`` order, each tick's
+    dropout draw then its two jitter draws; then per camera the false
+    positives. It keeps only each vehicle's kept ticks and centres (and the
+    false-positive boxes); the frames themselves are built on demand, so
+    the whole day is never held in memory.
+    """
+
+    def __init__(
+        self,
+        passes: Iterable[VehiclePass],
+        scenario: Scenario,
+        rng: np.random.Generator,
+        trail_frames: int,
+    ):
+        self.scenario = scenario
+        self.trail_frames = trail_frames
+        fps = scenario.frame_rate
+        cam = scenario.camera
+        noise = scenario.noise
+        self.n_ticks = n_ticks = int(math.floor(scenario.duration * fps))
+        windows: dict[str, list[OcclusionWindow]] = {d: [] for d in DIRECTIONS}
+        for window in scenario.occlusion_windows:
+            windows[window.direction].append(window)
+        # 1-D world: the lane projects to a fixed image point, only the box
+        # size carries the range information
+        lane_cx = cam.image_width * LANE_CENTER_X
+        lane_cy = cam.image_height * LANE_CENTER_Y
+
+        self.vehicles: dict[str, list[_Drawn]] = {d: [] for d in DIRECTIONS}
+        for position, vehicle in enumerate(passes):
+            ticks, xs, ys = array("q"), array("d"), array("d")
+            k_first = max(0, math.ceil(vehicle.spawn_time * fps - 1e-9))
+            k_last = min(n_ticks - 1, math.floor(vehicle.pass_time * fps + 1e-9))
+            occ = windows[vehicle.direction]
+            for k in range(k_first, k_last + 1):
+                d = self._distance(vehicle, k)
+                if not 0.0 < d <= scenario.detection_range:
+                    continue
+                if any(w.near <= d <= w.far for w in occ):
+                    continue
+                if noise.dropout_prob > 0 and rng.random() < noise.dropout_prob:
+                    continue
+                cx, cy = lane_cx, lane_cy
+                if noise.center_jitter_px > 0:
+                    cx += rng.normal(0.0, noise.center_jitter_px)
+                    cy += rng.normal(0.0, noise.center_jitter_px)
+                ticks.append(k)
+                xs.append(round(min(max(cx, 0.0), cam.image_width), 1))
+                ys.append(round(min(max(cy, 0.0), cam.image_height), 1))
+            if ticks:
+                self.vehicles[vehicle.direction].append(_Drawn(position, vehicle, ticks, xs, ys))
+
+        self.false_positives: dict[str, list[Detection]] = {d: [] for d in DIRECTIONS}
+        if noise.false_positive_rate > 0:
+            for direction in DIRECTIONS:
+                counts = rng.poisson(noise.false_positive_rate, n_ticks)
+                for k in np.nonzero(counts)[0]:
+                    for _ in range(counts[k]):
+                        cx = round(rng.uniform(0.0, cam.image_width), 1)
+                        cy = round(rng.uniform(0.0, cam.image_height), 1)
+                        w = round(rng.uniform(8.0, 80.0), 1)
+                        h = round(rng.uniform(8.0, 80.0), 1)
+                        cls = CLASSES[rng.integers(0, len(CLASSES))]
+                        self.false_positives[direction].append(_detection(int(k), cx, cy, w, h, cls))
+
+        # ordered by first kept tick for the label lookup, with each camera's longest span
+        self._max_span: dict[str, int] = {}
+        for direction, drawn in self.vehicles.items():
+            drawn.sort(key=lambda v: (v.ticks[0], v.position))
+            self._max_span[direction] = max((v.ticks[-1] - v.ticks[0] for v in drawn), default=0)
+
+    def _distance(self, vehicle: VehiclePass, k: int) -> float:
+        t = _tick_time(k, self.scenario.frame_rate)
+        return self.scenario.detection_range - vehicle.speed * (t - vehicle.spawn_time)
+
+    def frames(self, camera: str) -> Iterator[FrameDetections]:
+        """One camera's frames in tick order, each built when it is asked for.
+
+        A tick holds its vehicles' detections in ``passes`` order, then its
+        false positives in draw order. After each tick with detections, up to
+        ``trail_frames`` empty frames follow, stopping before the next such
+        tick and at the end of the run.
+        """
+        fps = self.scenario.frame_rate
+        cam = self.scenario.camera
+        end = self.n_ticks
+        # (next kept tick, position in passes, index into the vehicle's draws, draws)
+        heap = [(v.ticks[0], v.position, 0, v) for v in self.vehicles[camera]]
+        heapq.heapify(heap)
+        false_positives = iter(self.false_positives[camera])
+        fp = next(false_positives, None)
+
+        def next_busy_tick() -> int:
+            return min(heap[0][0] if heap else end, end if fp is None else fp.frame_index)
+
+        k = next_busy_tick()
+        while k < end:
+            dets = []
+            while heap and heap[0][0] == k:
+                _, position, i, v = heap[0]
+                h = cam.focal_length_px * cam.vehicle_height_m / self._distance(v.vehicle, k)
+                w = round(VEHICLE_ASPECT * h, 1)
+                dets.append(_detection(k, v.cx[i], v.cy[i], w, round(h, 1), v.vehicle.vehicle_class))
+                if i + 1 < len(v.ticks):
+                    heapq.heapreplace(heap, (v.ticks[i + 1], position, i + 1, v))
+                else:
+                    heapq.heappop(heap)
+            while fp is not None and fp.frame_index == k:
+                dets.append(fp)
+                fp = next(false_positives, None)
+            yield FrameDetections(frame_index=k, timestamp=_tick_time(k, fps), camera=camera, detections=dets)
+            busy = next_busy_tick()
+            for j in range(k + 1, min(k + 1 + self.trail_frames, busy)):
+                yield FrameDetections(frame_index=j, timestamp=_tick_time(j, fps), camera=camera)
+            k = busy
+
+    def label(self, camera: str, k: int, cx: float, cy: float) -> int | None:
+        """Id of the first vehicle in ``passes`` order rendered at (camera, k, cx, cy), or None."""
+        drawn = self.vehicles[camera]
+        lo = bisect.bisect_left(drawn, k - self._max_span[camera], key=lambda v: v.ticks[0])
+        hi = bisect.bisect_right(drawn, k, lo=lo, key=lambda v: v.ticks[0])
+        best = None
+        for v in drawn[lo:hi]:
+            i = bisect.bisect_left(v.ticks, k)
+            if i < len(v.ticks) and v.ticks[i] == k and v.cx[i] == cx and v.cy[i] == cy:
+                if best is None or v.position < best.position:
+                    best = v
+        return None if best is None else best.vehicle.vehicle_id
 
 
 def render_detections(
@@ -324,7 +498,7 @@ def render_detections(
     rng: np.random.Generator,
     trail_frames: int = 3,
 ) -> tuple[dict[str, list[FrameDetections]], DetectionLabels]:
-    """Render passes into per-camera detection streams.
+    """Render passes into per-camera detection streams, held in full.
 
     A vehicle yields a detection at every frame tick while its distance d is
     in (0, detection_range] and outside every occlusion window of its
@@ -340,109 +514,25 @@ def render_detections(
 
     Returns the frame lists and a label map (camera, frame index, cx, cy) ->
     vehicle id for ground-truth matching; false positives are absent from
-    the map.
+    the map. :func:`run_passes` does not call this: it builds the same
+    frames one at a time from the same draws, so its memory follows the
+    live tracks and the archive, not the length of the day.
     """
-    fps = scenario.frame_rate
-    cam = scenario.camera
-    noise = scenario.noise
-    n_ticks = int(math.floor(scenario.duration * fps))
-    per_tick: dict[str, dict[int, list[Detection]]] = {d: {} for d in DIRECTIONS}
+    rendering = _Rendering(passes, scenario, rng, trail_frames)
+    frames = {d: list(rendering.frames(d)) for d in DIRECTIONS}
     labels: DetectionLabels = {}
-
-    windows: dict[str, list[OcclusionWindow]] = {d: [] for d in DIRECTIONS}
-    for window in scenario.occlusion_windows:
-        windows[window.direction].append(window)
-
-    for vehicle in passes:
-        k_first = max(0, math.ceil(vehicle.spawn_time * fps - 1e-9))
-        k_last = min(n_ticks - 1, math.floor(vehicle.pass_time * fps + 1e-9))
-        occ = windows[vehicle.direction]
-        for k in range(k_first, k_last + 1):
-            t = _tick_time(k, fps)
-            d = scenario.detection_range - vehicle.speed * (t - vehicle.spawn_time)
-            if not 0.0 < d <= scenario.detection_range:
-                continue
-            if any(w.near <= d <= w.far for w in occ):
-                continue
-            if noise.dropout_prob > 0 and rng.uniform() < noise.dropout_prob:
-                continue
-            h = cam.focal_length_px * cam.vehicle_height_m / d
-            # 1-D world: the lane projects to a fixed image point, only the
-            # box size carries the range information
-            cx = cam.image_width * LANE_CENTER_X
-            cy = cam.image_height * LANE_CENTER_Y
-            if noise.center_jitter_px > 0:
-                cx += rng.normal(0.0, noise.center_jitter_px)
-                cy += rng.normal(0.0, noise.center_jitter_px)
-            cx = round(min(max(cx, 0.0), cam.image_width), 1)
-            cy = round(min(max(cy, 0.0), cam.image_height), 1)
-            confs = _class_confidences(vehicle.vehicle_class)
-            det = Detection(
-                frame_index=k,
-                cx=cx,
-                cy=cy,
-                width=round(VEHICLE_ASPECT * h, 1),
-                height=round(h, 1),
-                objectness=NOMINAL_OBJECTNESS,
-                class_confidences=confs,
-                combined_score=NOMINAL_OBJECTNESS * max(confs),
-                best_class=vehicle.vehicle_class,
-            )
-            per_tick[vehicle.direction].setdefault(k, []).append(det)
-            labels.setdefault((vehicle.direction, k, cx, cy), vehicle.vehicle_id)
-
-    if noise.false_positive_rate > 0:
-        for direction in DIRECTIONS:
-            counts = rng.poisson(noise.false_positive_rate, n_ticks)
-            for k in np.nonzero(counts)[0]:
-                for _ in range(counts[k]):
-                    cx = round(rng.uniform(0.0, cam.image_width), 1)
-                    cy = round(rng.uniform(0.0, cam.image_height), 1)
-                    w = round(rng.uniform(8.0, 80.0), 1)
-                    h = round(rng.uniform(8.0, 80.0), 1)
-                    cls = CLASSES[rng.integers(0, len(CLASSES))]
-                    confs = _class_confidences(cls)
-                    det = Detection(
-                        frame_index=int(k),
-                        cx=cx,
-                        cy=cy,
-                        width=w,
-                        height=h,
-                        objectness=NOMINAL_OBJECTNESS,
-                        class_confidences=confs,
-                        combined_score=NOMINAL_OBJECTNESS * max(confs),
-                        best_class=cls,
-                    )
-                    per_tick[direction].setdefault(int(k), []).append(det)
-
-    frames: dict[str, list[FrameDetections]] = {}
-    for direction in DIRECTIONS:
-        stream: list[FrameDetections] = []
-        busy_ticks = sorted(per_tick[direction])
-        for i, k in enumerate(busy_ticks):
-            stream.append(
-                FrameDetections(
-                    frame_index=k,
-                    timestamp=_tick_time(k, fps),
-                    camera=direction,
-                    detections=per_tick[direction][k],
-                )
-            )
-            gap_end = busy_ticks[i + 1] if i + 1 < len(busy_ticks) else n_ticks
-            for j in range(k + 1, min(k + 1 + trail_frames, gap_end)):
-                stream.append(
-                    FrameDetections(frame_index=j, timestamp=_tick_time(j, fps), camera=direction)
-                )
-        frames[direction] = stream
+    for v in sorted((v for drawn in rendering.vehicles.values() for v in drawn), key=lambda v: v.position):
+        for k, cx, cy in zip(v.ticks, v.cx, v.cy):
+            labels.setdefault((v.vehicle.direction, k, cx, cy), v.vehicle.vehicle_id)
     return frames, labels
 
 
 def merge_streams(frames: dict[str, list[FrameDetections]]) -> list[FrameDetections]:
-    """Interleave per-camera frames by timestamp, front before rear on ties."""
-    order = {d: i for i, d in enumerate(DIRECTIONS)}
-    merged = [f for stream in frames.values() for f in stream]
-    merged.sort(key=lambda f: (f.timestamp, order[f.camera]))
-    return merged
+    """Interleave per-camera frames by timestamp, front before rear on ties.
+
+    Each stream must already be in timestamp order, as rendered.
+    """
+    return list(heapq.merge(*frames.values(), key=_merge_key))
 
 
 # --- pipeline driver and report ----------------------------------------------
@@ -535,10 +625,11 @@ def drive(
 
 
 def _majority_vehicle(
-    track, camera: str, labels: DetectionLabels, max_frame_index: int | None = None
+    track, camera: str, label: Callable[..., int | None], max_frame_index: int | None = None
 ) -> int | None:
     """Majority ground-truth label over the track's history.
 
+    ``label(camera, frame index, cx, cy)`` gives the vehicle rendered there.
     Only entries up to ``max_frame_index`` vote, so a warning is attributed
     to what the track had seen when it fired, not to vehicles the same track
     may pick up later. Ties prefer the most recently seen label.
@@ -548,9 +639,9 @@ def _majority_vehicle(
     for i, (frame_index, center) in enumerate(track.history):
         if max_frame_index is not None and frame_index > max_frame_index:
             break
-        label = labels.get((camera, frame_index, center[0], center[1]))
-        counts[label] += 1
-        recency[label] = i
+        vehicle_id = label(camera, frame_index, center[0], center[1])
+        counts[vehicle_id] += 1
+        recency[vehicle_id] = i
     return majority(counts, recency) if counts else None
 
 
@@ -591,22 +682,27 @@ def run_passes(
     device=None,
     dump_sink: IO[str] | IO[bytes] | None = None,
 ) -> SimulationReport:
-    """Render the given passes and run tracking + flow check over them."""
+    """Render the given passes and run tracking + flow check over them.
+
+    Each frame is built, written to ``dump_sink`` and tracked before the
+    next one is built. Ground truth is looked up afterwards, only for the
+    tracks that warned.
+    """
     config = tracker_config or TrackerConfig.for_image_width(scenario.camera.image_width)
-    frames, labels = render_detections(passes, scenario, rng, trail_frames=config.max_misses)
-    merged = merge_streams(frames)
+    rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)
+    frames = heapq.merge(*(rendering.frames(d) for d in DIRECTIONS), key=_merge_key)
     if dump_sink is not None:
-        write_detection_log(merged, dump_sink)
+        frames = tee_detection_log(frames, dump_sink)
     trackers = {d: VehicleTracker(d, config) for d in DIRECTIONS}
     monitor = FlowCheckMonitor(t_duration=t_duration, start_time=0.0, device=device)
-    drive(merged, trackers, monitor)
+    drive(frames, trackers, monitor)
 
     by_id = {p.vehicle_id: p for p in passes}
     warned: dict[tuple[float, str, int], tuple[int, float, float]] = {}
     for w in monitor.warnings:
         track = trackers[w.camera].archive[w.track_id]
         warn_frame = int(round(w.timestamp * scenario.frame_rate))
-        vehicle_id = _majority_vehicle(track, w.camera, labels, max_frame_index=warn_frame)
+        vehicle_id = _majority_vehicle(track, w.camera, rendering.label, max_frame_index=warn_frame)
         if vehicle_id is not None:
             pass_time = by_id[vehicle_id].pass_time
             warned[(w.timestamp, w.camera, w.track_id)] = (vehicle_id, pass_time, pass_time - w.timestamp)

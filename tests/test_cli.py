@@ -158,6 +158,27 @@ class TestSimulate:
             "report.json": "95fa28b8ef0ea2cd7239ed8ac12ca04725a84a8988c1930153002fa29d4b4ae3",
         }
 
+    def test_rendered_dumps_pinned(self, tmp_path, capsys):
+        # digests taken before the simulator built frames one at a time:
+        # country-road has jitter, dropout and false positives, and
+        # occluded-curve has occlusion windows
+        out, dump = tmp_path / "cr", tmp_path / "cr.log"
+        assert main(["simulate", "--scenario", "country-road", "--seed", "1", "--out", str(out),
+                     "--dump-detections", str(dump)]) == 0
+        occluded = tmp_path / "oc.log"
+        assert main(["simulate", "--scenario", "occluded-curve", "--seed", "1", "--out", str(tmp_path / "oc"),
+                     "--dump-detections", str(occluded)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (dump, out / "audit.jsonl", out / "report.json", occluded)
+        }
+        assert digests == {
+            "cr.log": "8fd776f25413c19968b9c6fc6ca605f0f01455ae54c141b6383d615dbd9f60b9",
+            "audit.jsonl": "8eed24bce250995908c770c3032eeb3cc76e9fc93486c2c6178bc85bcca75694",
+            "report.json": "a5efd7c13b1925adb7a242d8eba41353cdc3a6cf373243f2b44303eadb9e03f2",
+            "oc.log": "5255e9d743b6c35d0d121b1e8fbf2ede5b2604260131f03c14b0dfac580d64d1",
+        }
+
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path / "o")])
         assert code == 2
@@ -222,7 +243,9 @@ class TestReplayEquivalence:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("cx", "NaN"), ("cy", "Infinity"), ("w", "-3.0"), ("obj", "7.0"), ("conf", "[0.05,1.5,0.05]")],
+        [("cx", "NaN"), ("cy", "Infinity"), ("w", "-3.0"), ("obj", "7.0"), ("conf", "[0.05,1.5,0.05]"),
+         # wrongly typed: float() would take these strings and booleans
+         ("cx", '"640"'), ("cy", "true"), ("w", '"4e1"'), ("obj", '"0.95"'), ("conf", '"010"')],
     )
     def test_invalid_detection_exit_2_before_its_frame(self, tmp_path, capsys, field, value):
         fields = {

@@ -320,6 +320,35 @@ class TestDetectionLog:
             list(parse_detection_log(io.StringIO(text)))
         assert info.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cx", '"640"'),
+            ("cy", "true"),
+            ("w", '"4e1"'),
+            ("h", "false"),
+            ("obj", '"0.95"'),
+            ("obj", "false"),
+            ("conf", '"010"'),
+            ("conf", "[0.05,true,0.05]"),
+            ("conf", '[0.05,"0.9",0.05]'),
+        ],
+    )
+    def test_wrongly_typed_detection_rejected(self, field, value):
+        # float() would take strings and booleans, and iterate a string conf
+        text = log_line(0) + log_line(1, **{field: value}) + log_line(2)
+        with pytest.raises(LogParseError, match="line 2") as info:
+            list(parse_detection_log(io.StringIO(text)))
+        assert info.value.line_number == 2
+
+    def test_integer_fields_accepted_as_floats(self):
+        text = log_line(0, cx="640", cy="360", w="40", h="0", obj="1", conf="[0,1,0]")
+        (frame,) = parse_detection_log(io.StringIO(text))
+        det = frame.detections[0]
+        assert (det.cx, det.cy, det.width, det.height, det.objectness) == (640.0, 360.0, 40.0, 0.0, 1.0)
+        assert det.class_confidences == (0.0, 1.0, 0.0)
+        assert all(type(v) is float for v in (det.cx, det.width, det.objectness, *det.class_confidences))
+
     def test_range_boundaries_accepted(self):
         text = log_line(0, w="0.0", h="0.0", obj="1.0", conf="[0.0,1.0,0.0]")
         (frame,) = parse_detection_log(io.StringIO(text))

@@ -1,5 +1,6 @@
 """Simulator tests: arrival statistics, projection, kinematic delta oracles."""
 
+import gc
 import io
 import math
 
@@ -28,7 +29,8 @@ from roadwatch.simulation import (
     summary_text,
     write_report,
 )
-from roadwatch.tracking import TrackerConfig
+from roadwatch.detection import FrameDetections
+from roadwatch.tracking import TrackerConfig, VehicleTracker
 
 
 def make_scenario(**overrides):
@@ -41,6 +43,12 @@ def make_scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def rush_hour(**overrides):
+    """300 s at the paper-day peak rate, where vehicles often overlap."""
+    rate = [RatePiece(0.0, 0.2666666667)]
+    return make_scenario(duration=300.0, arrival_profile={"front": rate, "rear": rate}, seed=9, **overrides)
 
 
 def single_pass(spawn=12.0, speed=20.0, d_vis=120.0, direction="front", cls="vehicle"):
@@ -198,6 +206,69 @@ class TestMergeStreams:
                 b.timestamp,
                 0 if b.camera == "front" else 1,
             )
+
+
+class TestOnePass:
+    def test_simulate_builds_frames_one_at_a_time(self, monkeypatch):
+        alive = []
+        step = VehicleTracker.step
+
+        def counting_step(self, frame):
+            if not alive:
+                alive.append(sum(1 for o in gc.get_objects() if isinstance(o, FrameDetections)))
+            return step(self, frame)
+
+        monkeypatch.setattr(VehicleTracker, "step", counting_step)
+        report = run_pipeline(rush_hour(noise=NoiseModel(center_jitter_px=2.0, dropout_prob=0.01)))
+        assert report.warnings_without_filter > 50
+        # one pending frame per camera in the merge, not the whole run
+        assert alive[0] < 10
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["spawn-order", "reversed"])
+    def test_label_lookup_matches_label_map(self, reverse):
+        # no jitter: vehicles visible together share (camera, tick, cx, cy),
+        # and the first of them in passes order owns the key
+        from roadwatch.simulation import _Rendering
+
+        scenario = rush_hour(noise=NoiseModel(dropout_prob=0.02, false_positive_rate=0.01))
+        rng = np.random.default_rng(scenario.seed)
+        passes = generate_passes(scenario, rng)
+        if reverse:
+            passes.reverse()
+        state = rng.bit_generator.state
+        frames, labels = render_detections(passes, scenario, rng)
+        rng.bit_generator.state = state
+        rendering = _Rendering(passes, scenario, rng, trail_frames=3)
+        keys = [
+            (camera, frame.frame_index, det.cx, det.cy)
+            for camera, stream in frames.items()
+            for frame in stream
+            for det in frame.detections
+        ]
+        assert len(keys) - len(set(keys)) > 1000
+        assert [rendering.label(*key) for key in keys] == [labels.get(key) for key in keys]
+        false_positives = [
+            (camera, det.frame_index, det.cx, det.cy)
+            for camera, dets in rendering.false_positives.items()
+            for det in dets
+        ]
+        assert len(false_positives) > 100
+        assert all(key not in labels and rendering.label(*key) is None for key in false_positives)
+
+    def test_streams_in_tick_order_for_any_passes_order(self):
+        scenario = make_scenario()
+        vehicles = [
+            VehiclePass(1, "front", 40.0, 20.0, 46.0, "truck"),
+            VehiclePass(2, "front", 1.0, 20.0, 7.0, "vehicle"),
+            VehiclePass(3, "front", 2.0, 24.0, 7.0, "vehicle"),
+        ]
+        frames, _ = render_detections(vehicles, scenario, np.random.default_rng(12))
+        stream = frames["front"]
+        assert [f.frame_index for f in stream] == sorted({f.frame_index for f in stream})
+        # a tick shared by two vehicles lists them in passes order
+        shared = [f for f in stream if len(f.detections) == 2]
+        assert shared
+        assert all(f.detections[0].height > f.detections[1].height for f in shared)
 
 
 class TestRunPipeline:
