@@ -321,13 +321,15 @@ def _tick_time(k: int, frame_rate: float) -> float:
     return round(k * 1000.0 / frame_rate) / 1000.0
 
 
-def _class_confidences(best_class: str) -> tuple[float, ...]:
-    other = round((1.0 - NOMINAL_CONFIDENCE) / (len(CLASSES) - 1), 4)
-    return tuple(NOMINAL_CONFIDENCE if c == best_class else other for c in CLASSES)
+_OTHER_CONFIDENCE = round((1.0 - NOMINAL_CONFIDENCE) / (len(CLASSES) - 1), 4)
+# class -> its rendered class confidences
+_CONFIDENCES = {
+    best: tuple(NOMINAL_CONFIDENCE if c == best else _OTHER_CONFIDENCE for c in CLASSES) for best in CLASSES
+}
 
 
 def _detection(k: int, cx: float, cy: float, w: float, h: float, cls: str) -> Detection:
-    confs = _class_confidences(cls)
+    confs = _CONFIDENCES[cls]
     return Detection(
         frame_index=k,
         cx=cx,
