@@ -65,7 +65,7 @@ class GridSpec:
         return self.grid_size * self.grid_size * self.anchors_per_cell * self.values_per_anchor
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Detection:
     """One decoded bounding box with its score breakdown.
 

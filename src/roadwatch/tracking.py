@@ -14,16 +14,18 @@ three scalars per track carry it exactly. The general 4x4 :func:`predict`
 and :func:`update` stay as the public reference that the tests compare the
 tracker against.
 
-Association skips numpy and scipy when the gate already decides it. The
-tracker computes each track-detection distance in plain Python, rounded
-exactly as :func:`cost_matrix` rounds it. If no track and no detection has
-more than one partner inside the gate, those in-gate pairs are the result.
-This is exact because :func:`assign` first maximises the number of in-gate
-pairs and only then minimises cost, and when the in-gate pairs already
-form a one-to-one matching no other answer exists. Any other frame,
-including every tie between co-located vehicles, goes to :func:`assign`,
-and so does any frame of more than 100 pairs, where numpy and scipy are
-the faster path.
+Association of up to 100 track-detection pairs runs in plain Python. The
+tracker computes each distance rounded exactly as :func:`cost_matrix`
+rounds it. If no track and no detection has more than one partner inside
+the gate, those in-gate pairs are the result. This is exact because
+:func:`assign` first maximises the number of in-gate pairs and only then
+minimises cost, and when the in-gate pairs already form a one-to-one
+matching no other answer exists. Any other frame, including every tie
+between co-located vehicles, goes to a plain-Python port of scipy's
+solver with :func:`assign`'s gating, which returns what :func:`assign`
+returns. Frames of more than 100 pairs go to :func:`assign`, where numpy
+and scipy are the faster path. ``scipy.optimize`` is imported on the first
+call of :func:`assign`, so a run that never makes one does not load it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy
 
 from .detection import FrameDetections
 from .errors import StreamOrderError, ValidationError
@@ -220,7 +222,7 @@ def assign(
         work = np.where(gated, sentinel, costs)
     else:
         work = costs
-    rows, cols = linear_sum_assignment(work)
+    rows, cols = scipy.optimize.linear_sum_assignment(work)
 
     matches = [(int(r), int(c)) for r, c in zip(rows, cols) if costs[r, c] <= gate_distance]
     matches.sort()
@@ -231,11 +233,91 @@ def assign(
     return matches, unmatched_tracks, unmatched_dets
 
 
-# Past this many track-detection pairs the plain-Python loop costs more than
-# the fixed call overhead of numpy and scipy: on a 2-core x86 machine with
-# Python 3.11 the two cross between 12x12 and 20x20. Larger frames, such as
-# criterion 7's 50 tracks by 20 detections, go straight to ``assign``.
+# Past this many track-detection pairs the plain-Python path costs more
+# than the fixed call overhead of numpy and scipy. On a 2-core x86 machine
+# with Python 3.11 the distance loop alone crosses ``cost_matrix`` between
+# 12x12 and 20x20. A conflicting frame also pays for the port, which is
+# cubic: on lattice frames of 6x6, 8x8, 10x10, 14x14 and 20x20 it takes
+# about 50, 80, 105, 200 and 340-420 us, against 30-50, 40, 40, 60 and
+# 80-90 us for ``assign(cost_matrix(...))``, so for those frames the two
+# cross near 6x6. The limit stays at 100 all the same, because the first
+# ``assign`` call imports ``scipy.optimize`` (about 0.5 s and 48 MB of peak
+# memory), and on paper-day only 175 of 43,867 conflicting frames exceed 25
+# pairs and none exceeds 49. Larger frames, such as criterion 7's 50 tracks
+# by 20 detections, go straight to ``assign``.
 _PLAIN_PYTHON_MAX_PAIRS = 100
+
+
+def _linear_sum_assignment(costs: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
+    """Minimum-cost assignment of a non-empty matrix of finite costs.
+
+    A plain-Python port of ``scipy.optimize.linear_sum_assignment``: the
+    shortest-augmenting-path method of Crouse (2016), "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4). It transposes a
+    matrix with more rows than columns, scans columns and breaks ties as
+    scipy does, and so returns the same (row, column) pairs in the same
+    order on every input.
+    """
+    n_rows, n_cols = len(costs), len(costs[0])
+    transpose = n_cols < n_rows
+    if transpose:
+        costs = list(zip(*costs))
+        n_rows, n_cols = n_cols, n_rows
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur_row in range(n_rows):
+        # Dijkstra on reduced costs from cur_row to the nearest free column.
+        # Columns are scanned from the last one, so that a constant matrix
+        # gives the identity.
+        shortest = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        visited_rows: list[int] = []
+        visited_cols: list[int] = []
+        min_val = 0.0
+        i = cur_row
+        while True:
+            visited_rows.append(i)
+            row, u_i = costs[i], u[i]
+            lowest = math.inf
+            index = -1
+            for k, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                # on equal cost prefer a free column: it ends the search
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest = s
+                    index = k
+            if lowest == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            min_val = lowest
+            j = remaining[index]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+
+        u[cur_row] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        while True:  # augment along the path back from the sink j
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    if transpose:
+        return sorted((i, j) for j, i in enumerate(col4row))
+    return list(enumerate(col4row))
 
 
 def _associate(
@@ -243,25 +325,46 @@ def _associate(
     centers: list[tuple[float, float]],
     gate_distance: float,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """``assign(cost_matrix(predicted, centers), gate_distance)``, without
-    numpy or scipy while no track and no detection has two in-gate partners
-    (the module docstring says why that is exact). The first conflict hands
-    the whole frame to ``assign``.
+    """``assign(cost_matrix(predicted, centers), gate_distance)`` in plain
+    Python for frames of up to ``_PLAIN_PYTHON_MAX_PAIRS`` pairs. While no
+    track and no detection has two in-gate partners, the in-gate pairs are
+    the result (the module docstring says why that is exact); after the
+    first conflict the distances go to ``_linear_sum_assignment`` with
+    ``assign``'s gating.
     """
-    if len(predicted) * len(centers) > _PLAIN_PYTHON_MAX_PAIRS:
+    n_tracks, n_dets = len(predicted), len(centers)
+    if n_tracks * n_dets > _PLAIN_PYTHON_MAX_PAIRS:
         return assign(cost_matrix(predicted, centers), gate_distance)
-    track_partner = [-1] * len(predicted)
-    det_partner = [-1] * len(centers)
+    track_partner = [-1] * n_tracks
+    det_partner = [-1] * n_dets
+    conflict = False
+    costs = []
     for i, (px, py) in enumerate(predicted):
+        row = []
         for j, (cx, cy) in enumerate(centers):
             dx = px - cx
             dy = py - cy
             c = math.sqrt(dx * dx + dy * dy)
             if not c < math.inf:
                 raise ValidationError("costs must be finite and non-negative")
-            if c <= gate_distance:
+            row.append(c)
+            if c <= gate_distance and not conflict:
                 if track_partner[i] >= 0 or det_partner[j] >= 0:
-                    return assign(cost_matrix(predicted, centers), gate_distance)
+                    conflict = True
+                else:
+                    track_partner[i] = j
+                    det_partner[j] = i
+        costs.append(row)
+    if conflict:
+        in_gate = [c for row in costs for c in row if c <= gate_distance]
+        work = costs
+        if len(in_gate) < n_tracks * n_dets:
+            sentinel = (max(max(in_gate), 1.0) + 1.0) * (min(n_tracks, n_dets) + 1)
+            work = [[c if c <= gate_distance else sentinel for c in row] for row in costs]
+        track_partner = [-1] * n_tracks
+        det_partner = [-1] * n_dets
+        for i, j in _linear_sum_assignment(work):
+            if costs[i][j] <= gate_distance:
                 track_partner[i] = j
                 det_partner[j] = i
     return (

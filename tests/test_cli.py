@@ -158,6 +158,32 @@ class TestSimulate:
             "report.json": "95fa28b8ef0ea2cd7239ed8ac12ca04725a84a8988c1930153002fa29d4b4ae3",
         }
 
+    def test_tie_heavy_run_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # a fresh process, because test_acceptance's scipy.stats import
+        # loads scipy.optimize into this one
+        scenario = tmp_path / "ties.cfg"
+        scenario.write_text(TIES_SCENARIO, encoding="utf-8")
+        script = """\
+import sys
+import roadwatch.cli
+from roadwatch import tracking
+port, calls = tracking._linear_sum_assignment, []
+tracking._linear_sum_assignment = lambda costs: calls.append(1) or port(costs)
+code = roadwatch.cli.main(["simulate", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(code, len(calls), "scipy.optimize" in sys.modules)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(scenario), str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, port_calls, loaded = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert int(port_calls) > 1000  # the conflicting frames were solved
+        assert loaded == "False"
+
     def test_rendered_dumps_pinned(self, tmp_path, capsys):
         # digests taken before the simulator built frames one at a time:
         # country-road has jitter, dropout and false positives, and

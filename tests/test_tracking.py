@@ -256,20 +256,70 @@ def scipy_association(predicted, centers, gate):
     return assign(cost_matrix(predicted, centers), gate)
 
 
+def with_sentinel(costs, gate):
+    """``costs`` with its out-of-gate entries masked as ``assign`` masks them."""
+    gated = costs > gate
+    if not gated.any():
+        return costs
+    valid_max = costs[~gated].max() if (~gated).any() else 1.0
+    return np.where(gated, (max(valid_max, 1.0) + 1.0) * (min(costs.shape) + 1), costs)
+
+
+class TestSolverPort:
+    """The tracker's plain-Python solver against scipy's, called directly."""
+
+    def test_same_rows_and_columns_as_scipy(self):
+        from scipy.optimize import linear_sum_assignment
+
+        from roadwatch.tracking import _linear_sum_assignment
+
+        rng = np.random.default_rng(67)
+
+        def lattice(k):
+            # points on a 3 x 4 px lattice: distances full of exact ties
+            return np.column_stack([3.0 * rng.integers(0, 4, k), 4.0 * rng.integers(0, 3, k)])
+
+        kinds = {
+            "lattice": lambda n, m: cost_matrix(lattice(n), lattice(m)),
+            "small integers": lambda n, m: rng.integers(0, 4, (n, m)).astype(float),
+            "uniform": lambda n, m: rng.uniform(0, 100, (n, m)),
+        }
+        gated = 0
+        for n in range(1, 11):
+            for m in range(1, 11):
+                for kind, draw in kinds.items():
+                    for _ in range(5):
+                        costs = draw(n, m)
+                        masked = with_sentinel(costs, float(rng.choice(costs.ravel())))
+                        gated += masked is not costs
+                        for work in (costs, masked):
+                            rows, cols = linear_sum_assignment(work)
+                            expected = list(zip(rows.tolist(), cols.tolist()))
+                            assert _linear_sum_assignment(work.tolist()) == expected, (kind, work)
+        assert gated > 500
+
+
 class TestAssociate:
     """The tracker's association helper against ``assign(cost_matrix(...))``."""
 
     @pytest.fixture
     def solver_calls(self, monkeypatch):
+        """Shapes of the matrices sent to ``assign`` and to the port."""
         import roadwatch.tracking as tracking
 
-        calls = []
+        calls = {"assign": [], "port": []}
+        port = tracking._linear_sum_assignment
 
-        def counted(costs, gate):
-            calls.append(costs.shape)
+        def counted_assign(costs, gate):
+            calls["assign"].append(costs.shape)
             return assign(costs, gate)
 
-        monkeypatch.setattr(tracking, "assign", counted)
+        def counted_port(costs):
+            calls["port"].append((len(costs), len(costs[0])))
+            return port(costs)
+
+        monkeypatch.setattr(tracking, "assign", counted_assign)
+        monkeypatch.setattr(tracking, "_linear_sum_assignment", counted_port)
         return calls
 
     def check(self, predicted, centers, gate):
@@ -290,13 +340,15 @@ class TestAssociate:
             predicted = [(3.0 * rng.integers(0, 4), 4.0 * rng.integers(0, 3)) for _ in range(n)]
             centers = [(3.0 * rng.integers(0, 4), 4.0 * rng.integers(0, 3)) for _ in range(m)]
             gate = float(rng.choice([2.0, 3.0, 4.0, 5.0, 9.0, np.inf]))
-            calls_before = len(solver_calls)
+            calls_before = len(solver_calls["port"])
             matches, _, _ = self.check(predicted, centers, gate)
-            if len(solver_calls) == calls_before and matches:
+            if len(solver_calls["port"]) == calls_before and matches:
                 fast_matches += 1
-        # both paths ran many times, the fast one on frames with matches
+        # both paths ran many times, the fast one on frames with matches;
+        # no frame this small reaches scipy
         assert fast_matches > 300
-        assert len(solver_calls) > 300
+        assert len(solver_calls["port"]) > 300
+        assert solver_calls["assign"] == []
 
     def test_large_frames(self, solver_calls):
         # criterion 7's lattice: 50 tracks, 20 detections, each in the gate
@@ -311,7 +363,7 @@ class TestAssociate:
         matches, _, _ = self.check(slots, centers, 75.0)
         assert len(matches) == 20
         self.check(slots * 2, centers * 2, 75.0)
-        assert solver_calls == [(50, 20), (100, 40)]
+        assert solver_calls == {"assign": [(50, 20), (100, 40)], "port": []}
 
     def test_co_located_tracks_and_detections(self):
         point = (640.0, 360.0)
