@@ -235,6 +235,8 @@ def format_detection_line(frame: FrameDetections) -> str:
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 _FLOAT_MAX = sys.float_info.max
 _NUMBER = (float, int)  # the types json.loads gives a JSON number; bool is neither
+_INF = math.inf
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _check_detection(cls, cx, cy, w, h, obj, confs) -> None:
@@ -276,7 +278,15 @@ def parse_detection_log(
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            # json.loads less its wrappers: a stripped line has no JSON
+            # whitespace around the value, so the value must end the line.
+            # On failure json.loads raises, worded as it always was.
+            try:
+                record, end = _raw_decode(line)
+                if end != len(line):
+                    raise ValueError
+            except ValueError:
+                record = json.loads(line)
             camera = record["camera"]
             frame_index = record["frame"]
             timestamp = record["t"]
@@ -285,15 +295,16 @@ def parse_detection_log(
             raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
         if camera not in CAMERAS:
             raise LogParseError(f"line {lineno}: unknown camera {camera!r}", lineno)
-        if not isinstance(frame_index, int) or isinstance(frame_index, bool) or frame_index < 0:
+        if type(frame_index) is not int or frame_index < 0:
             raise LogParseError(f"line {lineno}: bad frame index {frame_index!r}", lineno)
         # False for NaN, infinities and integers that do not fit a float
-        if not isinstance(timestamp, (int, float)) or isinstance(timestamp, bool) or not -_FLOAT_MAX <= timestamp <= _FLOAT_MAX:
+        if type(timestamp) not in _NUMBER or not -_FLOAT_MAX <= timestamp <= _FLOAT_MAX:
             raise LogParseError(f"line {lineno}: bad timestamp {timestamp!r}", lineno)
-        if camera in last_t and timestamp <= last_t[camera]:
+        previous = last_t.get(camera)
+        if previous is not None and timestamp <= previous:
             raise StreamOrderError(
                 f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
-                f"not after previous {last_t[camera]:.3f}"
+                f"not after previous {previous:.3f}"
             )
         last_t[camera] = timestamp
 
@@ -302,30 +313,43 @@ def parse_detection_log(
             for d in raw_dets:
                 cls, obj, confs = d["cls"], d["obj"], d["conf"]
                 cx, cy, w, h = d["cx"], d["cy"], d["w"], d["h"]
+                # the rules of _check_detection for a detection of floats only
+                if (
+                    type(cx) is float and type(cy) is float and type(w) is float
+                    and type(h) is float and type(obj) is float
+                    and type(confs) is list and len(confs) == 3 and cls in CLASSES
+                    and -_INF < cx < _INF and -_INF < cy < _INF
+                    and 0.0 <= w < _INF and 0.0 <= h < _INF and 0.0 <= obj <= 1.0
+                ):
+                    c0, c1, c2 = confs
+                    if (
+                        type(c0) is float and type(c1) is float and type(c2) is float
+                        and 0.0 <= c0 <= 1.0 and 0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0
+                    ):
+                        # max(confs): the first of equal values wins
+                        best = c0
+                        if c1 > best:
+                            best = c1
+                        if c2 > best:
+                            best = c2
+                        detections.append(
+                            Detection(frame_index, cx, cy, w, h, obj, (c0, c1, c2), obj * best, cls)
+                        )
+                        continue
                 _check_detection(cls, cx, cy, w, h, obj, confs)
                 obj = float(obj)
                 confs = tuple(map(float, confs))
                 detections.append(
                     Detection(
-                        frame_index=frame_index,
-                        cx=float(cx),
-                        cy=float(cy),
-                        width=float(w),
-                        height=float(h),
-                        objectness=obj,
-                        class_confidences=confs,
-                        combined_score=obj * max(confs),
-                        best_class=cls,
+                        frame_index, float(cx), float(cy), float(w), float(h),
+                        obj, confs, obj * max(confs), cls,
                     )
                 )
         except _MALFORMED as exc:
             raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
-        yield FrameDetections(
-            frame_index=frame_index,
-            timestamp=float(timestamp),
-            camera=camera,
-            detections=detections,
-        )
+        if type(timestamp) is not float:
+            timestamp = float(timestamp)
+        yield FrameDetections(frame_index, timestamp, camera, detections)
 
 
 def tee_detection_log(

@@ -564,6 +564,8 @@ class SimulationReport:
     seed: int
     entries: list[ReportEntry]
     emit_failures: int = 0
+    # False for a replay: no entry can be matched to a vehicle
+    ground_truth: bool = True
 
     @property
     def warnings_without_filter(self) -> int:
@@ -574,7 +576,10 @@ class SimulationReport:
         return sum(1 for e in self.entries if e.decision == DECISION_WARN)
 
     @property
-    def spurious_warnings(self) -> int:
+    def spurious_warnings(self) -> int | None:
+        """Warnings matched to no vehicle; None without ground truth."""
+        if not self.ground_truth:
+            return None
         return sum(
             1 for e in self.entries if e.decision == DECISION_WARN and e.vehicle_id is None
         )
@@ -658,7 +663,9 @@ def build_report(
 
     A record whose (timestamp, camera, track id) is in ``matches`` takes its
     (vehicle id, pass time, delta) from there; every other record has none.
+    Without ``matches`` (a replay) the report has no ground truth.
     """
+    ground_truth = matches is not None
     matches = matches or {}
     entries = [
         ReportEntry(
@@ -672,7 +679,7 @@ def build_report(
         )
         for rec in monitor.audit
     ]
-    return SimulationReport(duration, t_duration, seed, entries, monitor.emit_failures)
+    return SimulationReport(duration, t_duration, seed, entries, monitor.emit_failures, ground_truth)
 
 
 def run_passes(
@@ -774,7 +781,7 @@ def meta_json(report: SimulationReport) -> str:
         f'{{"duration_s":{report.duration:.3f},"t_duration_s":{report.t_duration:.3f},'
         f'"seed":{report.seed},"events":{report.warnings_without_filter},'
         f'"warnings":{report.warnings_with_filter},'
-        f'"spurious_warnings":{report.spurious_warnings},'
+        f'"spurious_warnings":{_jint(report.spurious_warnings)},'
         f'"emit_failures":{report.emit_failures}}}\n'
     )
 
@@ -783,6 +790,7 @@ def summary_text(report: SimulationReport) -> str:
     with_f = report.warnings_with_filter
     without_f = report.warnings_without_filter
     ratio = with_f / without_f if without_f else 0.0
+    spurious = report.spurious_warnings
     lines = [
         "run summary",
         f"  duration_s          {report.duration:.3f}",
@@ -790,7 +798,7 @@ def summary_text(report: SimulationReport) -> str:
         f"  new_vehicle_events  {without_f}",
         f"  warnings            {with_f}",
         f"  suppressed          {without_f - with_f}",
-        f"  spurious_warnings   {report.spurious_warnings}",
+        f"  spurious_warnings   {'n/a' if spurious is None else spurious}",
         f"  emit_failures       {report.emit_failures}",
         f"  warn_ratio          {ratio:.4f}",
         "",
@@ -850,6 +858,7 @@ def load_report(out_dir: str | Path) -> SimulationReport:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         duration, t_duration = _field(meta, "duration_s", float), _field(meta, "t_duration_s", float)
         seed, emit_failures = _field(meta, "seed", int), _field(meta, "emit_failures", int)
+        ground_truth = _field(meta, "spurious_warnings", int, null=True) is not None
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"{META_FILE}: malformed report metadata: {exc}") from exc
     entries = []
@@ -879,4 +888,5 @@ def load_report(out_dir: str | Path) -> SimulationReport:
         seed=seed,
         entries=entries,
         emit_failures=emit_failures,
+        ground_truth=ground_truth,
     )

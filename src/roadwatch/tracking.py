@@ -330,11 +330,23 @@ def _associate(
     track and no detection has two in-gate partners, the in-gate pairs are
     the result (the module docstring says why that is exact); after the
     first conflict the distances go to ``_linear_sum_assignment`` with
-    ``assign``'s gating.
+    ``assign``'s gating. A frame with no track or no detection computes no
+    distance, and a one-by-one frame needs no partner lists.
     """
     n_tracks, n_dets = len(predicted), len(centers)
+    if not n_tracks or not n_dets:
+        return [], list(range(n_tracks)), list(range(n_dets))
     if n_tracks * n_dets > _PLAIN_PYTHON_MAX_PAIRS:
         return assign(cost_matrix(predicted, centers), gate_distance)
+    sqrt, inf = math.sqrt, math.inf
+    if n_tracks == 1 and n_dets == 1:
+        (px, py), (cx, cy) = predicted[0], centers[0]
+        dx = px - cx
+        dy = py - cy
+        c = sqrt(dx * dx + dy * dy)
+        if not c < inf:
+            raise ValidationError("costs must be finite and non-negative")
+        return ([(0, 0)], [], []) if c <= gate_distance else ([], [0], [0])
     track_partner = [-1] * n_tracks
     det_partner = [-1] * n_dets
     conflict = False
@@ -344,8 +356,8 @@ def _associate(
         for j, (cx, cy) in enumerate(centers):
             dx = px - cx
             dy = py - cy
-            c = math.sqrt(dx * dx + dy * dy)
-            if not c < math.inf:
+            c = sqrt(dx * dx + dy * dy)
+            if not c < inf:
                 raise ValidationError("costs must be finite and non-negative")
             row.append(c)
             if c <= gate_distance and not conflict:
@@ -367,11 +379,14 @@ def _associate(
             if costs[i][j] <= gate_distance:
                 track_partner[i] = j
                 det_partner[j] = i
-    return (
-        [(i, j) for i, j in enumerate(track_partner) if j >= 0],
-        [i for i, j in enumerate(track_partner) if j < 0],
-        [j for j, i in enumerate(det_partner) if i < 0],
-    )
+    matches = []
+    unmatched_tracks = []
+    for i, j in enumerate(track_partner):
+        if j >= 0:
+            matches.append((i, j))
+        else:
+            unmatched_tracks.append(i)
+    return matches, unmatched_tracks, [j for j, i in enumerate(det_partner) if i < 0]
 
 
 def majority(counts: dict, recency: dict):
@@ -466,59 +481,63 @@ class VehicleTracker:
             )
 
         cfg = self.config
+        tracks = self.tracks
+        dets = frame.detections
+        timestamp = frame.timestamp
         events: list[TrackerEvent] = []
 
-        if self.tracks and self._last_timestamp is not None:
-            dt = frame.timestamp - self._last_timestamp
+        if tracks and self._last_timestamp is not None:
+            dt = timestamp - self._last_timestamp
             dt2 = dt * dt
             q = cfg.process_noise
             q_pos, q_cross, q_vel = q * dt2 * dt2 / 4.0, q * dt2 * dt / 2.0, q * dt2
-            for track in self.tracks:
+            for track in tracks:
                 track.predict(dt, q_pos, q_cross, q_vel)
 
         matches, unmatched_tracks, unmatched_dets = _associate(
-            [(t.x, t.y) for t in self.tracks],
-            [d.center for d in frame.detections],
+            [(t.x, t.y) for t in tracks],
+            [(d.cx, d.cy) for d in dets],
             cfg.gate_distance,
         )
 
+        r = cfg.measurement_noise
         for track_idx, det_idx in matches:
-            track = self.tracks[track_idx]
-            det = frame.detections[det_idx]
-            track.update(det.cx, det.cy, cfg.measurement_noise)
-            track.record_assignment(frame.frame_index, det.center, det.best_class)
+            track = tracks[track_idx]
+            det = dets[det_idx]
+            cx, cy = det.cx, det.cy
+            track.update(cx, cy, r)
+            track.record_assignment(frame.frame_index, (cx, cy), det.best_class)
             track.consecutive_hits += 1
             track.consecutive_misses = 0
             if track.status == TENTATIVE and track.consecutive_hits >= cfg.confirm_hits:
                 track.status = ACTIVE
-                track.confirmed_at = frame.timestamp
-                events.append(self._event(NEW_VEHICLE, track, frame.timestamp))
+                track.confirmed_at = timestamp
+                events.append(self._event(NEW_VEHICLE, track, timestamp))
 
-        terminated: list[Track] = []
+        terminated = False
         for track_idx in unmatched_tracks:
-            track = self.tracks[track_idx]
+            track = tracks[track_idx]
             track.consecutive_misses += 1
             track.consecutive_hits = 0
             if track.status == TENTATIVE:
                 # an unconfirmed track does not survive a single miss
                 track.status = TERMINATED
-                terminated.append(track)
+                terminated = True
             elif track.consecutive_misses >= cfg.max_misses:
                 track.status = TERMINATED
-                terminated.append(track)
-                events.append(self._event(TRACK_TERMINATED, track, frame.timestamp))
+                terminated = True
+                events.append(self._event(TRACK_TERMINATED, track, timestamp))
 
         for det_idx in unmatched_dets:
-            det = frame.detections[det_idx]
-            track = self._spawn(det, frame)
+            track = self._spawn(dets[det_idx], frame)
             if cfg.confirm_hits <= 1:
                 track.status = ACTIVE
-                track.confirmed_at = frame.timestamp
-                events.append(self._event(NEW_VEHICLE, track, frame.timestamp))
+                track.confirmed_at = timestamp
+                events.append(self._event(NEW_VEHICLE, track, timestamp))
 
         if terminated:
             self.tracks = [t for t in self.tracks if t.status != TERMINATED]
-        self._last_timestamp = frame.timestamp
+        self._last_timestamp = timestamp
         return events
 
     def _spawn(self, det, frame: FrameDetections) -> Track:
@@ -532,7 +551,7 @@ class VehicleTracker:
             created_at=frame.timestamp,
         )
         self._next_id += 1
-        track.record_assignment(frame.frame_index, det.center, det.best_class)
+        track.record_assignment(frame.frame_index, (det.cx, det.cy), det.best_class)
         self.tracks.append(track)
         self.archive[track.track_id] = track
         return track

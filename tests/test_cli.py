@@ -304,8 +304,16 @@ class TestReplayEquivalence:
             b'{"camera":"front","frame":1,"t":0.1,"dets":[{"cx":1' + b"0" * 400
             + b',"cy":1.0,"w":1.0,"h":1.0,"cls":"vehicle","obj":0.9,"conf":[0.1,0.8,0.1]}]}',
             b"[" * 100_000 + b"]" * 100_000,
+            b'{"camera":"front","frame":1,"t":0.1,"dets":[]}{}',
+            b'{"camera":"front","frame":1,"t":0.1,"dets":[]} x',
+            b"[]",
+            b'"front"',
+            b"1.5",
+            b"null",
+            b'\xef\xbb\xbf{"camera":"front","frame":1,"t":0.1,"dets":[]}',
         ],
-        ids=["not-utf8", "huge-int-timestamp", "huge-int-box-field", "deep-nesting"],
+        ids=["not-utf8", "huge-int-timestamp", "huge-int-box-field", "deep-nesting",
+             "trailing-object", "trailing-token", "array", "string", "number", "null", "bom"],
     )
     def test_undecodable_line_exit_2(self, tmp_path, capsys, bad_line):
         log = tmp_path / "bad.log"
@@ -319,7 +327,9 @@ class TestReplayEquivalence:
     def test_replay_report_artifacts_pinned(self, tmp_path, capsys):
         # digests taken before replay shared simulate's drive() and report
         # builder: a replay report has seed 0, the last frame's timestamp as
-        # its duration, and no ground-truth match on any entry
+        # its duration, and no ground-truth match on any entry; report.json
+        # and summary.txt were re-pinned when spurious_warnings became null
+        # and n/a for a report without ground truth
         scenario = tmp_path / "ties.cfg"
         scenario.write_text(TIES_SCENARIO, encoding="utf-8")
         dump = tmp_path / "d.log"
@@ -333,10 +343,25 @@ class TestReplayEquivalence:
         }
         assert digests == {
             "audit.jsonl": "696a815002edc75a094d976186cdb817a7151c9dc4f8f69533d0c987633404f6",
-            "report.json": "c755d7354106a39f6f15949b3d28dc290e11791e66ec9f7f6c241d5aae1173fa",
-            "summary.txt": "9deb71fcbd97d74be8c57240ebbc56cd8ccc28b15d2e5d5a70124d690c4934f9",
+            "report.json": "75da9cf03ee6da72fac49233b3574d62ac68a61bd3ecf9c12519a31e257e26d5",
+            "summary.txt": "046ba5424e8cbbea5c63006c9bae7252b7822f4c65c27ba4b7c825ee263b926c",
             "histogram.csv": "1d5109d521cc662255c06f1510965403c837698bdd3073a19a1d1c5214a46ce6",
         }
+
+    def test_replay_report_has_no_spurious_count(self, scenario_file, tmp_path, capsys):
+        # a replay has no ground truth, so it cannot call a warning spurious
+        dump = tmp_path / "d.log"
+        main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "sim"),
+              "--dump-detections", str(dump)])
+        out = tmp_path / "rep"
+        assert main(["replay", "--log", str(dump), "--out", str(out), "--device", "stdout"]) == 0
+        capsys.readouterr()
+        assert '"spurious_warnings":null,' in (out / "report.json").read_text(encoding="utf-8")
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
+        assert "  spurious_warnings   n/a\n" in summary
+        assert main(["report", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == summary
+        assert '"spurious_warnings":0,' in (tmp_path / "sim" / "report.json").read_text(encoding="utf-8")
 
     def test_missing_log_exit_2(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "none.log")]) == 2

@@ -360,3 +360,28 @@ class TestDetectionLog:
         with pytest.raises(LogParseError, match="line 2"):
             list(parse_detection_log(io.StringIO(text)))
 
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            log_line(1).rstrip("\n") + "{}",
+            log_line(1).rstrip("\n") + " x",
+            "[1, 2]",
+            '"front"',
+            "42",
+            "null",
+            "\ufeff" + log_line(1),
+        ],
+        ids=["trailing-object", "trailing-token", "array", "string", "number", "null", "bom"],
+    )
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["text", "bytes"])
+    def test_line_that_is_not_one_record_rejected(self, bad_line, as_bytes):
+        text = log_line(0) + bad_line.rstrip("\n") + "\n" + log_line(2)
+        source = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+        with pytest.raises(LogParseError, match="^line 2: ") as info:
+            list(parse_detection_log(source))
+        assert info.value.line_number == 2
+        # worded as json.loads and the record lookup word it
+        with pytest.raises((ValueError, TypeError)) as expected:
+            json.loads(bad_line.strip())["camera"]
+        assert str(info.value) == f"line 2: malformed record: {expected.value}"

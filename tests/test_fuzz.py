@@ -1,20 +1,25 @@
 """Property tests: no detection log, however damaged, crashes the parser or replay.
 
 The parser may only yield frames or raise a RoadwatchError, and ``replay``
-may only exit 0 or 2. Examples are derandomized, so every run tests the same
-inputs.
+may only exit 0 or 2. A differential test holds the parser to its documented
+rules: a legal record parses to what ``json.loads`` and ``float()`` give, and
+a record that breaks one rule is rejected with its line number. Examples are
+derandomized, so every run tests the same inputs.
 """
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadwatch.cli import main
-from roadwatch.detection import CAMERAS, CLASSES, parse_detection_log
-from roadwatch.errors import RoadwatchError
+from roadwatch.detection import CAMERAS, CLASSES, Detection, parse_detection_log
+from roadwatch.errors import LogParseError, RoadwatchError, StreamOrderError
 
 FUZZ = settings(
     derandomize=True,
@@ -130,3 +135,190 @@ def test_replay_exits_0_or_2(tmp_path_factory, lines):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(["replay", "--log", str(log), "--device", "stdout"])
     assert code in (0, 2), err.getvalue()
+
+
+# --- differential test against the documented rules ---------------------------
+
+FLOAT_MAX = sys.float_info.max
+TINY = 5e-324
+
+
+@st.composite
+def spelled(draw, values, as_float: bool) -> str:
+    """A JSON token for one drawn number: an int as an int unless
+    ``as_float``, a float in one of three float spellings (never one that
+    json.loads would read as an int)."""
+    value = draw(values)
+    if type(value) is int and not as_float:
+        return str(value)
+    value = float(value)
+    return draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.17E}"]))
+
+
+# legal values, with 0, 1, -0.0 and the ends of each range drawn often
+CENTERS = (
+    st.sampled_from([0, -0.0, 0.0, 1, FLOAT_MAX, -FLOAT_MAX, TINY, -TINY])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(min_value=-(2**1000), max_value=2**1000)
+)
+SIZES = (
+    st.sampled_from([0, -0.0, 0.0, 1, FLOAT_MAX, TINY])
+    | st.floats(min_value=0.0, allow_infinity=False)
+    | st.integers(min_value=0, max_value=2**1000)
+)
+UNITS = st.sampled_from([0, 1, 0.0, -0.0, 1.0, TINY, 1.0 - 2**-53]) | st.floats(min_value=0.0, max_value=1.0)
+
+# one broken rule: (field, bad tokens, what the message names)
+BROKEN = [
+    ("cls", ['"bicycle"', '""', "1", "null", '["vehicle"]'], "unknown class"),
+    ("conf", ["[0.5,0.5]", "[0.1,0.2,0.3,0.4]", '"010"', "null", "0.5", '{"a":1,"b":2,"c":3}'],
+     "conf must be a list"),
+    ("cx", ["NaN", "Infinity", "-Infinity", '"640"', "true", "false", "null", "[1.0]"], "box center"),
+    ("cy", ["NaN", "Infinity", "-Infinity", '"360"', "true", "null"], "box center"),
+    ("w", ["-5e-324", "-1.0", "-1", "NaN", "Infinity", '"4e1"', "true", "null"], "box size"),
+    ("h", ["-5e-324", "-0.5", "-Infinity", "Infinity", "NaN", "false", "null"], "box size"),
+    ("obj", ["-5e-324", "1.0000000000000002", "2", "-1", "NaN", "Infinity", "true", "false",
+             '"0.95"', "null"], "scores must be"),
+    *[(f"conf{i}", ["-5e-324", "1.0000000000000002", "2", "-1", "NaN", "true", '"0.9"', "null"],
+       "scores must be") for i in range(3)],
+    *[(f"no {key}", [None], "malformed detection entry") for key in DETECTION],
+]
+
+
+@st.composite
+def legal_detection(draw, as_float: bool | None = None) -> dict[str, str]:
+    """Tokens of one legal detection; unless ``as_float`` says, half of them
+    spell every number as a float."""
+    if as_float is None:
+        as_float = draw(st.booleans())
+    confs = [draw(spelled(UNITS, as_float)) for _ in CLASSES]
+    return {"cx": draw(spelled(CENTERS, as_float)), "cy": draw(spelled(CENTERS, as_float)),
+            "w": draw(spelled(SIZES, as_float)), "h": draw(spelled(SIZES, as_float)),
+            "cls": json.dumps(draw(st.sampled_from(CLASSES))), "obj": draw(spelled(UNITS, as_float)),
+            "conf": "[" + ",".join(confs) + "]", "confs": confs}
+
+
+def detection_text(tokens: dict[str, str]) -> str:
+    return "{" + ",".join(f'"{key}":{tokens[key]}' for key in DETECTION if key in tokens) + "}"
+
+
+def record_text(camera, frame, t, dets) -> str:
+    return f'{{"camera":"{camera}","frame":{frame},"t":{t},"dets":[{",".join(dets)}]}}'
+
+
+@st.composite
+def legal_records(draw) -> list[str]:
+    """Lines of legal records: both cameras, increasing per-camera times
+    spelled as ints or floats, zero to three detections each."""
+    lines = []
+    last_t = {}
+    for frame in range(draw(st.integers(min_value=1, max_value=6))):
+        camera = draw(st.sampled_from(CAMERAS))
+        if camera in last_t:
+            t = last_t[camera] + draw(st.sampled_from([1, 0.5, 1e3]))
+        else:
+            t = draw(st.sampled_from([0, -0.0, 0.0, 1e-3, -1e9]))
+        last_t[camera] = t
+        if t == int(t) and draw(st.booleans()):
+            t = int(t)
+        dets = [detection_text(draw(legal_detection())) for _ in range(draw(st.integers(0, 3)))]
+        lines.append(record_text(camera, frame, t, dets))
+    return lines
+
+
+def documented_frame(line: str):
+    """What the rules say a legal line parses to, from json.loads alone."""
+    record = json.loads(line)
+    dets = []
+    for d in record["dets"]:
+        obj = float(d["obj"])
+        confs = tuple(float(c) for c in d["conf"])
+        dets.append(Detection(record["frame"], float(d["cx"]), float(d["cy"]), float(d["w"]),
+                              float(d["h"]), obj, confs, obj * max(confs), d["cls"]))
+    return record["camera"], record["frame"], float(record["t"]), dets
+
+
+def exact(values) -> list[str]:
+    """Values spelled so that 1 and 1.0, and 0.0 and -0.0, differ."""
+    return [f"{type(v).__name__}:{v!r}" for v in values]
+
+
+def frame_fields(camera, frame_index, timestamp, dets) -> list:
+    return [exact([camera, frame_index, timestamp])] + [
+        exact([d.frame_index, d.cx, d.cy, d.width, d.height, d.objectness, *d.class_confidences,
+               d.combined_score, d.best_class])
+        for d in dets
+    ]
+
+
+@FUZZ
+@given(legal_records(), st.booleans())
+def test_legal_records_parse_as_documented(lines, as_bytes):
+    text = "\n".join(lines) + "\n"
+    source = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+    got = [frame_fields(f.camera, f.frame_index, f.timestamp, f.detections)
+           for f in parse_detection_log(source)]
+    assert got == [frame_fields(*documented_frame(line)) for line in lines]
+
+
+def with_broken(tokens: dict[str, str], field: str, token: str) -> str:
+    """The detection ``tokens`` with ``field`` set to ``token`` (or deleted)."""
+    tokens = dict(tokens)
+    if field.startswith("no "):
+        del tokens[field[3:]]
+    elif field.startswith("conf") and field != "conf":
+        confs = list(tokens["confs"])
+        confs[int(field[4:])] = token
+        tokens["conf"] = "[" + ",".join(confs) + "]"
+    else:
+        tokens[field] = token
+    return detection_text(tokens)
+
+
+@st.composite
+def broken_record(draw):
+    """Legal lines, then one whose record fields break one rule."""
+    lines = draw(legal_records())
+    rule = draw(st.sampled_from(["camera", "frame", "t", "order"]))
+    camera, frame, t = '"front"', str(len(lines)), "2e9"
+    if rule == "camera":
+        camera, names = draw(st.sampled_from(['"side"', '"FRONT"', "null", "1", '["front"]'])), "unknown camera"
+    elif rule == "frame":
+        frame, names = draw(st.sampled_from(["-1", "1.0", "true", "null", '"3"'])), "bad frame index"
+    elif rule == "t":
+        t, names = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", '"1.0"', "true", "null",
+                                         "1" + "0" * 400])), "bad timestamp"
+    else:
+        previous = json.loads(lines[-1])
+        camera, t, names = f'"{previous["camera"]}"', draw(st.sampled_from(
+            [json.dumps(previous["t"]), json.dumps(previous["t"] - 1)])), "not after previous"
+    lines.append(f'{{"camera":{camera},"frame":{frame},"t":{t},"dets":[]}}')
+    error = StreamOrderError if rule == "order" else LogParseError
+    return lines, error, names
+
+
+@pytest.mark.parametrize("as_float", [True, False], ids=["floats", "mixed"])
+@pytest.mark.parametrize(
+    "field, token, names",
+    [(field, token, names) for field, tokens, names in BROKEN for token in tokens],
+    ids=[f"{field.replace(' ', '-')}-{k}" for field, tokens, _ in BROKEN for k in range(len(tokens))],
+)
+@settings(FUZZ, max_examples=3)
+@given(legal_records(), st.lists(legal_detection(), max_size=2), st.data())
+def test_detection_breaking_one_rule_rejected(field, token, names, as_float, lines, others, data):
+    # with every other number a float, the broken detection meets the
+    # parser's inline check; with a mix, it meets _check_detection
+    tokens = data.draw(legal_detection(as_float))
+    dets = [detection_text(other) for other in others]
+    dets.insert(data.draw(st.integers(0, len(dets))), with_broken(tokens, field, token))
+    lines.append(record_text("front", len(lines), 2e9, dets))
+    with pytest.raises(LogParseError, match=f"^line {len(lines)}: .*{names}"):
+        list(parse_detection_log(io.StringIO("\n".join(lines) + "\n")))
+
+
+@FUZZ
+@given(broken_record())
+def test_record_breaking_one_rule_rejected(case):
+    lines, error, names = case
+    with pytest.raises(error, match=f"^line {len(lines)}: .*{names}"):
+        list(parse_detection_log(io.StringIO("\n".join(lines) + "\n")))

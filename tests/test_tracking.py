@@ -382,6 +382,15 @@ class TestAssociate:
         assert self.check([(1.0, 2.0)], [], 75.0) == ([], [0], [])
         assert self.check([], [(1.0, 2.0), (3.0, 4.0)], 75.0) == ([], [], [0, 1])
 
+    def test_empty_side_calls_no_solver(self, solver_calls):
+        # the early return must give assign's triple, even for points that
+        # would fail the finiteness check if any distance were computed
+        points = [(1.0, 2.0), (np.nan, 0.0), (np.inf, 1e200)]
+        for n in range(4):
+            assert self.check(points[:n], [], 75.0) == ([], list(range(n)), [])
+            assert self.check([], points[:n], 75.0) == ([], [], list(range(n)))
+        assert solver_calls == {"assign": [], "port": []}
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     @pytest.mark.parametrize("gate", [75.0, np.inf])
     def test_non_finite_distance_rejected(self, bad, gate):
