@@ -632,20 +632,16 @@ def drive(
 
 
 def _majority_vehicle(
-    track, camera: str, label: Callable[..., int | None], max_frame_index: int | None = None
+    history: list[tuple[int, tuple[float, float]]], camera: str, label: Callable[..., int | None]
 ) -> int | None:
-    """Majority ground-truth label over the track's history.
+    """Majority ground-truth label over ``history`` of (frame index, center).
 
     ``label(camera, frame index, cx, cy)`` gives the vehicle rendered there.
-    Only entries up to ``max_frame_index`` vote, so a warning is attributed
-    to what the track had seen when it fired, not to vehicles the same track
-    may pick up later. Ties prefer the most recently seen label.
+    Ties prefer the most recently seen label.
     """
     counts: Counter = Counter()
     recency: dict[int | None, int] = {}
-    for i, (frame_index, center) in enumerate(track.history):
-        if max_frame_index is not None and frame_index > max_frame_index:
-            break
+    for i, (frame_index, center) in enumerate(history):
         vehicle_id = label(camera, frame_index, center[0], center[1])
         counts[vehicle_id] += 1
         recency[vehicle_id] = i
@@ -709,9 +705,11 @@ def run_passes(
     by_id = {p.vehicle_id: p for p in passes}
     warned: dict[tuple[float, str, int], tuple[int, float, float]] = {}
     for w in monitor.warnings:
-        track = trackers[w.camera].archive[w.track_id]
-        warn_frame = int(round(w.timestamp * scenario.frame_rate))
-        vehicle_id = _majority_vehicle(track, w.camera, rendering.label, max_frame_index=warn_frame)
+        # A warning fires as its track is confirmed, and a tentative track
+        # dies on its first miss, so the first confirm_hits entries are what
+        # the track had seen when it warned; later ones may be other vehicles.
+        history = trackers[w.camera].archive[w.track_id].history[: config.confirm_hits]
+        vehicle_id = _majority_vehicle(history, w.camera, rendering.label)
         if vehicle_id is not None:
             pass_time = by_id[vehicle_id].pass_time
             warned[(w.timestamp, w.camera, w.track_id)] = (vehicle_id, pass_time, pass_time - w.timestamp)

@@ -14,18 +14,18 @@ three scalars per track carry it exactly. The general 4x4 :func:`predict`
 and :func:`update` stay as the public reference that the tests compare the
 tracker against.
 
-Association of up to 100 track-detection pairs runs in plain Python. The
-tracker computes each distance rounded exactly as :func:`cost_matrix`
-rounds it. If no track and no detection has more than one partner inside
-the gate, those in-gate pairs are the result. This is exact because
-:func:`assign` first maximises the number of in-gate pairs and only then
-minimises cost, and when the in-gate pairs already form a one-to-one
-matching no other answer exists. Any other frame, including every tie
-between co-located vehicles, goes to a plain-Python port of scipy's
-solver with :func:`assign`'s gating, which returns what :func:`assign`
-returns. Frames of more than 100 pairs go to :func:`assign`, where numpy
-and scipy are the faster path. ``scipy.optimize`` is imported on the first
-call of :func:`assign`, so a run that never makes one does not load it.
+Association runs in plain Python for frames of every size. The tracker
+computes each distance rounded exactly as :func:`cost_matrix` rounds it.
+If no track and no detection has more than one partner inside the gate,
+those in-gate pairs are the result. This is exact because :func:`assign`
+first maximises the number of in-gate pairs and only then minimises cost,
+and when the in-gate pairs already form a one-to-one matching no other
+answer exists. Any other frame, including every tie between co-located
+vehicles, goes to a plain-Python port of scipy's solver with
+:func:`assign`'s gating, which returns what :func:`assign` returns.
+:func:`cost_matrix` and :func:`assign` stay as the numpy/scipy reference
+that the tests compare the tracker against. The tracker calls neither, so
+it never imports ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -233,21 +233,6 @@ def assign(
     return matches, unmatched_tracks, unmatched_dets
 
 
-# Past this many track-detection pairs the plain-Python path costs more
-# than the fixed call overhead of numpy and scipy. On a 2-core x86 machine
-# with Python 3.11 the distance loop alone crosses ``cost_matrix`` between
-# 12x12 and 20x20. A conflicting frame also pays for the port, which is
-# cubic: on lattice frames of 6x6, 8x8, 10x10, 14x14 and 20x20 it takes
-# about 50, 80, 105, 200 and 340-420 us, against 30-50, 40, 40, 60 and
-# 80-90 us for ``assign(cost_matrix(...))``, so for those frames the two
-# cross near 6x6. The limit stays at 100 all the same, because the first
-# ``assign`` call imports ``scipy.optimize`` (about 0.5 s and 48 MB of peak
-# memory), and on paper-day only 175 of 43,867 conflicting frames exceed 25
-# pairs and none exceeds 49. Larger frames, such as criterion 7's 50 tracks
-# by 20 detections, go straight to ``assign``.
-_PLAIN_PYTHON_MAX_PAIRS = 100
-
-
 def _linear_sum_assignment(costs: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
     """Minimum-cost assignment of a non-empty matrix of finite costs.
 
@@ -326,18 +311,16 @@ def _associate(
     gate_distance: float,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """``assign(cost_matrix(predicted, centers), gate_distance)`` in plain
-    Python for frames of up to ``_PLAIN_PYTHON_MAX_PAIRS`` pairs. While no
-    track and no detection has two in-gate partners, the in-gate pairs are
-    the result (the module docstring says why that is exact); after the
-    first conflict the distances go to ``_linear_sum_assignment`` with
-    ``assign``'s gating. A frame with no track or no detection computes no
-    distance, and a one-by-one frame needs no partner lists.
+    Python, for frames of any size. While no track and no detection has two
+    in-gate partners, the in-gate pairs are the result (the module docstring
+    says why that is exact); after the first conflict the distances go to
+    ``_linear_sum_assignment`` with ``assign``'s gating. A frame with no
+    track or no detection computes no distance, and a one-by-one frame needs
+    no partner lists.
     """
     n_tracks, n_dets = len(predicted), len(centers)
     if not n_tracks or not n_dets:
         return [], list(range(n_tracks)), list(range(n_dets))
-    if n_tracks * n_dets > _PLAIN_PYTHON_MAX_PAIRS:
-        return assign(cost_matrix(predicted, centers), gate_distance)
     sqrt, inf = math.sqrt, math.inf
     if n_tracks == 1 and n_dets == 1:
         (px, py), (cx, cy) = predicted[0], centers[0]
@@ -407,7 +390,6 @@ class Track:
     y: float
     p_pos: float
     p_vel: float
-    created_at: float
     vx: float = 0.0
     vy: float = 0.0
     p_cross: float = 0.0
@@ -548,7 +530,6 @@ class VehicleTracker:
             y=det.cy,
             p_pos=cfg.measurement_noise,
             p_vel=cfg.initial_velocity_variance,
-            created_at=frame.timestamp,
         )
         self._next_id += 1
         track.record_assignment(frame.frame_index, (det.cx, det.cy), det.best_class)

@@ -184,6 +184,30 @@ print(code, len(calls), "scipy.optimize" in sys.modules)
         assert int(port_calls) > 1000  # the conflicting frames were solved
         assert loaded == "False"
 
+    def test_large_frames_leave_scipy_optimize_unloaded(self):
+        # criterion 7's 50 lanes with 20 detections a frame, then one frame
+        # with every detection doubled: 50 tracks by 40 detections, in conflict
+        script = """\
+import sys
+from roadwatch import tracking
+from roadwatch.detection import Detection, FrameDetections
+port, calls = tracking._linear_sum_assignment, []
+tracking._linear_sum_assignment = lambda costs: calls.append(len(costs) * len(costs[0])) or port(costs)
+lanes = [(64.0 + 128.0 * ix, 72.0 + 144.0 * iy) for iy in range(5) for ix in range(10)]
+def det(k, x, y):
+    return Detection(k, x, y, 40.0, 30.0, 0.95, (0.05, 0.9, 0.05), 0.855, "vehicle")
+tracker = tracking.VehicleTracker("front", tracking.TrackerConfig(confirm_hits=2, max_misses=10))
+for k in range(12):
+    dets = [det(k, *lanes[(k * 10 + j) % 50]) for j in range(20)]
+    if k == 11:
+        dets = dets * 2
+    tracker.step(FrameDetections(k, k / 30.0, "front", dets))
+print(len(tracker.tracks), calls, "scipy.optimize" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "70 [2000] False"
+
     def test_rendered_dumps_pinned(self, tmp_path, capsys):
         # digests taken before the simulator built frames one at a time:
         # country-road has jitter, dropout and false positives, and

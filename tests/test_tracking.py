@@ -345,15 +345,14 @@ class TestAssociate:
             if len(solver_calls["port"]) == calls_before and matches:
                 fast_matches += 1
         # both paths ran many times, the fast one on frames with matches;
-        # no frame this small reaches scipy
+        # no frame reaches assign
         assert fast_matches > 300
         assert len(solver_calls["port"]) > 300
         assert solver_calls["assign"] == []
 
     def test_large_frames(self, solver_calls):
         # criterion 7's lattice: 50 tracks, 20 detections, each in the gate
-        # of one track only, then every point doubled; both are past the
-        # size where the scipy solve is the faster path
+        # of one track only, then every point doubled
         rng = np.random.default_rng(61)
         slots = [(64.0 + 128 * i, 72.0 + 144 * j) for i in range(10) for j in range(5)]
         centers = [
@@ -363,7 +362,13 @@ class TestAssociate:
         matches, _, _ = self.check(slots, centers, 75.0)
         assert len(matches) == 20
         self.check(slots * 2, centers * 2, 75.0)
-        assert solver_calls == {"assign": [(50, 20), (100, 40)], "port": []}
+        # uniform points with every pair in the gate: the port's worst case
+        for n, m in [(20, 50), (50, 20), (50, 50)]:
+            predicted = [tuple(p) for p in rng.uniform(0, 100, (n, 2)).tolist()]
+            centers = [tuple(p) for p in rng.uniform(0, 100, (m, 2)).tolist()]
+            matches, _, _ = self.check(predicted, centers, 200.0)
+            assert len(matches) == min(n, m)
+        assert solver_calls == {"assign": [], "port": [(100, 40), (20, 50), (50, 20), (50, 50)]}
 
     def test_co_located_tracks_and_detections(self):
         point = (640.0, 360.0)
@@ -592,7 +597,7 @@ def random_track(rng, scale=100.0):
     block = a @ a.T + 1e-3 * np.eye(2)
     return Track(
         track_id=1, x=x, y=y, vx=vx, vy=vy,
-        p_pos=block[0, 0], p_cross=block[0, 1], p_vel=block[1, 1], created_at=0.0,
+        p_pos=block[0, 0], p_cross=block[0, 1], p_vel=block[1, 1],
     )
 
 
