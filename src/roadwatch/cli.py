@@ -13,6 +13,7 @@ diagnostics verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -25,7 +26,7 @@ from .detection import FrameDetections, parse_detection_log
 from .errors import ConfigError, RoadwatchError
 from .simulation import (
     DIRECTIONS,
-    build_report,
+    SimulationReport,
     drive,
     histogram_csv,
     load_report,
@@ -62,17 +63,10 @@ def open_device(spec: str):
     raise ConfigError(f"unknown device {spec!r} (want stdout or udp:<host>:<port>)")
 
 
-def _tracker_config(args, image_width: int | None = None) -> TrackerConfig:
-    overrides = {}
-    if args.gate is not None:
-        overrides["gate_distance"] = args.gate
-    if args.confirm_hits is not None:
-        overrides["confirm_hits"] = args.confirm_hits
-    if args.max_misses is not None:
-        overrides["max_misses"] = args.max_misses
-    if image_width is not None:
-        return TrackerConfig.for_image_width(image_width, **overrides)
-    return TrackerConfig(**overrides)
+def _tracker_config(args, base: TrackerConfig) -> TrackerConfig:
+    """``base`` with the tracker flags given on the command line."""
+    flags = {"gate_distance": args.gate, "confirm_hits": args.confirm_hits, "max_misses": args.max_misses}
+    return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 @contextmanager
@@ -90,7 +84,7 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    config = _tracker_config(args, image_width=scenario.camera.image_width)
+    config = _tracker_config(args, TrackerConfig.for_image_width(scenario.camera.image_width))
     with _device(args.device) as device, (
         open(args.dump_detections, "w", encoding="utf-8", newline="")
         if args.dump_detections
@@ -128,14 +122,17 @@ def _paced(frames: Iterable[FrameDetections]) -> Iterator[FrameDetections]:
 
 
 def cmd_replay(args) -> int:
-    config = _tracker_config(args)
+    config = _tracker_config(args, TrackerConfig())
     trackers = {d: VehicleTracker(d, config) for d in DIRECTIONS}
     with _device(args.device) as device, open(args.log, "rb") as source:
         monitor = FlowCheckMonitor(t_duration=args.t_duration, start_time=0.0, device=device)
         frames = parse_detection_log(source)
         frame_count, last_t = drive(_paced(frames) if args.pace_realtime else frames, trackers, monitor)
     if args.out:
-        write_report(build_report(monitor, last_t, args.t_duration, 0), args.out)
+        report = SimulationReport(
+            last_t, args.t_duration, 0, monitor.audit, monitor.emit_failures, ground_truth=False
+        )
+        write_report(report, args.out)
     sys.stdout.write(
         f"frames              {frame_count}\n"
         f"new_vehicle_events  {monitor.events_checked}\n"

@@ -109,13 +109,16 @@ def decode_grid(
 
     Every anchor whose combined score (objectness times best class
     confidence) strictly exceeds ``score_threshold`` becomes a detection.
-    Box fields must already be absolute pixel values; centers are clamped to
-    the image bounds. The result is ordered by descending combined score,
-    ties broken by (cell index, anchor index) ascending.
+    Box fields must already be absolute pixel values. A kept anchor must
+    pass the detection log's rules (:func:`_check_detection`), so that its
+    log line parses back; finite centers are then clamped to the image
+    bounds. The result is ordered by descending combined score, ties broken
+    by (cell index, anchor index) ascending.
 
     Raises:
         PayloadError: payload length does not match ``spec``.
-        ValidationError: a score is outside [0, 1], or the threshold is.
+        ValidationError: a score is outside [0, 1], or the threshold is, or
+            a kept anchor breaks the log's rules.
     """
     if not 0.0 <= score_threshold <= 1.0:
         raise ValidationError(f"score_threshold must be in [0, 1], got {score_threshold}")
@@ -147,17 +150,25 @@ def decode_grid(
     keep = np.argwhere(combined > score_threshold)
     selected = []
     for cell, anchor in keep:
-        cx, cy, w, h = grid[cell, anchor, :_BOX_FIELDS]
+        cx, cy, w, h = grid[cell, anchor, :_BOX_FIELDS].tolist()
+        obj = float(objectness[cell, anchor])
+        confs = confidences[cell, anchor].tolist()
+        b = int(best[cell, anchor])
+        cls = CLASSES[b] if b < len(CLASSES) else b
+        try:
+            _check_detection(cls, cx, cy, w, h, obj, confs)
+        except ValueError as exc:
+            raise ValidationError(f"cell {cell}, anchor {anchor}: {exc}") from exc
         det = Detection(
             frame_index=frame_index,
             cx=float(min(max(cx, 0.0), spec.image_width)),
             cy=float(min(max(cy, 0.0), spec.image_height)),
-            width=float(w),
-            height=float(h),
-            objectness=float(objectness[cell, anchor]),
-            class_confidences=tuple(float(c) for c in confidences[cell, anchor]),
+            width=w,
+            height=h,
+            objectness=obj,
+            class_confidences=tuple(confs),
             combined_score=float(combined[cell, anchor]),
-            best_class=CLASSES[best[cell, anchor]],
+            best_class=cls,
         )
         selected.append((-det.combined_score, int(cell), int(anchor), det))
     selected.sort(key=lambda item: item[:3])
@@ -240,9 +251,10 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def _check_detection(cls, cx, cy, w, h, obj, confs) -> None:
-    """Raise ValueError for a logged detection that :func:`decode_grid` could not produce.
+    """Raise ValueError for a detection that breaks the log's rules.
 
-    The class must be known, with a list of one confidence per class. Box
+    :func:`decode_grid` applies them to every anchor it keeps. The class
+    must be known, with a list of one confidence per class. Box
     fields, objectness and confidences must be JSON numbers (not strings or
     booleans); box fields must be finite and the size non-negative;
     objectness and class confidences must lie in [0, 1]. The chained

@@ -41,7 +41,13 @@ from .detection import (  # noqa: F401
 )
 from .errors import ConfigError
 from .tracking import TrackerConfig, VehicleTracker, majority
-from .warning import DECISION_SKIP_CLASS, DECISION_WARN, FlowCheckMonitor
+from .warning import (
+    DECISION_SKIP_CLASS,
+    DECISION_SUPPRESS,
+    DECISION_WARN,
+    AuditRecord,
+    FlowCheckMonitor,
+)
 
 DIRECTIONS = ("front", "rear")
 
@@ -541,28 +547,13 @@ def merge_streams(frames: dict[str, list[FrameDetections]]) -> list[FrameDetecti
 
 
 @dataclass
-class ReportEntry:
-    """One audited new-vehicle event, with ground-truth match if warned."""
-
-    timestamp: float
-    camera: str
-    track_id: int
-    object_class: str
-    decision: str
-    gap: float | None
-    vehicle_id: int | None = None
-    pass_time: float | None = None
-    delta: float | None = None
-
-
-@dataclass
 class SimulationReport:
     """Everything the field-style evaluation needs, in deterministic form."""
 
     duration: float
     t_duration: float
     seed: int
-    entries: list[ReportEntry]
+    entries: list[AuditRecord]
     emit_failures: int = 0
     # False for a replay: no entry can be matched to a vehicle
     ground_truth: bool = True
@@ -648,36 +639,6 @@ def _majority_vehicle(
     return majority(counts, recency) if counts else None
 
 
-def build_report(
-    monitor: FlowCheckMonitor,
-    duration: float,
-    t_duration: float,
-    seed: int,
-    matches: dict[tuple[float, str, int], tuple[int, float, float]] | None = None,
-) -> SimulationReport:
-    """One report entry per audit record of ``monitor``.
-
-    A record whose (timestamp, camera, track id) is in ``matches`` takes its
-    (vehicle id, pass time, delta) from there; every other record has none.
-    Without ``matches`` (a replay) the report has no ground truth.
-    """
-    ground_truth = matches is not None
-    matches = matches or {}
-    entries = [
-        ReportEntry(
-            rec.timestamp,
-            rec.camera,
-            rec.track_id,
-            rec.object_class,
-            rec.decision,
-            rec.gap,
-            *matches.get((rec.timestamp, rec.camera, rec.track_id), (None, None, None)),
-        )
-        for rec in monitor.audit
-    ]
-    return SimulationReport(duration, t_duration, seed, entries, monitor.emit_failures, ground_truth)
-
-
 def run_passes(
     passes: list[VehiclePass],
     scenario: Scenario,
@@ -691,7 +652,7 @@ def run_passes(
 
     Each frame is built, written to ``dump_sink`` and tracked before the
     next one is built. Ground truth is looked up afterwards, only for the
-    tracks that warned.
+    tracks that warned, and filled into their audit records.
     """
     config = tracker_config or TrackerConfig.for_image_width(scenario.camera.image_width)
     rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)
@@ -703,17 +664,19 @@ def run_passes(
     drive(frames, trackers, monitor)
 
     by_id = {p.vehicle_id: p for p in passes}
-    warned: dict[tuple[float, str, int], tuple[int, float, float]] = {}
-    for w in monitor.warnings:
+    for rec in monitor.audit:
+        if rec.decision != DECISION_WARN:
+            continue
         # A warning fires as its track is confirmed, and a tentative track
         # dies on its first miss, so the first confirm_hits entries are what
         # the track had seen when it warned; later ones may be other vehicles.
-        history = trackers[w.camera].archive[w.track_id].history[: config.confirm_hits]
-        vehicle_id = _majority_vehicle(history, w.camera, rendering.label)
+        history = trackers[rec.camera].archive[rec.track_id].history[: config.confirm_hits]
+        vehicle_id = _majority_vehicle(history, rec.camera, rendering.label)
         if vehicle_id is not None:
-            pass_time = by_id[vehicle_id].pass_time
-            warned[(w.timestamp, w.camera, w.track_id)] = (vehicle_id, pass_time, pass_time - w.timestamp)
-    return build_report(monitor, scenario.duration, t_duration, scenario.seed, warned)
+            rec.vehicle_id = vehicle_id
+            rec.pass_time = by_id[vehicle_id].pass_time
+            rec.delta = rec.pass_time - rec.timestamp
+    return SimulationReport(scenario.duration, t_duration, scenario.seed, monitor.audit, monitor.emit_failures)
 
 
 def run_pipeline(
@@ -754,7 +717,7 @@ def _jint(value: int | None) -> str:
     return "null" if value is None else str(value)
 
 
-def format_entry_line(e: ReportEntry) -> str:
+def format_entry_line(e: AuditRecord) -> str:
     return (
         f'{{"t":{e.timestamp:.3f},"cam":"{e.camera}","track":{e.track_id},'
         f'"cls":"{e.object_class}","decision":"{e.decision}","gap":{_jnum(e.gap)},'
@@ -825,6 +788,7 @@ def write_report(report: SimulationReport, out_dir: str | Path) -> None:
 
 
 _KINDS = {float: "a number", int: "an integer", str: "a string"}
+_DECISIONS = (DECISION_WARN, DECISION_SUPPRESS, DECISION_SKIP_CLASS)
 
 
 def _field(record: dict, key: str, kind: type, null: bool = False):
@@ -842,6 +806,14 @@ def _field(record: dict, key: str, kind: type, null: bool = False):
         ok = type(value) is kind
     if not ok:
         raise ValueError(f"{key} must be {_KINDS[kind]}{' or null' if null else ''}, got {value!r}")
+    return value
+
+
+def _choice(record: dict, key: str, choices: tuple[str, ...]) -> str:
+    """``record[key]`` if it is one of the strings the report writer can give that field."""
+    value = _field(record, key, str)
+    if value not in choices:
+        raise ValueError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
     return value
 
 
@@ -866,12 +838,12 @@ def load_report(out_dir: str | Path) -> SimulationReport:
         try:
             rec = json.loads(line)
             entries.append(
-                ReportEntry(
+                AuditRecord(
                     timestamp=_field(rec, "t", float),
-                    camera=_field(rec, "cam", str),
+                    camera=_choice(rec, "cam", DIRECTIONS),
                     track_id=_field(rec, "track", int),
-                    object_class=_field(rec, "cls", str),
-                    decision=_field(rec, "decision", str),
+                    object_class=_choice(rec, "cls", CLASSES),
+                    decision=_choice(rec, "decision", _DECISIONS),
                     gap=_field(rec, "gap", float, null=True),
                     vehicle_id=_field(rec, "vehicle", int, null=True),
                     pass_time=_field(rec, "pass_t", float, null=True),

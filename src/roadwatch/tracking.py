@@ -48,6 +48,12 @@ TERMINATED = "terminated"
 NEW_VEHICLE = "new_vehicle"
 TRACK_TERMINATED = "track_terminated"
 
+# Kalman noise levels, the same on x and y: white-acceleration variance
+# scale, position measurement variance, and a new track's velocity variance
+PROCESS_NOISE = 10.0
+MEASUREMENT_NOISE = 4.0
+INITIAL_VELOCITY_VARIANCE = 100.0
+
 
 @dataclass
 class KalmanState:
@@ -64,15 +70,13 @@ class TrackerConfig:
     ``gate_distance`` is the maximum assignable center distance in pixels;
     ``confirm_hits`` consecutive assignments promote a tentative track;
     ``max_misses`` consecutive misses terminate an active one. Defaults are
-    tuned for 1280-px-wide frames at 30 FPS.
+    tuned for 1280-px-wide frames at 30 FPS. The filter's noise levels are
+    the module constants above.
     """
 
     gate_distance: float = 75.0
     confirm_hits: int = 2
     max_misses: int = 3
-    process_noise: float = 10.0
-    measurement_noise: float = 4.0
-    initial_velocity_variance: float = 100.0
 
     def __post_init__(self):
         if self.gate_distance <= 0:
@@ -81,20 +85,11 @@ class TrackerConfig:
             raise ValidationError(f"confirm_hits must be >= 1, got {self.confirm_hits}")
         if self.max_misses < 1:
             raise ValidationError(f"max_misses must be >= 1, got {self.max_misses}")
-        if self.process_noise < 0:
-            raise ValidationError(f"process_noise must be >= 0, got {self.process_noise}")
-        if self.measurement_noise <= 0:
-            raise ValidationError(f"measurement_noise must be > 0, got {self.measurement_noise}")
-        if self.initial_velocity_variance < 0:
-            raise ValidationError(
-                f"initial_velocity_variance must be >= 0, got {self.initial_velocity_variance}"
-            )
 
     @classmethod
-    def for_image_width(cls, image_width: int, **overrides) -> "TrackerConfig":
+    def for_image_width(cls, image_width: int) -> "TrackerConfig":
         """Default config with the gate scaled proportionally to frame width."""
-        gate = overrides.pop("gate_distance", 75.0 * image_width / 1280.0)
-        return cls(gate_distance=gate, **overrides)
+        return cls(gate_distance=cls.gate_distance * image_width / 1280.0)
 
 
 @dataclass(frozen=True)
@@ -471,7 +466,7 @@ class VehicleTracker:
         if tracks and self._last_timestamp is not None:
             dt = timestamp - self._last_timestamp
             dt2 = dt * dt
-            q = cfg.process_noise
+            q = PROCESS_NOISE
             q_pos, q_cross, q_vel = q * dt2 * dt2 / 4.0, q * dt2 * dt / 2.0, q * dt2
             for track in tracks:
                 track.predict(dt, q_pos, q_cross, q_vel)
@@ -482,7 +477,7 @@ class VehicleTracker:
             cfg.gate_distance,
         )
 
-        r = cfg.measurement_noise
+        r = MEASUREMENT_NOISE
         for track_idx, det_idx in matches:
             track = tracks[track_idx]
             det = dets[det_idx]
@@ -523,13 +518,12 @@ class VehicleTracker:
         return events
 
     def _spawn(self, det, frame: FrameDetections) -> Track:
-        cfg = self.config
         track = Track(
             track_id=self._next_id,
             x=det.cx,
             y=det.cy,
-            p_pos=cfg.measurement_noise,
-            p_vel=cfg.initial_velocity_variance,
+            p_pos=MEASUREMENT_NOISE,
+            p_vel=INITIAL_VELOCITY_VARIANCE,
         )
         self._next_id += 1
         track.record_assignment(frame.frame_index, (det.cx, det.cy), det.best_class)

@@ -43,9 +43,14 @@ class WarningEvent:
     gap: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuditRecord:
-    """Warn/suppress decision for one new-vehicle event."""
+    """Warn, suppress or skip decision for one new-vehicle event.
+
+    The report entry as well: a simulated run fills the ground-truth match
+    of each warning (vehicle id, pass time and pre-warning delta) in place;
+    the other records, and every record of a replay, keep None.
+    """
 
     timestamp: float
     camera: str
@@ -53,6 +58,9 @@ class AuditRecord:
     object_class: str
     decision: str
     gap: float | None
+    vehicle_id: int | None = None
+    pass_time: float | None = None
+    delta: float | None = None
 
 
 def init_flow_check(now: float, t_duration: float = 10.0) -> FlowCheckState:
@@ -159,31 +167,16 @@ class FlowCheckMonitor:
         """Feed one tracker event; returns the warning if one fired."""
         if event.kind != NEW_VEHICLE:
             return None
-        if event.object_class not in WARNING_CLASSES:
-            self.audit.append(
-                AuditRecord(
-                    timestamp=event.timestamp,
-                    camera=event.camera,
-                    track_id=event.track_id,
-                    object_class=event.object_class,
-                    decision=DECISION_SKIP_CLASS,
-                    gap=None,
-                )
-            )
-            return None
-
-        self.events_checked += 1
-        gap = event.timestamp - self.state.t_start
-        self.state, warning = on_new_vehicle(self.state, event)
+        gap = warning = None
+        if event.object_class in WARNING_CLASSES:
+            self.events_checked += 1
+            gap = event.timestamp - self.state.t_start
+            self.state, warning = on_new_vehicle(self.state, event)
+            decision = DECISION_WARN if warning else DECISION_SUPPRESS
+        else:
+            decision = DECISION_SKIP_CLASS
         self.audit.append(
-            AuditRecord(
-                timestamp=event.timestamp,
-                camera=event.camera,
-                track_id=event.track_id,
-                object_class=event.object_class,
-                decision=DECISION_WARN if warning else DECISION_SUPPRESS,
-                gap=gap,
-            )
+            AuditRecord(event.timestamp, event.camera, event.track_id, event.object_class, decision, gap)
         )
         if warning:
             self.warnings.append(warning)

@@ -529,10 +529,25 @@ class TestReport:
                 "report.json: malformed report metadata: duration_s must be a number",
             ),
             ("report.json", lambda text: "[" * 100_000 + "]" * 100_000, "report.json: "),
+            (
+                "audit.jsonl",
+                lambda text: re.sub(r'"cam":"\w*"', '"cam":"side"', text, count=1),
+                "audit.jsonl line 1: malformed record: cam must be one of front, rear, got 'side'",
+            ),
+            (
+                "audit.jsonl",
+                lambda text: re.sub(r'"cls":"\w*"', '"cls":"bus"', text, count=1),
+                "audit.jsonl line 1: malformed record: cls must be one of truck, vehicle, pedestrian",
+            ),
+            (
+                "audit.jsonl",
+                lambda text: re.sub(r'"decision":"\w*"', '"decision":"bogus"', text, count=1),
+                "audit.jsonl line 1: malformed record: decision must be one of warn, suppress, skip_class",
+            ),
         ],
         ids=["truncated-audit", "audit-missing-key", "truncated-meta", "meta-missing-key",
              "audit-str-delta", "audit-infinite-delta", "audit-str-timestamp", "meta-str-duration",
-             "meta-deep-nesting"],
+             "meta-deep-nesting", "audit-unknown-camera", "audit-unknown-class", "audit-unknown-decision"],
     )
     def test_damaged_artifacts_exit_2(self, scenario_file, tmp_path, capsys, name, damage, message):
         out = tmp_path / "out"
@@ -557,6 +572,52 @@ class TestFlags:
         start = time.perf_counter()
         assert main(["replay", "--log", str(log), "--pace-realtime", "--device", "stdout"]) == 0
         assert time.perf_counter() - start >= 0.15
+
+    def test_tracker_flags_reach_simulate(self, scenario_file, tmp_path, capsys):
+        def events(name, *flags):
+            out, dump = tmp_path / name, tmp_path / f"{name}.log"
+            argv = ["simulate", "--scenario", str(scenario_file), "--out", str(out),
+                    "--dump-detections", str(dump), *flags]
+            assert main(argv) == 0
+            return json.loads((out / "report.json").read_text())["events"], dump.stat().st_size
+
+        default, default_size = events("default")
+        assert default > 0
+        assert events("confirm", "--confirm-hits", "1000000")[0] == 0
+        assert events("gate", "--gate", "0.001")[0] < default
+        # one miss ends a track, and each busy tick trails one empty frame, not three
+        short_lived, size = events("misses", "--max-misses", "1")
+        assert short_lived > default and size < default_size
+
+    def test_tracker_flags_reach_replay(self, scenario_file, tmp_path, capsys):
+        dump = tmp_path / "d.log"
+        main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "s"),
+              "--dump-detections", str(dump)])
+        capsys.readouterr()
+
+        def events(*flags):
+            assert main(["replay", "--log", str(dump), "--device", "stdout", *flags]) == 0
+            return int(re.search(r"new_vehicle_events +(\d+)", capsys.readouterr().out).group(1))
+
+        default = events()
+        assert default > 0
+        assert events("--confirm-hits", "1000000") == 0
+        assert events("--gate", "0.001") < default
+        # a track that never dies takes in the next vehicle inside the gate
+        assert events("--max-misses", "1000000") < default
+
+    @pytest.mark.parametrize("mode", ["simulate", "replay"])
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--gate", "gate_distance must be > 0"), ("--confirm-hits", "confirm_hits must be >= 1"),
+         ("--max-misses", "max_misses must be >= 1")],
+    )
+    def test_bad_tracker_flag_exit_2(self, scenario_file, tmp_path, capsys, mode, flag, message):
+        log = tmp_path / "one.log"
+        log.write_text('{"camera":"front","frame":0,"t":0.000,"dets":[]}\n', encoding="utf-8")
+        source = ["--scenario", str(scenario_file)] if mode == "simulate" else ["--log", str(log)]
+        assert main([mode, *source, "--out", str(tmp_path / "o"), flag, "0"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_log_level_env_accepted(self, scenario_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ROADWATCH_LOG_LEVEL", "DEBUG")

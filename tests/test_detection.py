@@ -129,6 +129,66 @@ class TestDecodeGrid:
         payload = make_payload(spec)
         assert decode_grid(payload, spec, 0.0) == []
 
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            ((math.nan, 100, 20, 10), "box center must be finite"),
+            ((100, math.nan, 20, 10), "box center must be finite"),
+            ((math.inf, 100, 20, 10), "box center must be finite"),
+            ((100, -math.inf, 20, 10), "box center must be finite"),
+            ((100, 100, -5, 10), "box size must be finite numbers >= 0"),
+            ((100, 100, math.inf, 10), "box size must be finite numbers >= 0"),
+            ((100, 100, 20, math.nan), "box size must be finite numbers >= 0"),
+            ((100, 100, 20, -0.5), "box size must be finite numbers >= 0"),
+        ],
+        ids=["nan-cx", "nan-cy", "inf-cx", "-inf-cy", "negative-w", "inf-w", "nan-h", "negative-h"],
+    )
+    def test_box_breaking_log_rules_names_cell_and_anchor(self, box, message):
+        spec = GridSpec(grid_size=2)
+        payload = make_payload(spec)
+        set_anchor(payload, spec, 2, 1, box, 0.9, (0.9, 0.05, 0.05))
+        with pytest.raises(ValidationError, match=f"cell 2, anchor 1: {message}"):
+            decode_grid(payload, spec, 0.5)
+
+    @pytest.mark.parametrize(
+        "num_classes, message", [(2, "conf must be a list of 3 class confidences"), (4, "unknown class 3")]
+    )
+    def test_class_count_other_than_the_log_rejected(self, num_classes, message):
+        spec = GridSpec(grid_size=1, num_classes=num_classes)
+        payload = make_payload(spec)
+        set_anchor(payload, spec, 0, 2, (100, 100, 20, 10), 0.9, [0.1] * (num_classes - 1) + [0.9])
+        with pytest.raises(ValidationError, match=f"cell 0, anchor 2: {message}"):
+            decode_grid(payload, spec, 0.5)
+
+    def test_box_breaking_log_rules_below_threshold_ignored(self):
+        spec = GridSpec(grid_size=1)
+        payload = make_payload(spec)
+        set_anchor(payload, spec, 0, 0, (math.nan, 100, -5, 10), 0.1, (0.9, 0.05, 0.05))
+        assert decode_grid(payload, spec, 0.5) == []
+
+    def test_output_round_trips_through_log(self):
+        # off-image centers and zero sizes are legal: the centers are clamped
+        spec = GridSpec(grid_size=3, image_width=640, image_height=480)
+        rng = np.random.default_rng(11)
+        payload = rng.uniform(0, 1, spec.total_values)
+        for cell in range(9):
+            for anchor in range(3):
+                box = (rng.uniform(-300, 900), rng.uniform(-300, 800), rng.uniform(0, 90), 0.0)
+                set_anchor(payload, spec, cell, anchor, box, rng.uniform(), rng.uniform(0, 1, 3))
+        dets = decode_grid(payload, spec, 0.2)
+        assert any(d.cx in (0.0, 640.0) or d.cy in (0.0, 480.0) for d in dets)
+        frame = FrameDetections(frame_index=4, timestamp=0.133, camera="rear", detections=dets)
+        sink = io.StringIO()
+        write_detection_log([frame], sink)
+        (parsed,) = parse_detection_log(io.StringIO(sink.getvalue()))
+        assert [d.best_class for d in parsed.detections] == [d.best_class for d in dets]
+        for got, want in zip(parsed.detections, dets):
+            assert got.center == pytest.approx(want.center, abs=0.05)
+            assert (got.width, got.height) == pytest.approx((want.width, want.height), abs=0.05)
+        again = io.StringIO()
+        write_detection_log([parsed], again)
+        assert again.getvalue() == sink.getvalue()
+
 
 class TestGridSpec:
     def test_payload_lengths(self):

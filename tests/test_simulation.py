@@ -3,6 +3,7 @@
 import gc
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,6 +407,12 @@ class TestReportArtifacts:
         report = run_pipeline(scenario)
         write_report(report, tmp_path)
         loaded = load_report(tmp_path)
+        # the artifact holds gap, pass time and delta to 1 ms, every other field exactly
+        to_ms = {"gap", "pass_time", "delta"}
+        assert loaded.entries == [
+            replace(e, **{k: round(getattr(e, k), 3) for k in to_ms if getattr(e, k) is not None})
+            for e in report.entries
+        ]
         assert audit_text(loaded) == audit_text(report)
         assert histogram_csv(loaded) == histogram_csv(report)
         assert summary_text(loaded) == summary_text(report)

@@ -9,7 +9,10 @@ from roadwatch.detection import CLASSES, Detection, FrameDetections
 from roadwatch.errors import StreamOrderError, ValidationError
 from roadwatch.tracking import (
     ACTIVE,
+    INITIAL_VELOCITY_VARIANCE,
+    MEASUREMENT_NOISE,
     NEW_VEHICLE,
+    PROCESS_NOISE,
     TENTATIVE,
     TRACK_TERMINATED,
     KalmanState,
@@ -645,8 +648,7 @@ class TestScalarFilter:
 
     def test_live_tracks_match_predict_update(self):
         cfg = TrackerConfig(confirm_hits=2, max_misses=3)
-        q, r = cfg.process_noise, cfg.measurement_noise
-        v0 = cfg.initial_velocity_variance
+        q, r, v0 = PROCESS_NOISE, MEASUREMENT_NOISE, INITIAL_VELOCITY_VARIANCE
         rng = np.random.default_rng(79)
         tracker = VehicleTracker("front", cfg)
         # two vehicles with dropouts (misses) and a clutter point (short tracks)
