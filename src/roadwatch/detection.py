@@ -109,11 +109,12 @@ def decode_grid(
 
     Every anchor whose combined score (objectness times best class
     confidence) strictly exceeds ``score_threshold`` becomes a detection.
-    Box fields must already be absolute pixel values. A kept anchor must
-    pass the detection log's rules (:func:`_check_detection`), so that its
-    log line parses back; finite centers are then clamped to the image
-    bounds. The result is ordered by descending combined score, ties broken
-    by (cell index, anchor index) ascending.
+    Box fields must already be absolute pixel values. A kept anchor is
+    checked and built as the log parser builds a detection
+    (:func:`_make_detection`), so that its log line parses back; its
+    center is then clamped to the image bounds. The result is ordered by
+    descending combined score, ties broken by (cell index, anchor index)
+    ascending.
 
     Raises:
         PayloadError: payload length does not match ``spec``.
@@ -151,25 +152,17 @@ def decode_grid(
     selected = []
     for cell, anchor in keep:
         cx, cy, w, h = grid[cell, anchor, :_BOX_FIELDS].tolist()
-        obj = float(objectness[cell, anchor])
-        confs = confidences[cell, anchor].tolist()
         b = int(best[cell, anchor])
         cls = CLASSES[b] if b < len(CLASSES) else b
         try:
-            _check_detection(cls, cx, cy, w, h, obj, confs)
+            det = _make_detection(
+                frame_index, cls, cx, cy, w, h, float(objectness[cell, anchor]),
+                confidences[cell, anchor].tolist(),
+            )
         except ValueError as exc:
             raise ValidationError(f"cell {cell}, anchor {anchor}: {exc}") from exc
-        det = Detection(
-            frame_index=frame_index,
-            cx=float(min(max(cx, 0.0), spec.image_width)),
-            cy=float(min(max(cy, 0.0), spec.image_height)),
-            width=w,
-            height=h,
-            objectness=obj,
-            class_confidences=tuple(confs),
-            combined_score=float(combined[cell, anchor]),
-            best_class=cls,
-        )
+        det.cx = float(min(max(cx, 0.0), spec.image_width))
+        det.cy = float(min(max(cy, 0.0), spec.image_height))
         selected.append((-det.combined_score, int(cell), int(anchor), det))
     selected.sort(key=lambda item: item[:3])
     return [item[3] for item in selected]
@@ -250,28 +243,40 @@ _INF = math.inf
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _check_detection(cls, cx, cy, w, h, obj, confs) -> None:
-    """Raise ValueError for a detection that breaks the log's rules.
+def _make_detection(frame_index, cls, cx, cy, w, h, obj, confs) -> Detection:
+    """The :class:`Detection` of one log entry's fields, under the log's rules.
 
-    :func:`decode_grid` applies them to every anchor it keeps. The class
-    must be known, with a list of one confidence per class. Box
-    fields, objectness and confidences must be JSON numbers (not strings or
-    booleans); box fields must be finite and the size non-negative;
-    objectness and class confidences must lie in [0, 1]. The chained
-    comparisons are False for NaN.
+    Raises ValueError for a detection that breaks them. The class must be
+    known, with a list of one confidence per class. Box fields, objectness
+    and confidences must be JSON numbers (not strings or booleans); box
+    fields must be finite and the size non-negative; objectness and class
+    confidences must lie in [0, 1]. The chained comparisons are False for
+    NaN. The combined score is objectness times the largest confidence.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")
-    if type(confs) is not list or len(confs) != len(CLASSES):
+    if type(confs) is not list or len(confs) != 3:
         raise ValueError(f"conf must be a list of {len(CLASSES)} class confidences, got {confs!r}")
-    if not (type(cx) in _NUMBER and type(cy) in _NUMBER
-            and -math.inf < cx < math.inf and -math.inf < cy < math.inf):
+    if not (type(cx) in _NUMBER and type(cy) in _NUMBER and -_INF < cx < _INF and -_INF < cy < _INF):
         raise ValueError(f"box center must be finite numbers, got cx={cx!r} cy={cy!r}")
-    if not (type(w) in _NUMBER and type(h) in _NUMBER and 0.0 <= w < math.inf and 0.0 <= h < math.inf):
+    if not (type(w) in _NUMBER and type(h) in _NUMBER and 0.0 <= w < _INF and 0.0 <= h < _INF):
         raise ValueError(f"box size must be finite numbers >= 0, got w={w!r} h={h!r}")
-    for p in (obj, *confs):
-        if type(p) not in _NUMBER or not 0.0 <= p <= 1.0:
-            raise ValueError(f"scores must be numbers in [0, 1], got obj={obj!r} conf={confs!r}")
+    c0, c1, c2 = confs
+    if not (
+        type(obj) in _NUMBER and type(c0) in _NUMBER and type(c1) in _NUMBER and type(c2) in _NUMBER
+        and 0.0 <= obj <= 1.0 and 0.0 <= c0 <= 1.0 and 0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0
+    ):
+        raise ValueError(f"scores must be numbers in [0, 1], got obj={obj!r} conf={confs!r}")
+    # json.loads gives an integral number as an int; store every number as a float
+    if not type(cx) is type(cy) is type(w) is type(h) is type(obj) is type(c0) is type(c1) is type(c2) is float:
+        cx, cy, w, h = float(cx), float(cy), float(w), float(h)
+        obj, c0, c1, c2 = float(obj), float(c0), float(c1), float(c2)
+    best = c0
+    if c1 > best:
+        best = c1
+    if c2 > best:
+        best = c2
+    return Detection(frame_index, cx, cy, w, h, obj, (c0, c1, c2), obj * best, cls)
 
 
 def parse_detection_log(
@@ -324,38 +329,8 @@ def parse_detection_log(
         try:
             for d in raw_dets:
                 cls, obj, confs = d["cls"], d["obj"], d["conf"]
-                cx, cy, w, h = d["cx"], d["cy"], d["w"], d["h"]
-                # the rules of _check_detection for a detection of floats only
-                if (
-                    type(cx) is float and type(cy) is float and type(w) is float
-                    and type(h) is float and type(obj) is float
-                    and type(confs) is list and len(confs) == 3 and cls in CLASSES
-                    and -_INF < cx < _INF and -_INF < cy < _INF
-                    and 0.0 <= w < _INF and 0.0 <= h < _INF and 0.0 <= obj <= 1.0
-                ):
-                    c0, c1, c2 = confs
-                    if (
-                        type(c0) is float and type(c1) is float and type(c2) is float
-                        and 0.0 <= c0 <= 1.0 and 0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0
-                    ):
-                        # max(confs): the first of equal values wins
-                        best = c0
-                        if c1 > best:
-                            best = c1
-                        if c2 > best:
-                            best = c2
-                        detections.append(
-                            Detection(frame_index, cx, cy, w, h, obj, (c0, c1, c2), obj * best, cls)
-                        )
-                        continue
-                _check_detection(cls, cx, cy, w, h, obj, confs)
-                obj = float(obj)
-                confs = tuple(map(float, confs))
                 detections.append(
-                    Detection(
-                        frame_index, float(cx), float(cy), float(w), float(h),
-                        obj, confs, obj * max(confs), cls,
-                    )
+                    _make_detection(frame_index, cls, d["cx"], d["cy"], d["w"], d["h"], obj, confs)
                 )
         except _MALFORMED as exc:
             raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc

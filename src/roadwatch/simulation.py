@@ -107,10 +107,12 @@ class Scenario:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.duration <= 0:
-            raise ConfigError(f"scenario.duration_s must be > 0, got {self.duration}")
-        if self.frame_rate <= 0:
-            raise ConfigError(f"scenario.frame_rate_hz must be > 0, got {self.frame_rate}")
+        # each check is False for NaN and inf: an infinite duration or
+        # arrival rate would never end the arrival loop
+        if not 0 < self.duration < math.inf:
+            raise ConfigError(f"scenario.duration_s must be finite and > 0, got {self.duration}")
+        if not 0 < self.frame_rate < math.inf:
+            raise ConfigError(f"scenario.frame_rate_hz must be finite and > 0, got {self.frame_rate}")
         if not 0.0 <= self.truck_fraction <= 1.0:
             raise ConfigError(f"scenario.truck_fraction must be in [0, 1], got {self.truck_fraction}")
         for direction in DIRECTIONS:
@@ -120,34 +122,38 @@ class Scenario:
             if pieces[0].start != 0.0:
                 raise ConfigError(f"arrivals.{direction}.profile must start at time 0")
             for prev, cur in zip(pieces, pieces[1:]):
-                if cur.start <= prev.start:
-                    raise ConfigError(f"arrivals.{direction}.profile starts must increase")
+                if not prev.start < cur.start < math.inf:
+                    raise ConfigError(f"arrivals.{direction}.profile starts must be finite and increase")
             for piece in pieces:
-                if piece.rate < 0:
-                    raise ConfigError(f"arrivals.{direction}.profile rates must be >= 0")
+                if not 0 <= piece.rate < math.inf:
+                    raise ConfigError(f"arrivals.{direction}.profile rates must be finite and >= 0")
         lo, hi = self.speed_range
-        if not 0 < lo <= hi:
-            raise ConfigError(f"road.speed_min_mps/max must satisfy 0 < min <= max, got {lo}..{hi}")
-        if self.detection_range <= 0:
-            raise ConfigError(f"road.detection_range_m must be > 0, got {self.detection_range}")
+        if not 0 < lo < math.inf:
+            raise ConfigError(f"road.speed_min_mps must be finite and > 0, got {lo}")
+        if not lo <= hi < math.inf:
+            raise ConfigError(f"road.speed_max_mps must be finite and >= speed_min_mps, got {hi}")
+        if not 0 < self.detection_range < math.inf:
+            raise ConfigError(f"road.detection_range_m must be finite and > 0, got {self.detection_range}")
         for window in self.occlusion_windows:
             if window.direction not in DIRECTIONS:
                 raise ConfigError(f"road.occlusions direction must be front|rear, got {window.direction!r}")
-            if not 0 <= window.near <= window.far:
+            if not 0 <= window.near <= window.far < math.inf:
                 raise ConfigError(
-                    f"road.occlusions interval must satisfy 0 <= near <= far, got {window.near}-{window.far}"
+                    f"road.occlusions must satisfy 0 <= near <= far < inf, got {window.near}-{window.far}"
                 )
-        if self.camera.focal_length_px <= 0 or self.camera.vehicle_height_m <= 0:
-            raise ConfigError("camera.focal_length_px and camera.vehicle_height_m must be > 0")
+        if not (0 < self.camera.focal_length_px < math.inf and 0 < self.camera.vehicle_height_m < math.inf):
+            raise ConfigError("camera.focal_length_px and camera.vehicle_height_m must be finite and > 0")
         if self.camera.image_width <= 0 or self.camera.image_height <= 0:
             raise ConfigError("camera image size must be positive")
-        if self.noise.center_jitter_px < 0:
-            raise ConfigError(f"noise.center_jitter_px must be >= 0, got {self.noise.center_jitter_px}")
+        if not 0 <= self.noise.center_jitter_px < math.inf:
+            raise ConfigError(
+                f"noise.center_jitter_px must be finite and >= 0, got {self.noise.center_jitter_px}"
+            )
         if not 0.0 <= self.noise.dropout_prob <= 1.0:
             raise ConfigError(f"noise.dropout_prob must be in [0, 1], got {self.noise.dropout_prob}")
-        if self.noise.false_positive_rate < 0:
+        if not 0 <= self.noise.false_positive_rate < math.inf:
             raise ConfigError(
-                f"noise.false_positive_rate must be >= 0, got {self.noise.false_positive_rate}"
+                f"noise.false_positive_rate must be finite and >= 0, got {self.noise.false_positive_rate}"
             )
 
 
@@ -580,16 +586,15 @@ class SimulationReport:
         return [e.delta for e in self.entries if e.delta is not None]
 
     def histogram(self) -> dict[int, int]:
-        """Pre-warning time histogram in 1-second bins (bin = floor(delta))."""
-        counts = Counter(int(math.floor(d)) for d in self.deltas)
+        """Pre-warning time histogram in 1-second bins of each delta to 1 ms, as audit.jsonl keeps it."""
+        counts = Counter(int(math.floor(round(d, 3))) for d in self.deltas)
         if not counts:
             return {}
         top = max(counts)
         return {b: counts.get(b, 0) for b in range(min(0, min(counts)), top + 1)}
 
     def hourly_counts(self) -> list[tuple[int, int, int]]:
-        """(hour, events, warnings) rows covering the whole run."""
-        hours = max(1, math.ceil(self.duration / 3600.0))
+        """(hour, events, warnings) rows, in hour order, for the hours with an event."""
         events = Counter()
         warns = Counter()
         for e in self.entries:
@@ -599,7 +604,7 @@ class SimulationReport:
             events[hour] += 1
             if e.decision == DECISION_WARN:
                 warns[hour] += 1
-        return [(h, events.get(h, 0), warns.get(h, 0)) for h in range(hours)]
+        return [(h, events[h], warns[h]) for h in sorted(events)]
 
 
 def drive(
@@ -773,8 +778,11 @@ def summary_text(report: SimulationReport) -> str:
     else:
         lines.append("  (no warned vehicles)")
     lines += ["", "hourly counts", "  hour  events  warnings"]
-    for hour, events, warns in report.hourly_counts():
+    hourly = report.hourly_counts()
+    for hour, events, warns in hourly:
         lines.append(f"  {hour:<4d}  {events:<6d}  {warns}")
+    if not hourly:
+        lines.append("  (no events)")
     return "\n".join(lines) + "\n"
 
 

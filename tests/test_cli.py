@@ -128,6 +128,12 @@ class TestSimulate:
         assert code == 2
         assert "duration_s" in capsys.readouterr().err
 
+    def test_infinite_frame_rate_exit_2(self, scenario_file, tmp_path, capsys):
+        # once an internal error (exit 3) on converting the tick count to an integer
+        scenario_file.write_text(SCENARIO.replace("frame_rate_hz = 30", "frame_rate_hz = inf"), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
+        assert "scenario.frame_rate_hz must be finite" in capsys.readouterr().err
+
     def test_builtin_scenario_audit_trace_pinned(self, tmp_path, capsys):
         # digests of a known-good run: any change to tracking or flow-check
         # behaviour shows up here, not only a simulate/replay mismatch
@@ -283,6 +289,17 @@ class TestReplayEquivalence:
         assert main(["replay", "--log", str(dump), "--t-duration", "1e9", "--device", "stdout"]) == 0
         stdout = capsys.readouterr().out
         assert "warnings            0" in stdout
+
+    def test_long_silent_replay_writes_short_summary(self, tmp_path, capsys):
+        # ten thousand hours without an event: one placeholder line, not a row per hour
+        log = tmp_path / "gap.log"
+        log.write_text('{"camera":"front","frame":0,"t":0.000,"dets":[]}\n'
+                       '{"camera":"front","frame":1,"t":36000000.000,"dets":[]}\n', encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["replay", "--log", str(log), "--out", str(out), "--device", "stdout"]) == 0
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert len(summary) < 25
+        assert summary[-3:] == ["hourly counts", "  hour  events  warnings", "  (no events)"]
 
     def test_malformed_log_exit_2(self, tmp_path, capsys):
         log = tmp_path / "bad.log"

@@ -130,11 +130,15 @@ def test_parser_yields_frames_or_raises_roadwatch_error(lines):
 @FUZZ
 @given(any_lines)
 def test_replay_exits_0_or_2(tmp_path_factory, lines):
+    # a replay that succeeds writes artifacts that report reads back
     log = tmp_path_factory.getbasetemp() / "fuzz.log"
+    out = tmp_path_factory.getbasetemp() / "fuzz-out"
     log.write_bytes(b"\n".join(lines))
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-        code = main(["replay", "--log", str(log), "--device", "stdout"])
-    assert code in (0, 2), err.getvalue()
+        code = main(["replay", "--log", str(log), "--out", str(out), "--device", "stdout"])
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            assert main(["report", "--out", str(out)]) == 0, err.getvalue()
 
 
 # --- differential test against the documented rules ---------------------------
@@ -306,8 +310,8 @@ def broken_record(draw):
 @settings(FUZZ, max_examples=3)
 @given(legal_records(), st.lists(legal_detection(), max_size=2), st.data())
 def test_detection_breaking_one_rule_rejected(field, token, names, as_float, lines, others, data):
-    # with every other number a float, the broken detection meets the
-    # parser's inline check; with a mix, it meets _check_detection
+    # the broken detection's other numbers are all floats, or a mix with
+    # ints: the parser must reject it either way, before any float()
     tokens = data.draw(legal_detection(as_float))
     dets = [detection_text(other) for other in others]
     dets.insert(data.draw(st.integers(0, len(dets))), with_broken(tokens, field, token))

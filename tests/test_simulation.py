@@ -15,6 +15,7 @@ from roadwatch.simulation import (
     NoiseModel,
     RatePiece,
     Scenario,
+    SimulationReport,
     VehiclePass,
     audit_text,
     generate_passes,
@@ -32,6 +33,7 @@ from roadwatch.simulation import (
 )
 from roadwatch.detection import FrameDetections
 from roadwatch.tracking import TrackerConfig, VehicleTracker
+from roadwatch.warning import AuditRecord
 
 
 def make_scenario(**overrides):
@@ -365,6 +367,39 @@ class TestRunPipeline:
         assert sink.getvalue() == expected.getvalue()
 
 
+# every number of a scenario file, with a legal value
+FINITE_FIELDS = {
+    "scenario.duration_s": "60", "scenario.frame_rate_hz": "30", "scenario.truck_fraction": "0.2",
+    "arrivals.front.profile": "0:0.1", "arrivals.rear.profile": "0:0.1",
+    "road.speed_min_mps": "18", "road.speed_max_mps": "30", "road.detection_range_m": "120",
+    "road.occlusions": "", "camera.focal_length_px": "1000", "camera.vehicle_height_m": "1.5",
+    "noise.center_jitter_px": "1", "noise.dropout_prob": "0.01", "noise.false_positive_rate": "0",
+}
+# (field, value) with one non-finite number; a profile has starts and rates,
+# an occlusion a near and a far end, and "-" splits the occlusion interval
+NON_FINITE = [
+    (name, template.format(token))
+    for name, template in [
+        *((name, "{}") for name in FINITE_FIELDS if not name.endswith(("profile", "occlusions"))),
+        ("arrivals.front.profile", "0:{}"),
+        ("arrivals.rear.profile", "0:0.1,{}:0.2"),
+        ("road.occlusions", "front:{}-50"),
+        ("road.occlusions", "front:10-{}"),
+    ]
+    for token in ("nan", "inf", "-inf")
+    if not (token == "-inf" and "-" in template)
+]
+
+
+def scenario_text(fields: dict[str, str]) -> str:
+    """Scenario file text from {"section.option": value}; the option is the last dotted part."""
+    sections: dict[str, list[str]] = {}
+    for name, value in fields.items():
+        section, option = name.rsplit(".", 1)
+        sections.setdefault(section, []).append(f"{option} = {value}")
+    return "".join(f"[{section}]\n" + "\n".join(lines) + "\n" for section, lines in sections.items())
+
+
 class TestScenarioFiles:
     def test_builtins_load_and_validate(self):
         for name in BUILTIN_SCENARIOS:
@@ -396,6 +431,16 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match="front|rear"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "name, value", NON_FINITE, ids=[f"{name}={value}" for name, value in NON_FINITE]
+    )
+    def test_non_finite_number_diagnosed(self, name, value):
+        # NaN once passed most range checks, and an infinite duration or
+        # arrival rate hung the arrival loop
+        parse_scenario(scenario_text(FINITE_FIELDS))
+        with pytest.raises(ConfigError, match=name.replace(".", r"\.")):
+            parse_scenario(scenario_text({**FINITE_FIELDS, name: value}))
+
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(ConfigError, match="paper-day"):
             load_scenario("no-such-scenario")
@@ -417,6 +462,29 @@ class TestReportArtifacts:
         assert histogram_csv(loaded) == histogram_csv(report)
         assert summary_text(loaded) == summary_text(report)
         assert meta_json(loaded) == meta_json(report)
+
+    def test_histogram_bins_the_delta_the_audit_keeps(self, tmp_path):
+        # audit.jsonl writes a delta of 5.9997 s as 6.000, so simulate must
+        # bin it at 6 as a loaded report does, not at 5
+        scenario = make_scenario(noise=NoiseModel())
+        warned_at = run_passes([single_pass()], scenario, np.random.default_rng(0)).entries[0].timestamp
+        vehicle = replace(single_pass(), pass_time=warned_at + 5.9997)
+        report = run_passes([vehicle], scenario, np.random.default_rng(0))
+        assert report.entries[0].delta == pytest.approx(5.9997)
+        write_report(report, tmp_path)
+        assert report.histogram() == load_report(tmp_path).histogram() == {b: int(b == 6) for b in range(7)}
+
+    def test_hourly_counts_list_only_hours_with_events(self):
+        def record(t, decision):
+            return AuditRecord(t, "front", 1, "vehicle", decision, None)
+
+        entries = [record(10.0, "warn"), record(4 * 3600.0 + 1, "suppress"), record(4 * 3600.0 + 2, "warn"),
+                   record(9 * 3600.0, "skip_class")]
+        report = SimulationReport(36000.0, 10.0, 0, entries)
+        assert report.hourly_counts() == [(0, 1, 1), (4, 2, 1)]
+        assert summary_text(report).endswith("hourly counts\n  hour  events  warnings\n  0     1       1\n"
+                                             "  4     2       1\n")
+        assert summary_text(SimulationReport(36000.0, 10.0, 0, [])).endswith("warnings\n  (no events)\n")
 
     def test_load_missing_artifacts(self, tmp_path):
         with pytest.raises(ConfigError, match="artifacts"):
