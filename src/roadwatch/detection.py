@@ -23,6 +23,8 @@ from .errors import LogParseError, PayloadError, StreamOrderError, ValidationErr
 
 CLASSES = ("truck", "vehicle", "pedestrian")
 CAMERAS = ("front", "rear")
+# the largest frame index: a track stores its hits' indices as signed 64-bit integers
+MAX_FRAME_INDEX = 2**63 - 1
 
 GRID_MAGIC = b"RWGRID01"
 _GRID_HEADER = struct.Struct("<8sHBBHH")  # magic, N, anchors, classes, width, height
@@ -312,7 +314,7 @@ def parse_detection_log(
             raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
         if camera not in CAMERAS:
             raise LogParseError(f"line {lineno}: unknown camera {camera!r}", lineno)
-        if type(frame_index) is not int or frame_index < 0:
+        if type(frame_index) is not int or not 0 <= frame_index <= MAX_FRAME_INDEX:
             raise LogParseError(f"line {lineno}: bad frame index {frame_index!r}", lineno)
         # False for NaN, infinities and integers that do not fit a float
         if type(timestamp) not in _NUMBER or not -_FLOAT_MAX <= timestamp <= _FLOAT_MAX:

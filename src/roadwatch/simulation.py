@@ -40,7 +40,7 @@ from .detection import (  # noqa: F401
     write_detection_log,
 )
 from .errors import ConfigError
-from .tracking import TrackerConfig, VehicleTracker, majority
+from .tracking import Track, TrackerConfig, VehicleTracker, majority
 from .warning import (
     DECISION_SKIP_CLASS,
     DECISION_SUPPRESS,
@@ -57,6 +57,10 @@ LANE_CENTER_X = 0.5         # lane offset, fraction of image width
 LANE_CENTER_Y = 0.55        # road line, fraction of image height
 NOMINAL_OBJECTNESS = 0.95
 NOMINAL_CONFIDENCE = 0.9
+
+# upper bounds of a scenario: at most 7 days at 1000 frames a second
+MAX_DURATION_S = 604800.0
+MAX_FRAME_RATE_HZ = 1000.0
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,15 @@ class Scenario:
     def validate(self) -> None:
         # each check is False for NaN and inf: an infinite duration or
         # arrival rate would never end the arrival loop
-        if not 0 < self.duration < math.inf:
-            raise ConfigError(f"scenario.duration_s must be finite and > 0, got {self.duration}")
-        if not 0 < self.frame_rate < math.inf:
-            raise ConfigError(f"scenario.frame_rate_hz must be finite and > 0, got {self.frame_rate}")
+        if not 0 < self.duration <= MAX_DURATION_S:
+            raise ConfigError(
+                f"scenario.duration_s must be finite, > 0 and <= {MAX_DURATION_S:g}, got {self.duration}"
+            )
+        if not 0 < self.frame_rate <= MAX_FRAME_RATE_HZ:
+            raise ConfigError(
+                f"scenario.frame_rate_hz must be finite, > 0 and <= {MAX_FRAME_RATE_HZ:g}, "
+                f"got {self.frame_rate}"
+            )
         if not 0.0 <= self.truck_fraction <= 1.0:
             raise ConfigError(f"scenario.truck_fraction must be in [0, 1], got {self.truck_fraction}")
         for direction in DIRECTIONS:
@@ -628,17 +637,18 @@ def drive(
 
 
 def _majority_vehicle(
-    history: list[tuple[int, tuple[float, float]]], camera: str, label: Callable[..., int | None]
+    track: Track, hits: int, camera: str, label: Callable[..., int | None]
 ) -> int | None:
-    """Majority ground-truth label over ``history`` of (frame index, center).
+    """Majority ground-truth label over the first ``hits`` hits of ``track``.
 
     ``label(camera, frame index, cx, cy)`` gives the vehicle rendered there.
     Ties prefer the most recently seen label.
     """
     counts: Counter = Counter()
     recency: dict[int | None, int] = {}
-    for i, (frame_index, center) in enumerate(history):
-        vehicle_id = label(camera, frame_index, center[0], center[1])
+    centers = track.centers
+    for i, frame_index in enumerate(track.ticks[:hits]):
+        vehicle_id = label(camera, frame_index, centers[2 * i], centers[2 * i + 1])
         counts[vehicle_id] += 1
         recency[vehicle_id] = i
     return majority(counts, recency) if counts else None
@@ -675,8 +685,8 @@ def run_passes(
         # A warning fires as its track is confirmed, and a tentative track
         # dies on its first miss, so the first confirm_hits entries are what
         # the track had seen when it warned; later ones may be other vehicles.
-        history = trackers[rec.camera].archive[rec.track_id].history[: config.confirm_hits]
-        vehicle_id = _majority_vehicle(history, rec.camera, rendering.label)
+        track = trackers[rec.camera].archive[rec.track_id]
+        vehicle_id = _majority_vehicle(track, config.confirm_hits, rec.camera, rendering.label)
         if vehicle_id is not None:
             rec.vehicle_id = vehicle_id
             rec.pass_time = by_id[vehicle_id].pass_time

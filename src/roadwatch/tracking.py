@@ -26,11 +26,17 @@ vehicles, goes to a plain-Python port of scipy's solver with
 :func:`cost_matrix` and :func:`assign` stay as the numpy/scipy reference
 that the tests compare the tracker against. The tracker calls neither, so
 it never imports ``scipy.optimize``.
+
+A track keeps its hits in two typed arrays, the frame indices as signed
+64-bit integers and the centers as interleaved doubles, so each hit costs
+24 bytes and no Python object. ``Track.history`` builds the list of
+(frame index, (cx, cy)) pairs from them when it is read.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,7 +44,7 @@ from typing import Sequence
 import numpy as np
 import scipy
 
-from .detection import FrameDetections
+from .detection import MAX_FRAME_INDEX, FrameDetections
 from .errors import StreamOrderError, ValidationError
 
 TENTATIVE = "tentative"
@@ -378,6 +384,8 @@ class Track:
 
     ``x, y, vx, vy`` is the mean; ``p_pos``, ``p_cross`` and ``p_vel`` are
     the 2x2 (position, velocity) covariance block that both axes share.
+    Hit ``i`` is frame ``ticks[i]`` at center ``centers[2 * i]``,
+    ``centers[2 * i + 1]``.
     """
 
     track_id: int
@@ -392,7 +400,8 @@ class Track:
     consecutive_hits: int = 1
     consecutive_misses: int = 0
     confirmed_at: float | None = None
-    history: list[tuple[int, tuple[float, float]]] = field(default_factory=list)
+    ticks: array = field(default_factory=lambda: array("q"))
+    centers: array = field(default_factory=lambda: array("d"))
     class_counts: Counter = field(default_factory=Counter)
     class_recency: dict[str, int] = field(default_factory=dict)
 
@@ -421,10 +430,19 @@ class Track:
         self.p_cross = a0 * (p_cross - k1 * p_pos) + r * k0 * k1
         self.p_vel += k1 * (k1 * p_pos - 2.0 * p_cross) + r * k1 * k1
 
-    def record_assignment(self, frame_index: int, center: tuple[float, float], object_class: str):
-        self.history.append((frame_index, center))
+    @property
+    def history(self) -> list[tuple[int, tuple[float, float]]]:
+        """Every hit as (frame index, (cx, cy)), oldest first; a new list on each read."""
+        centers = self.centers
+        return list(zip(self.ticks, zip(centers[0::2], centers[1::2])))
+
+    def record_assignment(self, frame_index: int, cx: float, cy: float, object_class: str):
+        self.ticks.append(frame_index)
+        centers = self.centers
+        centers.append(cx)
+        centers.append(cy)
         self.class_counts[object_class] += 1
-        self.class_recency[object_class] = len(self.history)
+        self.class_recency[object_class] = len(self.ticks)
 
     def majority_class(self) -> str:
         """Majority class over assigned detections; ties go to the most recent."""
@@ -436,7 +454,7 @@ class VehicleTracker:
 
     Mutated only by its own stream loop; run one instance per camera.
     Terminated tracks are kept in ``archive`` so that offline evaluation can
-    inspect full histories.
+    inspect full histories; each hit a track keeps costs 24 bytes.
     """
 
     def __init__(self, camera: str, config: TrackerConfig | None = None):
@@ -451,6 +469,11 @@ class VehicleTracker:
         """Advance the tracker by one frame, returning lifecycle events."""
         if frame.camera != self.camera:
             raise ValidationError(f"frame camera {frame.camera!r} != tracker camera {self.camera!r}")
+        frame_index = frame.frame_index
+        if type(frame_index) is not int or not 0 <= frame_index <= MAX_FRAME_INDEX:
+            raise ValidationError(
+                f"frame index must be an int in [0, {MAX_FRAME_INDEX}], got {frame_index!r}"
+            )
         if self._last_timestamp is not None and frame.timestamp <= self._last_timestamp:
             raise StreamOrderError(
                 f"camera {self.camera}: frame timestamp {frame.timestamp:.3f} "
@@ -483,7 +506,7 @@ class VehicleTracker:
             det = dets[det_idx]
             cx, cy = det.cx, det.cy
             track.update(cx, cy, r)
-            track.record_assignment(frame.frame_index, (cx, cy), det.best_class)
+            track.record_assignment(frame_index, cx, cy, det.best_class)
             track.consecutive_hits += 1
             track.consecutive_misses = 0
             if track.status == TENTATIVE and track.consecutive_hits >= cfg.confirm_hits:
@@ -526,7 +549,7 @@ class VehicleTracker:
             p_vel=INITIAL_VELOCITY_VARIANCE,
         )
         self._next_id += 1
-        track.record_assignment(frame.frame_index, (det.cx, det.cy), det.best_class)
+        track.record_assignment(frame.frame_index, det.cx, det.cy, det.best_class)
         self.tracks.append(track)
         self.archive[track.track_id] = track
         return track

@@ -6,6 +6,7 @@ import re
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -133,6 +134,21 @@ class TestSimulate:
         scenario_file.write_text(SCENARIO.replace("frame_rate_hz = 30", "frame_rate_hz = inf"), encoding="utf-8")
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
         assert "scenario.frame_rate_hz must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, huge, name",
+        [("frame_rate_hz = 30", "frame_rate_hz = 1e308", "scenario.frame_rate_hz"),
+         ("duration_s = 120", "duration_s = 1e12", "scenario.duration_s")],
+        ids=["frame-rate", "duration"],
+    )
+    def test_huge_scenario_number_exit_2(self, scenario_file, tmp_path, capsys, line, huge, name):
+        # a frame rate of 1e308 once exited 3 on the tick count, and a huge
+        # duration drew arrivals for hours
+        scenario_file.write_text(SCENARIO.replace(line, huge), encoding="utf-8")
+        start = time.monotonic()
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
+        assert time.monotonic() - start < 10.0
+        assert f"{name} must be finite, > 0 and <= " in capsys.readouterr().err
 
     def test_builtin_scenario_audit_trace_pinned(self, tmp_path, capsys):
         # digests of a known-good run: any change to tracking or flow-check
@@ -364,6 +380,25 @@ class TestReplayEquivalence:
         assert code == 2
         assert "error: line 2: " in captured.err
         assert "frames" not in captured.out
+
+    @pytest.mark.parametrize("frame, code", [(2**63 - 1, 0), (2**63, 2), (2**64, 2)])
+    def test_frame_index_bound(self, tmp_path, capsys, frame, code):
+        # a track stores frame indices as signed 64-bit integers
+        det = ('{"cx":640.0,"cy":360.0,"w":40.0,"h":30.0,"cls":"vehicle","obj":0.9500,'
+               '"conf":[0.0500,0.9000,0.0500]}')
+        log = tmp_path / "big.log"
+        log.write_text(
+            f'{{"camera":"front","frame":{2**63 - 2},"t":0.000,"dets":[{det}]}}\n'
+            f'{{"camera":"front","frame":{frame},"t":0.033,"dets":[{det}]}}\n',
+            encoding="utf-8",
+        )
+        assert main(["replay", "--log", str(log), "--device", "stdout"]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert f"error: line 2: bad frame index {frame}" in captured.err
+            assert "frames" not in captured.out
+        else:
+            assert "new_vehicle_events  1\n" in captured.out
 
     def test_replay_report_artifacts_pinned(self, tmp_path, capsys):
         # digests taken before replay shared simulate's drive() and report

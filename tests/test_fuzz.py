@@ -288,7 +288,8 @@ def broken_record(draw):
     if rule == "camera":
         camera, names = draw(st.sampled_from(['"side"', '"FRONT"', "null", "1", '["front"]'])), "unknown camera"
     elif rule == "frame":
-        frame, names = draw(st.sampled_from(["-1", "1.0", "true", "null", '"3"'])), "bad frame index"
+        frame, names = draw(st.sampled_from(["-1", "1.0", "true", "null", '"3"',
+                                                 "9223372036854775808"])), "bad frame index"
     elif rule == "t":
         t, names = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", '"1.0"', "true", "null",
                                          "1" + "0" * 400])), "bad timestamp"

@@ -1,5 +1,7 @@
 """Tracking tests: Kalman oracles, assignment optimality, lifecycle rules."""
 
+import gc
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -16,6 +18,7 @@ from roadwatch.tracking import (
     TENTATIVE,
     TRACK_TERMINATED,
     KalmanState,
+    Track,
     TrackerConfig,
     VehicleTracker,
     assign,
@@ -591,10 +594,72 @@ class TestTrackerLifecycle:
                     seen.add(event.track_id)
 
 
+class TestHitStorage:
+    """A track keeps each hit in typed arrays and rebuilds its history on read."""
+
+    def test_history_round_trips_bit_for_bit(self):
+        hits = [
+            (0, (-0.0, 0.0)),
+            (1, (5e-324, -5e-324)),
+            (7, (1.7976931348623157e308, -1.7976931348623157e308)),
+            (2**62, (640.0, -0.0)),
+            (2**63 - 1, (0.1, 1.0 - 2**-53)),
+        ]
+        track = Track(track_id=1, x=0.0, y=0.0, p_pos=MEASUREMENT_NOISE, p_vel=INITIAL_VELOCITY_VARIANCE)
+        for k, (cx, cy) in hits:
+            track.record_assignment(k, cx, cy, "vehicle")
+        history = track.history
+        assert [(type(k), type(cx), type(cy)) for k, (cx, cy) in history] == [(int, float, float)] * len(hits)
+        assert [(k, (cx.hex(), cy.hex())) for k, (cx, cy) in history] == [
+            (k, (cx.hex(), cy.hex())) for k, (cx, cy) in hits
+        ]
+        assert track.class_recency == {"vehicle": len(hits)}
+        with pytest.raises(AttributeError):
+            track.history = []
+
+    def test_archive_keeps_at_most_32_bytes_a_hit(self):
+        # 8 bytes of frame index and 16 of center; a list of
+        # (frame index, (cx, cy)) tuples of fresh floats kept about 200 bytes
+        # per hit. A full collection empties the interpreter's free lists,
+        # which would otherwise count as kept.
+        n = 20_000
+        tracker = VehicleTracker("front")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(n):
+                tracker.step(frame(k, [(640.0 + (k % 7) * 0.1, 360.0 - (k % 5) * 0.1)]))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [len(t.history) for t in tracker.archive.values()] == [n]
+        assert kept / n <= 32, f"{kept / n:.1f} bytes a hit"
+
+    @pytest.mark.parametrize("bad", [2**63, 2**64, -1, 2.0])
+    def test_bad_frame_index_rejected_before_any_change(self, bad):
+        tracker = VehicleTracker("front", TrackerConfig(confirm_hits=2))
+        tracker.step(frame(0, [(100, 100)]))
+        tracker.step(frame(1, [(100, 100)]))
+
+        def state():
+            return tracker._last_timestamp, tracker._next_id, [
+                (t.track_id, t.status, t.x, t.vx, t.p_pos, t.consecutive_hits, t.consecutive_misses,
+                 t.history, dict(t.class_counts))
+                for t in tracker.tracks
+            ]
+
+        before = state()
+        with pytest.raises(ValidationError, match="frame index"):
+            tracker.step(frame(bad, [(100, 100), (600, 600)]))
+        assert state() == before
+        tracker.step(frame(2, [(100, 100)]))
+        assert tracker.tracks[0].history[-1] == (2, (100.0, 100.0))
+
+
 def random_track(rng, scale=100.0):
     """A Track with a random mean and a random PSD per-axis covariance block."""
-    from roadwatch.tracking import Track
-
     x, y, vx, vy = rng.normal(0, scale, 4)
     a = rng.normal(size=(2, 2))
     block = a @ a.T + 1e-3 * np.eye(2)
