@@ -29,13 +29,6 @@ from .tracking import (
     predict,
     update,
 )
-from .warning import (
-    FlowCheckMonitor,
-    FlowCheckState,
-    WarningEvent,
-    emit_warning,
-    init_flow_check,
-    on_new_vehicle,
-)
+from .warning import FlowCheckMonitor, emit_warning
 
 __version__ = "0.1.0"

@@ -58,9 +58,12 @@ LANE_CENTER_Y = 0.55        # road line, fraction of image height
 NOMINAL_OBJECTNESS = 0.95
 NOMINAL_CONFIDENCE = 0.9
 
-# upper bounds of a scenario: at most 7 days at 1000 frames a second
+# upper bounds of a scenario: at most 7 days at 1000 frames a second, and
+# at most a million expected arrival draws per direction (the largest rate
+# times the duration); a vehicle may take at most MAX_DURATION_S to pass
 MAX_DURATION_S = 604800.0
 MAX_FRAME_RATE_HZ = 1000.0
+MAX_EXPECTED_ARRIVALS = 1e6
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,12 @@ class Scenario:
             for piece in pieces:
                 if not 0 <= piece.rate < math.inf:
                     raise ConfigError(f"arrivals.{direction}.profile rates must be finite and >= 0")
+            expected = max(piece.rate for piece in pieces) * self.duration
+            if expected > MAX_EXPECTED_ARRIVALS:
+                raise ConfigError(
+                    f"arrivals.{direction}.profile: largest rate x duration_s must be "
+                    f"<= {MAX_EXPECTED_ARRIVALS:g} expected arrivals, got {expected:g}"
+                )
         lo, hi = self.speed_range
         if not 0 < lo < math.inf:
             raise ConfigError(f"road.speed_min_mps must be finite and > 0, got {lo}")
@@ -143,6 +152,12 @@ class Scenario:
             raise ConfigError(f"road.speed_max_mps must be finite and >= speed_min_mps, got {hi}")
         if not 0 < self.detection_range < math.inf:
             raise ConfigError(f"road.detection_range_m must be finite and > 0, got {self.detection_range}")
+        # bounds each pass time, and so each pre-warning delta and the histogram
+        if self.detection_range / lo > MAX_DURATION_S:
+            raise ConfigError(
+                f"road.detection_range_m / road.speed_min_mps must be <= {MAX_DURATION_S:g} s, "
+                f"got {self.detection_range / lo:g}"
+            )
         for window in self.occlusion_windows:
             if window.direction not in DIRECTIONS:
                 raise ConfigError(f"road.occlusions direction must be front|rear, got {window.direction!r}")
@@ -669,13 +684,14 @@ def run_passes(
     next one is built. Ground truth is looked up afterwards, only for the
     tracks that warned, and filled into their audit records.
     """
+    # built first, so that a bad t_duration fails before any draw
+    monitor = FlowCheckMonitor(t_duration=t_duration, start_time=0.0, device=device)
     config = tracker_config or TrackerConfig.for_image_width(scenario.camera.image_width)
     rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)
     frames = heapq.merge(*(rendering.frames(d) for d in DIRECTIONS), key=_merge_key)
     if dump_sink is not None:
         frames = tee_detection_log(frames, dump_sink)
     trackers = {d: VehicleTracker(d, config) for d in DIRECTIONS}
-    monitor = FlowCheckMonitor(t_duration=t_duration, start_time=0.0, device=device)
     drive(frames, trackers, monitor)
 
     by_id = {p.vehicle_id: p for p in passes}

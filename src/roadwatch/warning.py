@@ -1,21 +1,24 @@
 """Traffic-flow-gated worker warnings.
 
-New-vehicle events from both camera streams feed one shared timer: a warning
-fires only when the gap since the previous identified vehicle strictly
-exceeds ``t_duration`` (default 10 s). Steady traffic therefore stays
-silent, because workers alerted once are already watching the road; only a
-vehicle arriving after a quiet spell triggers the device again. The timer
-resets on every event whether or not it warned.
+One ``FlowCheckMonitor`` consumes the new-vehicle events of both camera
+streams and keeps one shared timer: a warning fires only when the gap since
+the previous identified vehicle strictly exceeds ``t_duration`` (default
+10 s). Steady traffic therefore stays silent, because workers alerted once
+are already watching the road; only a vehicle arriving after a quiet spell
+triggers the device again. The timer restarts on every truck or vehicle
+event whether or not it warned. Each decision is an ``AuditRecord``, and a
+warning is its warn record.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import sys
 from dataclasses import dataclass
 from typing import IO
 
-from .errors import ConfigError, StreamOrderError, ValidationError
+from .errors import ConfigError, StreamOrderError
 from .tracking import NEW_VEHICLE, TrackerEvent
 
 WARNING_CLASSES = frozenset({"truck", "vehicle"})
@@ -23,24 +26,6 @@ WARNING_CLASSES = frozenset({"truck", "vehicle"})
 DECISION_WARN = "warn"
 DECISION_SUPPRESS = "suppress"
 DECISION_SKIP_CLASS = "skip_class"
-
-
-@dataclass
-class FlowCheckState:
-    """Timer state: start of the current quiet-gap measurement."""
-
-    t_start: float
-    t_duration: float = 10.0
-
-
-@dataclass(frozen=True)
-class WarningEvent:
-    """A warning actually delivered to the workers."""
-
-    timestamp: float
-    track_id: int
-    camera: str
-    gap: float
 
 
 @dataclass(slots=True)
@@ -63,45 +48,10 @@ class AuditRecord:
     delta: float | None = None
 
 
-def init_flow_check(now: float, t_duration: float = 10.0) -> FlowCheckState:
-    """Start the timer at the current timestamp."""
-    if t_duration <= 0:
-        raise ConfigError(f"t_duration must be > 0, got {t_duration}")
-    return FlowCheckState(t_start=now, t_duration=t_duration)
-
-
-def on_new_vehicle(
-    state: FlowCheckState, event: TrackerEvent
-) -> tuple[FlowCheckState, WarningEvent | None]:
-    """Process one new-vehicle event against the timer.
-
-    Warns iff the event's gap since ``t_start`` strictly exceeds
-    ``t_duration``; the timer restarts at the event timestamp either way.
-    """
-    if event.kind != NEW_VEHICLE:
-        raise ValidationError(f"expected a {NEW_VEHICLE} event, got {event.kind!r}")
-    if event.object_class not in WARNING_CLASSES:
-        raise ValidationError(f"class {event.object_class!r} does not enter the flow check")
-    if event.timestamp < state.t_start:
-        raise StreamOrderError(
-            f"event at {event.timestamp:.3f} is older than timer start {state.t_start:.3f}"
-        )
-    gap = event.timestamp - state.t_start
-    warning = None
-    if gap > state.t_duration:
-        warning = WarningEvent(
-            timestamp=event.timestamp,
-            track_id=event.track_id,
-            camera=event.camera,
-            gap=gap,
-        )
-    return FlowCheckState(t_start=event.timestamp, t_duration=state.t_duration), warning
-
-
-def format_warning_line(event: WarningEvent) -> str:
+def format_warning_line(record: AuditRecord) -> str:
     return (
-        f"WARN t={event.timestamp:.3f} cam={event.camera} "
-        f"track={event.track_id} gap={event.gap:.1f}\n"
+        f"WARN t={record.timestamp:.3f} cam={record.camera} "
+        f"track={record.track_id} gap={record.gap:.1f}\n"
     )
 
 
@@ -133,14 +83,14 @@ class UdpDevice:
         self._sock.close()
 
 
-def emit_warning(event: WarningEvent, device) -> bool:
+def emit_warning(record: AuditRecord, device) -> bool:
     """Write one canonical warning message; False if the channel failed.
 
     Failures are best-effort territory: the caller counts them and keeps
     going rather than stalling the pipeline.
     """
     try:
-        device.send(format_warning_line(event))
+        device.send(format_warning_line(record))
         return True
     except (OSError, ValueError):
         return False
@@ -156,30 +106,39 @@ class FlowCheckMonitor:
     """
 
     def __init__(self, t_duration: float = 10.0, start_time: float = 0.0, device=None):
-        self.state = init_flow_check(start_time, t_duration)
+        # False for NaN and inf too: an infinite quiet gap never warns and
+        # would reach report.json as a number JSON cannot hold
+        if not 0 < t_duration < math.inf:
+            raise ConfigError(f"t_duration must be finite and > 0, got {t_duration}")
+        self.t_start = start_time
+        self.t_duration = t_duration
         self.device = device
         self.audit: list[AuditRecord] = []
-        self.warnings: list[WarningEvent] = []
+        self.warnings: list[AuditRecord] = []
         self.events_checked = 0
         self.emit_failures = 0
 
-    def observe(self, event: TrackerEvent) -> WarningEvent | None:
-        """Feed one tracker event; returns the warning if one fired."""
+    def observe(self, event: TrackerEvent) -> AuditRecord | None:
+        """Feed one tracker event; returns the warn record if a warning fired."""
         if event.kind != NEW_VEHICLE:
             return None
-        gap = warning = None
-        if event.object_class in WARNING_CLASSES:
-            self.events_checked += 1
-            gap = event.timestamp - self.state.t_start
-            self.state, warning = on_new_vehicle(self.state, event)
-            decision = DECISION_WARN if warning else DECISION_SUPPRESS
-        else:
+        gap = None
+        if event.object_class not in WARNING_CLASSES:
             decision = DECISION_SKIP_CLASS
-        self.audit.append(
-            AuditRecord(event.timestamp, event.camera, event.track_id, event.object_class, decision, gap)
-        )
-        if warning:
-            self.warnings.append(warning)
-            if self.device is not None and not emit_warning(warning, self.device):
-                self.emit_failures += 1
-        return warning
+        else:
+            if event.timestamp < self.t_start:
+                raise StreamOrderError(
+                    f"event at {event.timestamp:.3f} is older than timer start {self.t_start:.3f}"
+                )
+            self.events_checked += 1
+            gap = event.timestamp - self.t_start
+            self.t_start = event.timestamp
+            decision = DECISION_WARN if gap > self.t_duration else DECISION_SUPPRESS
+        record = AuditRecord(event.timestamp, event.camera, event.track_id, event.object_class, decision, gap)
+        self.audit.append(record)
+        if decision != DECISION_WARN:
+            return None
+        self.warnings.append(record)
+        if self.device is not None and not emit_warning(record, self.device):
+            self.emit_failures += 1
+        return record

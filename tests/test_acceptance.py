@@ -36,7 +36,7 @@ from roadwatch.tracking import (
     transition_matrix,
     update,
 )
-from roadwatch.warning import FlowCheckMonitor, init_flow_check, on_new_vehicle
+from roadwatch.warning import FlowCheckMonitor
 
 
 def check(num, name, ok, detail=""):
@@ -199,11 +199,10 @@ def test_criterion_3_flow_check_trace_equivalence():
         if exact.any():
             boundary_checked = True
         times = list(np.cumsum(gaps))
-        state = init_flow_check(0.0, 10.0)
+        monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
         got = []
         for i, t in enumerate(times):
-            event = TrackerEvent(NEW_VEHICLE, i + 1, t, "front", "vehicle")
-            state, warning = on_new_vehicle(state, event)
+            warning = monitor.observe(TrackerEvent(NEW_VEHICLE, i + 1, t, "front", "vehicle"))
             if warning is not None:
                 got.append(warning.timestamp)
         if got != literal_flow_check(times):
@@ -227,13 +226,10 @@ def test_criterion_4_poisson_suppression_law():
     for lam in (0.02, 0.05, 0.5):
         rng = np.random.default_rng(int(lam * 1000) + 7)
         times = np.cumsum(rng.exponential(1.0 / lam, n))
-        state = init_flow_check(0.0, t_dur)
+        monitor = FlowCheckMonitor(t_duration=t_dur, start_time=0.0)
         warned = 0
         for i, t in enumerate(times):
-            state, warning = on_new_vehicle(
-                state, TrackerEvent(NEW_VEHICLE, i + 1, float(t), "front", "vehicle")
-            )
-            if warning is not None:
+            if monitor.observe(TrackerEvent(NEW_VEHICLE, i + 1, float(t), "front", "vehicle")) is not None:
                 warned += 1
         fraction = warned / n
         expected = math.exp(-lam * t_dur)

@@ -136,19 +136,24 @@ class TestSimulate:
         assert "scenario.frame_rate_hz must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line, huge, name",
-        [("frame_rate_hz = 30", "frame_rate_hz = 1e308", "scenario.frame_rate_hz"),
-         ("duration_s = 120", "duration_s = 1e12", "scenario.duration_s")],
-        ids=["frame-rate", "duration"],
+        "line, huge, message",
+        [("frame_rate_hz = 30", "frame_rate_hz = 1e308", "scenario.frame_rate_hz must be finite, > 0 and <= "),
+         ("duration_s = 120", "duration_s = 1e12", "scenario.duration_s must be finite, > 0 and <= "),
+         ("profile = 0:0.05", "profile = 0:1e308",
+          "arrivals.front.profile: largest rate x duration_s must be <= 1e+06 expected arrivals"),
+         ("detection_range_m = 120", "detection_range_m = 1e308",
+          "road.detection_range_m / road.speed_min_mps must be <= 604800 s")],
+        ids=["frame-rate", "duration", "arrival-rate", "detection-range"],
     )
-    def test_huge_scenario_number_exit_2(self, scenario_file, tmp_path, capsys, line, huge, name):
-        # a frame rate of 1e308 once exited 3 on the tick count, and a huge
-        # duration drew arrivals for hours
+    def test_huge_scenario_number_exit_2(self, scenario_file, tmp_path, capsys, line, huge, message):
+        # a frame rate of 1e308 once exited 3 on the tick count, a huge
+        # duration or arrival rate drew arrivals for hours, and a huge range
+        # made histogram.csv list about 5e306 bins
         scenario_file.write_text(SCENARIO.replace(line, huge), encoding="utf-8")
         start = time.monotonic()
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
         assert time.monotonic() - start < 10.0
-        assert f"{name} must be finite, > 0 and <= " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_builtin_scenario_audit_trace_pinned(self, tmp_path, capsys):
         # digests of a known-good run: any change to tracking or flow-check
@@ -670,6 +675,23 @@ class TestFlags:
         source = ["--scenario", str(scenario_file)] if mode == "simulate" else ["--log", str(log)]
         assert main([mode, *source, "--out", str(tmp_path / "o"), flag, "0"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, value", [("simulate", "nan"), ("replay", "inf")])
+    def test_non_finite_t_duration_exit_2(self, scenario_file, tmp_path, capsys, mode, value):
+        # nan once exited 0 and wrote "t_duration_s":nan, which report then could not read
+        log = tmp_path / "one.log"
+        log.write_text('{"camera":"front","frame":0,"t":0.000,"dets":[]}\n', encoding="utf-8")
+        dump = tmp_path / "dump.log"
+        source = (["--scenario", str(scenario_file), "--dump-detections", str(dump)]
+                  if mode == "simulate" else ["--log", str(log)])
+        out = tmp_path / "o"
+        assert main([mode, *source, "--out", str(out), "--device", "stdout", "--t-duration", value]) == 2
+        captured = capsys.readouterr()
+        assert f"t_duration must be finite and > 0, got {value}" in captured.err
+        assert "WARN" not in captured.out
+        assert not (out / "report.json").exists()
+        # simulate fails before it renders or tracks a frame
+        assert not dump.exists() or dump.read_text() == ""
 
     def test_log_level_env_accepted(self, scenario_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ROADWATCH_LOG_LEVEL", "DEBUG")

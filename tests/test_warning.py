@@ -5,19 +5,17 @@ import io
 import numpy as np
 import pytest
 
-from roadwatch.errors import ConfigError, StreamOrderError, ValidationError
+from roadwatch.errors import ConfigError, StreamOrderError
 from roadwatch.tracking import NEW_VEHICLE, TRACK_TERMINATED, TrackerEvent
 from roadwatch.warning import (
     DECISION_SKIP_CLASS,
     DECISION_SUPPRESS,
     DECISION_WARN,
+    AuditRecord,
     FlowCheckMonitor,
     StdoutDevice,
-    WarningEvent,
     emit_warning,
     format_warning_line,
-    init_flow_check,
-    on_new_vehicle,
 )
 
 
@@ -38,34 +36,40 @@ def event(t, track_id=1, camera="front", cls="vehicle", kind=NEW_VEHICLE):
 
 
 def run_chain(timestamps, t_duration=10.0, start=0.0):
-    state = init_flow_check(start, t_duration)
+    monitor = FlowCheckMonitor(t_duration=t_duration, start_time=start)
     warned = []
     for i, t in enumerate(timestamps):
-        state, warning = on_new_vehicle(state, event(t, track_id=i + 1))
+        warning = monitor.observe(event(t, track_id=i + 1))
         if warning is not None:
             warned.append(warning)
-    return state, warned
+    return monitor, warned
 
 
 class TestInit:
     def test_default_duration(self):
-        state = init_flow_check(0.0, 10.0)
-        assert state.t_start == 0.0
-        assert state.t_duration == 10.0
+        monitor = FlowCheckMonitor()
+        assert monitor.t_start == 0.0
+        assert monitor.t_duration == 10.0
 
     def test_arbitrary_start(self):
-        assert init_flow_check(123.4, 5.0).t_start == 123.4
+        assert FlowCheckMonitor(t_duration=5.0, start_time=123.4).t_start == 123.4
 
     def test_immediate_event_never_warns(self):
-        state = init_flow_check(50.0, 10.0)
-        _, warning = on_new_vehicle(state, event(50.0))
-        assert warning is None
+        monitor = FlowCheckMonitor(t_duration=10.0, start_time=50.0)
+        assert monitor.observe(event(50.0)) is None
 
     def test_nonpositive_duration_rejected(self):
         with pytest.raises(ConfigError):
-            init_flow_check(0.0, 0.0)
+            FlowCheckMonitor(t_duration=0.0)
         with pytest.raises(ConfigError):
-            init_flow_check(0.0, -1.0)
+            FlowCheckMonitor(t_duration=-1.0)
+
+    def test_non_finite_duration_rejected(self):
+        # nan once ran and wrote "t_duration_s":nan, which is not JSON
+        with pytest.raises(ConfigError, match="t_duration must be finite and > 0"):
+            FlowCheckMonitor(t_duration=float("nan"))
+        with pytest.raises(ConfigError, match="t_duration must be finite and > 0"):
+            FlowCheckMonitor(t_duration=float("inf"))
 
 
 class TestOnNewVehicle:
@@ -81,18 +85,17 @@ class TestOnNewVehicle:
         assert len(warned) == 1
 
     def test_timer_resets_even_when_suppressed(self):
-        state = init_flow_check(0.0, 10.0)
-        state, warning = on_new_vehicle(state, event(4.0))
-        assert warning is None
-        assert state.t_start == 4.0
-        state, warning = on_new_vehicle(state, event(15.0))
+        monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
+        assert monitor.observe(event(4.0)) is None
+        assert monitor.t_start == 4.0
+        warning = monitor.observe(event(15.0))
         assert warning is not None and warning.gap == pytest.approx(11.0)
 
     def test_monotone_reset_independent_of_outcome(self):
         rng = np.random.default_rng(5)
         times = np.cumsum(rng.uniform(0.0, 30.0, 100))
-        state, _ = run_chain(list(times))
-        assert state.t_start == times[-1]
+        monitor, _ = run_chain(list(times))
+        assert monitor.t_start == times[-1]
 
     def test_trace_matches_literal_oracle(self):
         rng = np.random.default_rng(11)
@@ -102,8 +105,10 @@ class TestOnNewVehicle:
             # sprinkle exact-boundary gaps to exercise the strict comparison
             gaps[rng.uniform(size=n) < 0.2] = 10.0
             times = list(np.cumsum(gaps))
-            _, warned = run_chain(times)
+            monitor, warned = run_chain(times)
             assert [w.timestamp for w in warned] == literal_flow_check(times)
+            assert all(w is r for w, r in zip(warned, monitor.warnings))
+            assert len(warned) == len(monitor.warnings)
 
     def test_every_warning_gap_exceeds_duration(self):
         rng = np.random.default_rng(13)
@@ -124,19 +129,25 @@ class TestOnNewVehicle:
             previous = t
 
     def test_stale_event_rejected(self):
-        state = init_flow_check(100.0, 10.0)
-        with pytest.raises(StreamOrderError):
-            on_new_vehicle(state, event(99.0))
+        for cls in ("vehicle", "truck"):
+            monitor = FlowCheckMonitor(t_duration=10.0, start_time=100.0)
+            with pytest.raises(StreamOrderError, match="event at 99.000 is older than timer start 100.000"):
+                monitor.observe(event(99.0, cls=cls))
 
     def test_wrong_kind_rejected(self):
-        state = init_flow_check(0.0, 10.0)
-        with pytest.raises(ValidationError):
-            on_new_vehicle(state, event(5.0, kind=TRACK_TERMINATED))
+        # only new-vehicle events enter the flow check; others leave no trace
+        monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
+        assert monitor.observe(event(15.0, kind=TRACK_TERMINATED)) is None
+        assert monitor.audit == [] and monitor.events_checked == 0
+        assert monitor.t_start == 0.0
 
     def test_pedestrian_rejected_at_op_level(self):
-        state = init_flow_check(0.0, 10.0)
-        with pytest.raises(ValidationError):
-            on_new_vehicle(state, event(5.0, cls="pedestrian"))
+        # a pedestrian is logged but never checked, so an old one is no error
+        monitor = FlowCheckMonitor(t_duration=10.0, start_time=100.0)
+        assert monitor.observe(event(50.0, cls="pedestrian")) is None
+        assert [r.decision for r in monitor.audit] == [DECISION_SKIP_CLASS]
+        assert monitor.audit[0].gap is None
+        assert monitor.events_checked == 0 and monitor.t_start == 100.0
 
     def test_poisson_suppression_fraction(self):
         lam, t_dur, n = 0.05, 10.0, 20000
@@ -151,14 +162,14 @@ class TestOnNewVehicle:
 
 class TestEmission:
     def test_line_format(self):
-        warning = WarningEvent(timestamp=15.0, track_id=7, camera="rear", gap=15.0)
+        warning = AuditRecord(15.0, "rear", 7, "vehicle", DECISION_WARN, 15.0)
         assert format_warning_line(warning) == "WARN t=15.000 cam=rear track=7 gap=15.0\n"
 
     def test_messages_in_order(self):
         sink = io.StringIO()
         device = StdoutDevice(sink)
-        emit_warning(WarningEvent(1.0, 1, "front", 12.0), device)
-        emit_warning(WarningEvent(2.5, 2, "rear", 20.5), device)
+        emit_warning(AuditRecord(1.0, "front", 1, "vehicle", DECISION_WARN, 12.0), device)
+        emit_warning(AuditRecord(2.5, "rear", 2, "truck", DECISION_WARN, 20.5), device)
         assert sink.getvalue() == (
             "WARN t=1.000 cam=front track=1 gap=12.0\n"
             "WARN t=2.500 cam=rear track=2 gap=20.5\n"
@@ -187,7 +198,7 @@ class TestEmission:
 class TestMonitor:
     def test_counts_and_audit_decisions(self):
         monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
-        monitor.observe(event(11.0, track_id=1))            # warn
+        warning = monitor.observe(event(11.0, track_id=1))  # warn
         monitor.observe(event(12.0, track_id=2))            # suppress
         monitor.observe(event(13.0, track_id=3, cls="pedestrian"))  # skipped
         monitor.observe(event(14.0, track_id=4, kind=TRACK_TERMINATED))  # ignored
@@ -197,6 +208,11 @@ class TestMonitor:
             DECISION_SUPPRESS,
             DECISION_SKIP_CLASS,
         ]
+        # a warning is its warn record, not a copy of it
+        warn_records = [r for r in monitor.audit if r.decision == DECISION_WARN]
+        assert len(monitor.warnings) == len(warn_records) == 1
+        assert all(w is r for w, r in zip(monitor.warnings, warn_records))
+        assert warning is monitor.warnings[0]
 
     def test_pedestrian_does_not_touch_timer(self):
         monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
