@@ -20,7 +20,7 @@ import sys
 import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .detection import FrameDetections, parse_detection_log
 from .errors import ConfigError, RoadwatchError
@@ -80,15 +80,42 @@ def _device(spec: str | None):
             device.close()
 
 
+class _DumpFile:
+    """The ``--dump-detections`` file, opened for writing (so emptied) at its first write.
+
+    ``run_pipeline`` checks ``--t-duration`` before it renders a frame, so a
+    run that exits 2 there leaves an existing dump as it was. A run that
+    ends without a frame still leaves an empty dump.
+    """
+
+    encoding = "utf-8"
+
+    def __init__(self, path: str):
+        self.path = path
+        self.file: IO[str] | None = None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8", newline="")
+        return self.file.write(text)
+
+    def __enter__(self) -> "_DumpFile":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        if exc_type is None:
+            self.write("")  # opens the file if no frame did; if that fails, there is nothing to close
+        if self.file is not None:
+            self.file.close()
+
+
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
     config = _tracker_config(args, TrackerConfig.for_image_width(scenario.camera.image_width))
     with _device(args.device) as device, (
-        open(args.dump_detections, "w", encoding="utf-8", newline="")
-        if args.dump_detections
-        else nullcontext()
+        _DumpFile(args.dump_detections) if args.dump_detections else nullcontext()
     ) as dump_sink:
         report = run_pipeline(
             scenario,

@@ -224,12 +224,11 @@ def write_grid_payload(spec: GridSpec, raw: Sequence[float] | np.ndarray, stream
 
 
 def format_detection_line(frame: FrameDetections) -> str:
+    # a detection has one confidence per class: the parser and decode_grid require three
     dets = ",".join(
-        "{"
-        f'"cx":{d.cx:.1f},"cy":{d.cy:.1f},"w":{d.width:.1f},"h":{d.height:.1f},'
+        f'{{"cx":{d.cx:.1f},"cy":{d.cy:.1f},"w":{d.width:.1f},"h":{d.height:.1f},'
         f'"cls":"{d.best_class}","obj":{d.objectness:.4f},'
-        f'"conf":[{",".join(f"{c:.4f}" for c in d.class_confidences)}]'
-        "}"
+        f'"conf":[{d.class_confidences[0]:.4f},{d.class_confidences[1]:.4f},{d.class_confidences[2]:.4f}]}}'
         for d in frame.detections
     )
     return f'{{"camera":"{frame.camera}","frame":{frame.frame_index},"t":{frame.timestamp:.3f},"dets":[{dets}]}}\n'

@@ -64,6 +64,13 @@ NOMINAL_CONFIDENCE = 0.9
 MAX_DURATION_S = 604800.0
 MAX_FRAME_RATE_HZ = 1000.0
 MAX_EXPECTED_ARRIVALS = 1e6
+# at most a million expected false positives per camera (the per-frame rate
+# times the frame count); an image side, and the box height of a vehicle at
+# the far edge of the detection range, at most MAX_IMAGE_SIZE_PX. A vehicle
+# renders at a distance above detection_range_m * 2**-54 (the spacing of
+# doubles there), so every box is then below 2e21 px: finite, as the log needs
+MAX_EXPECTED_FALSE_POSITIVES = 1e6
+MAX_IMAGE_SIZE_PX = 100_000
 
 
 @dataclass(frozen=True)
@@ -165,10 +172,20 @@ class Scenario:
                 raise ConfigError(
                     f"road.occlusions must satisfy 0 <= near <= far < inf, got {window.near}-{window.far}"
                 )
-        if not (0 < self.camera.focal_length_px < math.inf and 0 < self.camera.vehicle_height_m < math.inf):
+        cam = self.camera
+        if not (0 < cam.focal_length_px < math.inf and 0 < cam.vehicle_height_m < math.inf):
             raise ConfigError("camera.focal_length_px and camera.vehicle_height_m must be finite and > 0")
-        if self.camera.image_width <= 0 or self.camera.image_height <= 0:
-            raise ConfigError("camera image size must be positive")
+        far_box = cam.focal_length_px * cam.vehicle_height_m / self.detection_range
+        if not far_box <= MAX_IMAGE_SIZE_PX:
+            raise ConfigError(
+                f"camera.focal_length_px x camera.vehicle_height_m / road.detection_range_m (the box height "
+                f"at the far edge of the range) must be <= {MAX_IMAGE_SIZE_PX} px, got {far_box:g}"
+            )
+        if not (0 < cam.image_width <= MAX_IMAGE_SIZE_PX and 0 < cam.image_height <= MAX_IMAGE_SIZE_PX):
+            raise ConfigError(
+                f"camera image size must be positive and at most {MAX_IMAGE_SIZE_PX} px a side, "
+                f"got {cam.image_width}x{cam.image_height}"
+            )
         if not 0 <= self.noise.center_jitter_px < math.inf:
             raise ConfigError(
                 f"noise.center_jitter_px must be finite and >= 0, got {self.noise.center_jitter_px}"
@@ -178,6 +195,12 @@ class Scenario:
         if not 0 <= self.noise.false_positive_rate < math.inf:
             raise ConfigError(
                 f"noise.false_positive_rate must be finite and >= 0, got {self.noise.false_positive_rate}"
+            )
+        expected = self.noise.false_positive_rate * self.duration * self.frame_rate
+        if expected > MAX_EXPECTED_FALSE_POSITIVES:
+            raise ConfigError(
+                f"noise.false_positive_rate x duration_s x frame_rate_hz must be <= "
+                f"{MAX_EXPECTED_FALSE_POSITIVES:g} expected false positives per camera, got {expected:g}"
             )
 
 
@@ -358,25 +381,11 @@ def _tick_time(k: int, frame_rate: float) -> float:
 
 
 _OTHER_CONFIDENCE = round((1.0 - NOMINAL_CONFIDENCE) / (len(CLASSES) - 1), 4)
-# class -> its rendered class confidences
+# class -> its rendered class confidences, and their combined score
 _CONFIDENCES = {
     best: tuple(NOMINAL_CONFIDENCE if c == best else _OTHER_CONFIDENCE for c in CLASSES) for best in CLASSES
 }
-
-
-def _detection(k: int, cx: float, cy: float, w: float, h: float, cls: str) -> Detection:
-    confs = _CONFIDENCES[cls]
-    return Detection(
-        frame_index=k,
-        cx=cx,
-        cy=cy,
-        width=w,
-        height=h,
-        objectness=NOMINAL_OBJECTNESS,
-        class_confidences=confs,
-        combined_score=NOMINAL_OBJECTNESS * max(confs),
-        best_class=cls,
-    )
+_SCORES = {cls: NOMINAL_OBJECTNESS * max(confs) for cls, confs in _CONFIDENCES.items()}
 
 
 DetectionLabels = dict[tuple[str, int, float, float], int]
@@ -399,10 +408,19 @@ def _merge_key(frame: FrameDetections) -> tuple[float, int]:
 class _Rendering:
     """The random draws of one render, built into frames one at a time.
 
-    The constructor makes every random draw, in the order the streams have
-    always been drawn in: per vehicle in ``passes`` order, each tick's
-    dropout draw then its two jitter draws; then per camera the false
-    positives. It keeps only each vehicle's kept ticks and centres (and the
+    The constructor makes every random draw, as whole arrays, in this
+    order. Per vehicle in ``passes`` order: one dropout draw for each tick
+    in range and outside the occlusion windows (``rng.random(n)``, when
+    ``dropout_prob > 0``), then the jitter of the m ticks kept
+    (``rng.normal(0, center_jitter_px, (2, m))``, the first row for cx, when
+    ``center_jitter_px > 0``). Then per camera, front first, when
+    ``false_positive_rate > 0``: the number of false positives (one Poisson
+    draw), their ticks, cx, cy, width, height and class, each one array.
+    Drawn centres, clipped to the image, and false-positive sizes are
+    rounded with ``np.round(x, 1)``: the double nearest to a tenth, which
+    the log writes and parses back unchanged.
+
+    It keeps only each vehicle's kept ticks and centres (and the
     false-positive boxes); the frames themselves are built on demand, so
     the whole day is never held in memory.
     """
@@ -419,61 +437,65 @@ class _Rendering:
         fps = scenario.frame_rate
         cam = scenario.camera
         noise = scenario.noise
+        reach = scenario.detection_range
         self.n_ticks = n_ticks = int(math.floor(scenario.duration * fps))
         windows: dict[str, list[OcclusionWindow]] = {d: [] for d in DIRECTIONS}
         for window in scenario.occlusion_windows:
             windows[window.direction].append(window)
         # 1-D world: the lane projects to a fixed image point, only the box
         # size carries the range information
-        lane_cx = cam.image_width * LANE_CENTER_X
-        lane_cy = cam.image_height * LANE_CENTER_Y
+        lane = np.array([[cam.image_width * LANE_CENTER_X], [cam.image_height * LANE_CENTER_Y]])
+        image = np.array([[cam.image_width], [cam.image_height]], dtype=float)
 
         self.vehicles: dict[str, list[_Drawn]] = {d: [] for d in DIRECTIONS}
         for position, vehicle in enumerate(passes):
-            ticks, xs, ys = array("q"), array("d"), array("d")
             k_first = max(0, math.ceil(vehicle.spawn_time * fps - 1e-9))
             k_last = min(n_ticks - 1, math.floor(vehicle.pass_time * fps + 1e-9))
-            occ = windows[vehicle.direction]
-            for k in range(k_first, k_last + 1):
-                d = self._distance(vehicle, k)
-                if not 0.0 < d <= scenario.detection_range:
-                    continue
-                if any(w.near <= d <= w.far for w in occ):
-                    continue
-                if noise.dropout_prob > 0 and rng.random() < noise.dropout_prob:
-                    continue
-                cx, cy = lane_cx, lane_cy
-                if noise.center_jitter_px > 0:
-                    cx += rng.normal(0.0, noise.center_jitter_px)
-                    cy += rng.normal(0.0, noise.center_jitter_px)
-                ticks.append(k)
-                xs.append(round(min(max(cx, 0.0), cam.image_width), 1))
-                ys.append(round(min(max(cy, 0.0), cam.image_height), 1))
-            if ticks:
-                self.vehicles[vehicle.direction].append(_Drawn(position, vehicle, ticks, xs, ys))
+            ticks = np.arange(k_first, k_last + 1, dtype=np.int64)
+            # np.rint rounds half to even as round() does: _tick_time, bit for bit
+            d = reach - vehicle.speed * (np.rint(ticks * 1000.0 / fps) / 1000.0 - vehicle.spawn_time)
+            seen = (0.0 < d) & (d <= reach)
+            for w in windows[vehicle.direction]:
+                seen &= ~((w.near <= d) & (d <= w.far))
+            ticks = ticks[seen]
+            if noise.dropout_prob > 0:
+                ticks = ticks[rng.random(len(ticks)) >= noise.dropout_prob]
+            if not len(ticks):
+                continue
+            if noise.center_jitter_px > 0:
+                centres = lane + rng.normal(0.0, noise.center_jitter_px, (2, len(ticks)))
+            else:
+                centres = np.repeat(lane, len(ticks), axis=1)
+            cx, cy = np.round(np.clip(centres, 0.0, image), 1)
+            self.vehicles[vehicle.direction].append(
+                _Drawn(position, vehicle, array("q", ticks.tobytes()), array("d", cx.tobytes()),
+                       array("d", cy.tobytes()))
+            )
 
         self.false_positives: dict[str, list[Detection]] = {d: [] for d in DIRECTIONS}
         if noise.false_positive_rate > 0:
             for direction in DIRECTIONS:
-                counts = rng.poisson(noise.false_positive_rate, n_ticks)
-                for k in np.nonzero(counts)[0]:
-                    for _ in range(counts[k]):
-                        cx = round(rng.uniform(0.0, cam.image_width), 1)
-                        cy = round(rng.uniform(0.0, cam.image_height), 1)
-                        w = round(rng.uniform(8.0, 80.0), 1)
-                        h = round(rng.uniform(8.0, 80.0), 1)
-                        cls = CLASSES[rng.integers(0, len(CLASSES))]
-                        self.false_positives[direction].append(_detection(int(k), cx, cy, w, h, cls))
+                # a Poisson count per frame, drawn as their Poisson total spread
+                # uniformly over the frames: the same law, without one count per frame
+                n = int(rng.poisson(noise.false_positive_rate * n_ticks))
+                ticks = np.sort(rng.integers(0, n_ticks, n))
+                cx = np.round(rng.uniform(0.0, cam.image_width, n), 1)
+                cy = np.round(rng.uniform(0.0, cam.image_height, n), 1)
+                widths = np.round(rng.uniform(8.0, 80.0, n), 1)
+                heights = np.round(rng.uniform(8.0, 80.0, n), 1)
+                classes = [CLASSES[c] for c in rng.integers(0, len(CLASSES), n).tolist()]
+                self.false_positives[direction] = [
+                    Detection(k, x, y, w, h, NOMINAL_OBJECTNESS, _CONFIDENCES[cls], _SCORES[cls], cls)
+                    for k, x, y, w, h, cls in zip(
+                        ticks.tolist(), cx.tolist(), cy.tolist(), widths.tolist(), heights.tolist(), classes
+                    )
+                ]
 
         # ordered by first kept tick for the label lookup, with each camera's longest span
         self._max_span: dict[str, int] = {}
         for direction, drawn in self.vehicles.items():
             drawn.sort(key=lambda v: (v.ticks[0], v.position))
             self._max_span[direction] = max((v.ticks[-1] - v.ticks[0] for v in drawn), default=0)
-
-    def _distance(self, vehicle: VehiclePass, k: int) -> float:
-        t = _tick_time(k, self.scenario.frame_rate)
-        return self.scenario.detection_range - vehicle.speed * (t - vehicle.spawn_time)
 
     def frames(self, camera: str) -> Iterator[FrameDetections]:
         """One camera's frames in tick order, each built when it is asked for.
@@ -485,6 +507,8 @@ class _Rendering:
         """
         fps = self.scenario.frame_rate
         cam = self.scenario.camera
+        reach = self.scenario.detection_range
+        size = cam.focal_length_px * cam.vehicle_height_m
         end = self.n_ticks
         # (next kept tick, position in passes, index into the vehicle's draws, draws)
         heap = [(v.ticks[0], v.position, 0, v) for v in self.vehicles[camera]]
@@ -497,12 +521,15 @@ class _Rendering:
 
         k = next_busy_tick()
         while k < end:
+            t = _tick_time(k, fps)
             dets = []
             while heap and heap[0][0] == k:
                 _, position, i, v = heap[0]
-                h = cam.focal_length_px * cam.vehicle_height_m / self._distance(v.vehicle, k)
-                w = round(VEHICLE_ASPECT * h, 1)
-                dets.append(_detection(k, v.cx[i], v.cy[i], w, round(h, 1), v.vehicle.vehicle_class))
+                vehicle = v.vehicle
+                h = size / (reach - vehicle.speed * (t - vehicle.spawn_time))
+                cls = vehicle.vehicle_class
+                dets.append(Detection(k, v.cx[i], v.cy[i], round(VEHICLE_ASPECT * h, 1), round(h, 1),
+                                      NOMINAL_OBJECTNESS, _CONFIDENCES[cls], _SCORES[cls], cls))
                 if i + 1 < len(v.ticks):
                     heapq.heapreplace(heap, (v.ticks[i + 1], position, i + 1, v))
                 else:
@@ -510,10 +537,10 @@ class _Rendering:
             while fp is not None and fp.frame_index == k:
                 dets.append(fp)
                 fp = next(false_positives, None)
-            yield FrameDetections(frame_index=k, timestamp=_tick_time(k, fps), camera=camera, detections=dets)
+            yield FrameDetections(k, t, camera, dets)
             busy = next_busy_tick()
             for j in range(k + 1, min(k + 1 + self.trail_frames, busy)):
-                yield FrameDetections(frame_index=j, timestamp=_tick_time(j, fps), camera=camera)
+                yield FrameDetections(j, _tick_time(j, fps), camera)
             k = busy
 
     def label(self, camera: str, k: int, cx: float, cy: float) -> int | None:
@@ -610,12 +637,11 @@ class SimulationReport:
         return [e.delta for e in self.entries if e.delta is not None]
 
     def histogram(self) -> dict[int, int]:
-        """Pre-warning time histogram in 1-second bins of each delta to 1 ms, as audit.jsonl keeps it."""
-        counts = Counter(int(math.floor(round(d, 3))) for d in self.deltas)
-        if not counts:
-            return {}
-        top = max(counts)
-        return {b: counts.get(b, 0) for b in range(min(0, min(counts)), top + 1)}
+        """Pre-warning time histogram: the count of each non-empty 1-second bin, in bin order.
+
+        Each delta is binned to 1 ms, as audit.jsonl keeps it.
+        """
+        return dict(sorted(Counter(int(math.floor(round(d, 3))) for d in self.deltas).items()))
 
     def hourly_counts(self) -> list[tuple[int, int, int]]:
         """(hour, events, warnings) rows, in hour order, for the hours with an event."""

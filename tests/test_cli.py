@@ -142,13 +142,24 @@ class TestSimulate:
          ("profile = 0:0.05", "profile = 0:1e308",
           "arrivals.front.profile: largest rate x duration_s must be <= 1e+06 expected arrivals"),
          ("detection_range_m = 120", "detection_range_m = 1e308",
-          "road.detection_range_m / road.speed_min_mps must be <= 604800 s")],
-        ids=["frame-rate", "duration", "arrival-rate", "detection-range"],
+          "road.detection_range_m / road.speed_min_mps must be <= 604800 s"),
+         ("image_width_px = 1280", "image_width_px = 1" + "0" * 400,
+          "camera image size must be positive and at most 100000 px a side"),
+         ("focal_length_px = 1000", "focal_length_px = 1e308",
+          "camera.focal_length_px x camera.vehicle_height_m / road.detection_range_m"),
+         ("false_positive_rate = 0.0", "false_positive_rate = 1e308",
+          "noise.false_positive_rate x duration_s x frame_rate_hz must be <= 1e+06 expected"),
+         ("false_positive_rate = 0.0", "false_positive_rate = 1e6",
+          "noise.false_positive_rate x duration_s x frame_rate_hz must be <= 1e+06 expected")],
+        ids=["frame-rate", "duration", "arrival-rate", "detection-range", "image-width", "focal-length",
+             "false-positive-rate", "false-positive-hang"],
     )
     def test_huge_scenario_number_exit_2(self, scenario_file, tmp_path, capsys, line, huge, message):
         # a frame rate of 1e308 once exited 3 on the tick count, a huge
         # duration or arrival rate drew arrivals for hours, and a huge range
-        # made histogram.csv list about 5e306 bins
+        # made histogram.csv list about 5e306 bins; a huge image width or
+        # false-positive rate exited 3, a false-positive rate of 1e6 hung,
+        # and a huge focal length wrote infinite boxes that replay rejects
         scenario_file.write_text(SCENARIO.replace(line, huge), encoding="utf-8")
         start = time.monotonic()
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
@@ -157,7 +168,8 @@ class TestSimulate:
 
     def test_builtin_scenario_audit_trace_pinned(self, tmp_path, capsys):
         # digests of a known-good run: any change to tracking or flow-check
-        # behaviour shows up here, not only a simulate/replay mismatch
+        # behaviour shows up here, not only a simulate/replay mismatch;
+        # audit.jsonl re-pinned when each vehicle's draws became whole arrays
         out = tmp_path / "out"
         assert main(["simulate", "--scenario", "occluded-curve", "--seed", "1", "--out", str(out)]) == 0
         digests = {
@@ -165,7 +177,7 @@ class TestSimulate:
             for name in ("audit.jsonl", "report.json")
         }
         assert digests == {
-            "audit.jsonl": "51ed1f57e24818dccd29c0f911c1668dad71a83def4e966aa98b5c23af71d07f",
+            "audit.jsonl": "d27224500e78a596d6fcb63bc444630df99c26c73c65afc82d0ab09172e79361",
             "report.json": "dc36cfc2db50827fbb8b81cd662e32197265ab0f75863b4840c4bad36e7027d6",
         }
 
@@ -236,9 +248,10 @@ print(len(tracker.tracks), calls, "scipy.optimize" in sys.modules)
         assert proc.stdout.splitlines()[-1] == "70 [2000] False"
 
     def test_rendered_dumps_pinned(self, tmp_path, capsys):
-        # digests taken before the simulator built frames one at a time:
         # country-road has jitter, dropout and false positives, and
-        # occluded-curve has occlusion windows
+        # occluded-curve has occlusion windows; re-pinned when each
+        # vehicle's draws, and each camera's false positives, became whole
+        # arrays (report.json kept its digest)
         out, dump = tmp_path / "cr", tmp_path / "cr.log"
         assert main(["simulate", "--scenario", "country-road", "--seed", "1", "--out", str(out),
                      "--dump-detections", str(dump)]) == 0
@@ -250,11 +263,27 @@ print(len(tracker.tracks), calls, "scipy.optimize" in sys.modules)
             for path in (dump, out / "audit.jsonl", out / "report.json", occluded)
         }
         assert digests == {
-            "cr.log": "8fd776f25413c19968b9c6fc6ca605f0f01455ae54c141b6383d615dbd9f60b9",
-            "audit.jsonl": "8eed24bce250995908c770c3032eeb3cc76e9fc93486c2c6178bc85bcca75694",
+            "cr.log": "dc3705f1b5f9b7b0b6a3a4c44905ff61adaba6ffe1f36ad3d5727581fb0695ae",
+            "audit.jsonl": "11165f4c980c0ad155e3b5662069f238a2ecf56f3af42ae2fbef1224be006643",
             "report.json": "a5efd7c13b1925adb7a242d8eba41353cdc3a6cf373243f2b44303eadb9e03f2",
-            "oc.log": "5255e9d743b6c35d0d121b1e8fbf2ede5b2604260131f03c14b0dfac580d64d1",
+            "oc.log": "b3add3b1ffc799f2959edd927fd9c56aece665924eeff73de4cd588831667d08",
         }
+
+    def test_exit_2_leaves_existing_dump(self, tmp_path, capsys):
+        # the dump was once opened, so emptied, before --t-duration was checked
+        dump = tmp_path / "d.log"
+        dump.write_text("kept\n", encoding="utf-8")
+        assert main(["simulate", "--scenario", "country-road", "--t-duration", "nan", "--out", str(tmp_path / "o"),
+                     "--dump-detections", str(dump)]) == 2
+        assert "t_duration must be finite" in capsys.readouterr().err
+        assert dump.read_text(encoding="utf-8") == "kept\n"
+
+    def test_run_without_frames_empties_dump(self, tmp_path, capsys):
+        dump = tmp_path / "d.log"
+        dump.write_text("old\n", encoding="utf-8")
+        assert main(["simulate", "--scenario", "empty", "--out", str(tmp_path / "o"),
+                     "--dump-detections", str(dump)]) == 0
+        assert dump.read_text(encoding="utf-8") == ""
 
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path / "o")])

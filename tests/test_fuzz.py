@@ -3,7 +3,9 @@
 The parser may only yield frames or raise a RoadwatchError, and ``replay``
 may only exit 0 or 2. A differential test holds the parser to its documented
 rules: a legal record parses to what ``json.loads`` and ``float()`` give, and
-a record that breaks one rule is rejected with its line number. Examples are
+a record that breaks one rule is rejected with its line number. A last
+property runs ``simulate --dump-detections`` on short valid scenarios and
+holds ``replay`` of the dump to the same audit trace. Examples are
 derandomized, so every run tests the same inputs.
 """
 
@@ -17,9 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from roadwatch.cli import main
 from roadwatch.detection import CAMERAS, CLASSES, Detection, parse_detection_log
 from roadwatch.errors import LogParseError, RoadwatchError, StreamOrderError
+from roadwatch.simulation import generate_passes, load_scenario, merge_streams, render_detections
+from roadwatch.tracking import TrackerConfig
 
 FUZZ = settings(
     derandomize=True,
@@ -327,3 +333,80 @@ def test_record_breaking_one_rule_rejected(case):
     lines, error, names = case
     with pytest.raises(error, match=f"^line {len(lines)}: .*{names}"):
         list(parse_detection_log(io.StringIO("\n".join(lines) + "\n")))
+
+
+# --- simulate, then replay its dump --------------------------------------------
+
+GROUND_TRUTH = ("vehicle", "pass_t", "delta")
+
+
+@st.composite
+def short_scenarios(draw) -> str:
+    """A valid scenario of at most a minute, with every sensing effect on or off."""
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    speed_min = draw(st.floats(min_value=5.0, max_value=30.0))
+    reach = draw(st.floats(min_value=20.0, max_value=200.0))
+    windows = []
+    for direction in draw(st.lists(st.sampled_from(CAMERAS), max_size=2)):
+        near, far = sorted(draw(st.lists(st.floats(0.0, reach), min_size=2, max_size=2)))
+        windows.append(f"{direction}:{near:.3f}-{far:.3f}")  # "-" splits the interval: no exponents
+    fields = {
+        "scenario": {"duration_s": draw(st.floats(min_value=5.0, max_value=60.0)),
+                     "seed": draw(st.integers(min_value=0, max_value=2**32)),
+                     "frame_rate_hz": draw(st.sampled_from([10.0, 25.0, 29.97, 30.0, 60.0])
+                                           | st.floats(min_value=1.0, max_value=60.0)),
+                     "truck_fraction": draw(unit)},
+        "arrivals.front": {"profile": f"0:{draw(st.floats(0.0, 0.4))!r}"},
+        "arrivals.rear": {"profile": f"0:{draw(st.floats(0.0, 0.4))!r}"},
+        "road": {"speed_min_mps": speed_min,
+                 "speed_max_mps": speed_min + draw(st.floats(min_value=0.0, max_value=15.0)),
+                 "detection_range_m": reach, "occlusions": ", ".join(windows)},
+        "camera": {"focal_length_px": draw(st.floats(min_value=200.0, max_value=3000.0)),
+                   "vehicle_height_m": draw(st.floats(min_value=1.0, max_value=4.0)),
+                   "image_width_px": draw(st.integers(min_value=64, max_value=4096)),
+                   "image_height_px": draw(st.integers(min_value=64, max_value=4096))},
+        "noise": {"center_jitter_px": draw(st.just(0.0) | st.floats(min_value=0.0, max_value=8.0)),
+                  "dropout_prob": draw(st.just(0.0) | st.floats(min_value=0.0, max_value=0.5)),
+                  "false_positive_rate": draw(st.just(0.0) | st.floats(min_value=0.0, max_value=0.05))},
+    }
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+                                    for key, value in options.items())
+        for section, options in fields.items()
+    )
+
+
+def audit_without_ground_truth(path) -> list[dict]:
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return [{k: v for k, v in row.items() if k not in GROUND_TRUTH} for row in rows]
+
+
+@settings(FUZZ, max_examples=40)
+@given(short_scenarios())
+def test_replay_of_simulated_dump_gives_simulate_audit(tmp_path_factory, text):
+    # the rendered numbers are canonical: each is the double its log text
+    # parses back to, so the replay tracks exactly the frames simulate did
+    work = tmp_path_factory.getbasetemp() / "sim-replay"
+    work.mkdir(exist_ok=True)
+    scenario_path, dump = work / "scenario.cfg", work / "dump.log"
+    scenario_path.write_text(text, encoding="utf-8")
+    scenario = load_scenario(scenario_path)
+    # simulate scales the gate to the image width; replay is told it
+    config = TrackerConfig.for_image_width(scenario.camera.image_width)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        assert main(["simulate", "--scenario", str(scenario_path), "--out", str(work / "sim"),
+                     "--dump-detections", str(dump)]) == 0, err.getvalue()
+        assert main(["replay", "--log", str(dump), "--out", str(work / "rep"), "--device", "stdout",
+                     "--gate", repr(config.gate_distance)]) == 0, err.getvalue()
+    assert audit_without_ground_truth(work / "rep" / "audit.jsonl") == \
+        audit_without_ground_truth(work / "sim" / "audit.jsonl")
+
+    rng = np.random.default_rng(scenario.seed)
+    frames = merge_streams(render_detections(generate_passes(scenario, rng), scenario, rng, config.max_misses)[0])
+    with open(dump, "rb") as source:
+        assert list(parse_detection_log(source)) == frames
+    for frame in frames:
+        assert frame.timestamp == float(f"{frame.timestamp:.3f}")
+        for d in frame.detections:
+            for v in (d.cx, d.cy, d.width, d.height):
+                assert v == float(f"{v:.1f}")

@@ -182,6 +182,29 @@ class TestRenderDetections:
         assert abs(count - 600) <= 3 * math.sqrt(600)
         assert labels == {}  # false positives carry no ground-truth label
 
+    @pytest.mark.parametrize("fps", [30.0, 29.97, 7.0, 1000.0])
+    def test_kept_ticks_match_the_scalar_loop(self, fps):
+        # the ticks are tested as whole arrays; the per-tick loop they
+        # replaced, on _tick_time, is the reference and must agree exactly
+        from roadwatch.simulation import OcclusionWindow, _Rendering, _tick_time
+
+        windows = [OcclusionWindow("front", 40.0, 60.0), OcclusionWindow("rear", 0.0, 10.0)]
+        scenario = make_scenario(frame_rate=fps, occlusion_windows=windows)
+        passes = generate_passes(scenario, np.random.default_rng(3))
+        rendering = _Rendering(passes, scenario, np.random.default_rng(4), trail_frames=3)
+        expected = {}
+        for v in passes:
+            first = max(0, math.ceil(v.spawn_time * fps - 1e-9))
+            last = min(rendering.n_ticks - 1, math.floor(v.pass_time * fps + 1e-9))
+            for k in range(first, last + 1):
+                d = scenario.detection_range - v.speed * (_tick_time(k, fps) - v.spawn_time)
+                occluded = any(w.direction == v.direction and w.near <= d <= w.far for w in windows)
+                if 0.0 < d <= scenario.detection_range and not occluded:
+                    expected.setdefault(v.vehicle_id, []).append(k)
+        assert len(expected) > 10
+        got = {v.vehicle.vehicle_id: list(v.ticks) for drawn in rendering.vehicles.values() for v in drawn}
+        assert got == expected
+
     def test_canonical_precision(self):
         scenario = make_scenario(noise=NoiseModel(center_jitter_px=2.0))
         vehicle = single_pass()
@@ -472,7 +495,7 @@ class TestReportArtifacts:
         report = run_passes([vehicle], scenario, np.random.default_rng(0))
         assert report.entries[0].delta == pytest.approx(5.9997)
         write_report(report, tmp_path)
-        assert report.histogram() == load_report(tmp_path).histogram() == {b: int(b == 6) for b in range(7)}
+        assert report.histogram() == load_report(tmp_path).histogram() == {6: 1}
 
     def test_hourly_counts_list_only_hours_with_events(self):
         def record(t, decision):
