@@ -9,6 +9,7 @@ form so that replay runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -223,14 +224,25 @@ def write_grid_payload(spec: GridSpec, raw: Sequence[float] | np.ndarray, stream
 # write(parse(f)) is byte-identical for canonical input.
 
 
-def format_detection_line(frame: FrameDetections) -> str:
+def _detection_tail(best_class: str, objectness: float, confs: tuple[float, ...]) -> str:
     # a detection has one confidence per class: the parser and decode_grid require three
-    dets = ",".join(
-        f'{{"cx":{d.cx:.1f},"cy":{d.cy:.1f},"w":{d.width:.1f},"h":{d.height:.1f},'
-        f'"cls":"{d.best_class}","obj":{d.objectness:.4f},'
-        f'"conf":[{d.class_confidences[0]:.4f},{d.class_confidences[1]:.4f},{d.class_confidences[2]:.4f}]}}'
-        for d in frame.detections
-    )
+    return f'"cls":"{best_class}","obj":{objectness:.4f},"conf":[{confs[0]:.4f},{confs[1]:.4f},{confs[2]:.4f}]}}'
+
+
+# rendered detections share a few tails; 0.0 and -0.0 are equal keys that
+# format apart, so a tail holding a zero is never cached
+_cached_detection_tail = functools.lru_cache(maxsize=64)(_detection_tail)
+
+
+def format_detection_line(frame: FrameDetections) -> str:
+    parts = []
+    for d in frame.detections:
+        obj, confs = d.objectness, d.class_confidences
+        tail = (_cached_detection_tail if obj and confs[0] and confs[1] and confs[2] else _detection_tail)(
+            d.best_class, obj, confs
+        )
+        parts.append('{"cx":%.1f,"cy":%.1f,"w":%.1f,"h":%.1f,' % (d.cx, d.cy, d.width, d.height) + tail)
+    dets = ",".join(parts)
     return f'{{"camera":"{frame.camera}","frame":{frame.frame_index},"t":{frame.timestamp:.3f},"dets":[{dets}]}}\n'
 
 

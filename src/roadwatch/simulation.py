@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import configparser
-import heapq
 import json
 import math
 import sys
@@ -26,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -243,7 +242,14 @@ def _parse_occlusions(text: str) -> list[OcclusionWindow]:
             continue
         try:
             direction, interval = chunk.split(":")
-            near_s, far_s = interval.split("-")
+            interval = interval.strip()
+            # the "-" between the bounds is neither a leading sign nor an exponent's
+            cut = next(
+                (i for i in range(1, len(interval)) if interval[i] == "-" and interval[i - 1] not in "eE"), None
+            )
+            if cut is None:
+                raise ValueError("no near-far separator")
+            near_s, far_s = interval[:cut], interval[cut + 1:]
             windows.append(
                 OcclusionWindow(direction=direction.strip(), near=float(near_s), far=float(far_s))
             )
@@ -391,18 +397,30 @@ _SCORES = {cls: NOMINAL_OBJECTNESS * max(confs) for cls, confs in _CONFIDENCES.i
 DetectionLabels = dict[tuple[str, int, float, float], int]
 
 
-class _Drawn(NamedTuple):
-    """One vehicle's kept ticks and rounded box centres; ``position`` is its index in passes."""
+def _merge_frames(
+    front: Iterator[FrameDetections], rear: Iterator[FrameDetections]
+) -> Iterator[FrameDetections]:
+    """Interleave two camera streams, each in timestamp order: the earlier first, front first on ties."""
+    a = next(front, None)
+    b = next(rear, None)
+    while a is not None and b is not None:
+        if b.timestamp < a.timestamp:
+            yield b
+            b = next(rear, None)
+        else:
+            yield a
+            a = next(front, None)
+    if a is not None:
+        yield a
+        yield from front
+    if b is not None:
+        yield b
+        yield from rear
 
-    position: int
-    vehicle: VehiclePass
-    ticks: array
-    cx: array
-    cy: array
 
-
-def _merge_key(frame: FrameDetections) -> tuple[float, int]:
-    return (frame.timestamp, DIRECTIONS.index(frame.camera))
+def _view(values: array) -> np.ndarray:
+    """A numpy view of ``values``, without a copy."""
+    return np.frombuffer(values, dtype=values.typecode)
 
 
 class _Rendering:
@@ -420,9 +438,11 @@ class _Rendering:
     rounded with ``np.round(x, 1)``: the double nearest to a tenth, which
     the log writes and parses back unchanged.
 
-    It keeps only each vehicle's kept ticks and centres (and the
-    false-positive boxes); the frames themselves are built on demand, so
-    the whole day is never held in memory.
+    It keeps, per camera, four flat arrays with one entry per kept vehicle
+    detection (28 bytes each): its tick, cx, cy and the vehicle's position
+    in ``passes``, sorted by (tick, position); and the false-positive
+    boxes. The frames themselves are built on demand, so the whole day is
+    never held in memory.
     """
 
     def __init__(
@@ -434,6 +454,7 @@ class _Rendering:
     ):
         self.scenario = scenario
         self.trail_frames = trail_frames
+        self.passes = passes = list(passes)
         fps = scenario.frame_rate
         cam = scenario.camera
         noise = scenario.noise
@@ -447,7 +468,10 @@ class _Rendering:
         lane = np.array([[cam.image_width * LANE_CENTER_X], [cam.image_height * LANE_CENTER_Y]])
         image = np.array([[cam.image_width], [cam.image_height]], dtype=float)
 
-        self.vehicles: dict[str, list[_Drawn]] = {d: [] for d in DIRECTIONS}
+        self.ticks = {d: array("q") for d in DIRECTIONS}
+        self.cx = {d: array("d") for d in DIRECTIONS}
+        self.cy = {d: array("d") for d in DIRECTIONS}
+        self.positions = {d: array("i") for d in DIRECTIONS}
         for position, vehicle in enumerate(passes):
             k_first = max(0, math.ceil(vehicle.spawn_time * fps - 1e-9))
             k_last = min(n_ticks - 1, math.floor(vehicle.pass_time * fps + 1e-9))
@@ -467,10 +491,16 @@ class _Rendering:
             else:
                 centres = np.repeat(lane, len(ticks), axis=1)
             cx, cy = np.round(np.clip(centres, 0.0, image), 1)
-            self.vehicles[vehicle.direction].append(
-                _Drawn(position, vehicle, array("q", ticks.tobytes()), array("d", cx.tobytes()),
-                       array("d", cy.tobytes()))
-            )
+            direction = vehicle.direction
+            self.ticks[direction].frombytes(ticks.tobytes())
+            self.cx[direction].frombytes(cx.tobytes())
+            self.cy[direction].frombytes(cy.tobytes())
+            self.positions[direction].extend(array("i", [position]) * len(ticks))
+
+        for direction in DIRECTIONS:
+            order = np.lexsort((_view(self.positions[direction]), _view(self.ticks[direction])))
+            for column in (self.ticks, self.cx, self.cy, self.positions):
+                column[direction] = array(column[direction].typecode, _view(column[direction])[order].tobytes())
 
         self.false_positives: dict[str, list[Detection]] = {d: [] for d in DIRECTIONS}
         if noise.false_positive_rate > 0:
@@ -491,12 +521,6 @@ class _Rendering:
                     )
                 ]
 
-        # ordered by first kept tick for the label lookup, with each camera's longest span
-        self._max_span: dict[str, int] = {}
-        for direction, drawn in self.vehicles.items():
-            drawn.sort(key=lambda v: (v.ticks[0], v.position))
-            self._max_span[direction] = max((v.ticks[-1] - v.ticks[0] for v in drawn), default=0)
-
     def frames(self, camera: str) -> Iterator[FrameDetections]:
         """One camera's frames in tick order, each built when it is asked for.
 
@@ -510,51 +534,43 @@ class _Rendering:
         reach = self.scenario.detection_range
         size = cam.focal_length_px * cam.vehicle_height_m
         end = self.n_ticks
-        # (next kept tick, position in passes, index into the vehicle's draws, draws)
-        heap = [(v.ticks[0], v.position, 0, v) for v in self.vehicles[camera]]
-        heapq.heapify(heap)
+        passes = self.passes
+        ticks, xs, ys, positions = self.ticks[camera], self.cx[camera], self.cy[camera], self.positions[camera]
+        n = len(ticks)
         false_positives = iter(self.false_positives[camera])
         fp = next(false_positives, None)
+        fp_tick = end if fp is None else fp.frame_index
 
-        def next_busy_tick() -> int:
-            return min(heap[0][0] if heap else end, end if fp is None else fp.frame_index)
-
-        k = next_busy_tick()
+        i = 0
+        k = min(ticks[0] if n else end, fp_tick)
         while k < end:
             t = _tick_time(k, fps)
             dets = []
-            while heap and heap[0][0] == k:
-                _, position, i, v = heap[0]
-                vehicle = v.vehicle
+            while i < n and ticks[i] == k:
+                vehicle = passes[positions[i]]
                 h = size / (reach - vehicle.speed * (t - vehicle.spawn_time))
                 cls = vehicle.vehicle_class
-                dets.append(Detection(k, v.cx[i], v.cy[i], round(VEHICLE_ASPECT * h, 1), round(h, 1),
+                dets.append(Detection(k, xs[i], ys[i], round(VEHICLE_ASPECT * h, 1), round(h, 1),
                                       NOMINAL_OBJECTNESS, _CONFIDENCES[cls], _SCORES[cls], cls))
-                if i + 1 < len(v.ticks):
-                    heapq.heapreplace(heap, (v.ticks[i + 1], position, i + 1, v))
-                else:
-                    heapq.heappop(heap)
-            while fp is not None and fp.frame_index == k:
+                i += 1
+            while fp_tick == k:
                 dets.append(fp)
                 fp = next(false_positives, None)
+                fp_tick = end if fp is None else fp.frame_index
             yield FrameDetections(k, t, camera, dets)
-            busy = next_busy_tick()
+            busy = min(ticks[i] if i < n else end, fp_tick)
             for j in range(k + 1, min(k + 1 + self.trail_frames, busy)):
                 yield FrameDetections(j, _tick_time(j, fps), camera)
             k = busy
 
     def label(self, camera: str, k: int, cx: float, cy: float) -> int | None:
         """Id of the first vehicle in ``passes`` order rendered at (camera, k, cx, cy), or None."""
-        drawn = self.vehicles[camera]
-        lo = bisect.bisect_left(drawn, k - self._max_span[camera], key=lambda v: v.ticks[0])
-        hi = bisect.bisect_right(drawn, k, lo=lo, key=lambda v: v.ticks[0])
-        best = None
-        for v in drawn[lo:hi]:
-            i = bisect.bisect_left(v.ticks, k)
-            if i < len(v.ticks) and v.ticks[i] == k and v.cx[i] == cx and v.cy[i] == cy:
-                if best is None or v.position < best.position:
-                    best = v
-        return None if best is None else best.vehicle.vehicle_id
+        ticks, xs, ys = self.ticks[camera], self.cx[camera], self.cy[camera]
+        # a tick's entries are in passes order, so the first match is the one
+        for i in range(bisect.bisect_left(ticks, k), bisect.bisect_right(ticks, k)):
+            if xs[i] == cx and ys[i] == cy:
+                return self.passes[self.positions[camera][i]].vehicle_id
+        return None
 
 
 def render_detections(
@@ -586,9 +602,12 @@ def render_detections(
     rendering = _Rendering(passes, scenario, rng, trail_frames)
     frames = {d: list(rendering.frames(d)) for d in DIRECTIONS}
     labels: DetectionLabels = {}
-    for v in sorted((v for drawn in rendering.vehicles.values() for v in drawn), key=lambda v: v.position):
-        for k, cx, cy in zip(v.ticks, v.cx, v.cy):
-            labels.setdefault((v.vehicle.direction, k, cx, cy), v.vehicle.vehicle_id)
+    for camera in DIRECTIONS:
+        # a tick's entries are in passes order, so the first vehicle there keeps the key
+        for k, cx, cy, position in zip(
+            rendering.ticks[camera], rendering.cx[camera], rendering.cy[camera], rendering.positions[camera]
+        ):
+            labels.setdefault((camera, k, cx, cy), rendering.passes[position].vehicle_id)
     return frames, labels
 
 
@@ -597,7 +616,7 @@ def merge_streams(frames: dict[str, list[FrameDetections]]) -> list[FrameDetecti
 
     Each stream must already be in timestamp order, as rendered.
     """
-    return list(heapq.merge(*frames.values(), key=_merge_key))
+    return list(_merge_frames(iter(frames["front"]), iter(frames["rear"])))
 
 
 # --- pipeline driver and report ----------------------------------------------
@@ -714,7 +733,7 @@ def run_passes(
     monitor = FlowCheckMonitor(t_duration=t_duration, start_time=0.0, device=device)
     config = tracker_config or TrackerConfig.for_image_width(scenario.camera.image_width)
     rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)
-    frames = heapq.merge(*(rendering.frames(d) for d in DIRECTIONS), key=_merge_key)
+    frames = _merge_frames(rendering.frames("front"), rendering.frames("rear"))
     if dump_sink is not None:
         frames = tee_detection_log(frames, dump_sink)
     trackers = {d: VehicleTracker(d, config) for d in DIRECTIONS}

@@ -318,6 +318,24 @@ class TestDetectionLog:
         write_detection_log(parse_detection_log(io.BytesIO(original)), rewritten)
         assert rewritten.getvalue() == original
 
+    @pytest.mark.parametrize(
+        "zeros", [("0.0000", "-0.0000"), ("-0.0000", "0.0000")], ids=["zero-first", "minus-first"]
+    )
+    @pytest.mark.parametrize("field", ["obj", "conf"])
+    def test_signed_zero_round_trips(self, field, zeros):
+        # 0.0 == -0.0 and the two hash alike, yet they are written apart
+        def line(frame, zero):
+            obj, conf0 = (zero, "0.0500") if field == "obj" else ("0.9500", zero)
+            return (
+                f'{{"camera":"front","frame":{frame},"t":{frame}.000,"dets":[{{"cx":640.0,"cy":360.0,'
+                f'"w":40.0,"h":30.0,"cls":"vehicle","obj":{obj},"conf":[{conf0},0.9000,0.0500]}}]}}\n'
+            )
+
+        log = "".join(line(frame, zero) for frame, zero in enumerate(zeros * 2))
+        rewritten = io.StringIO()
+        write_detection_log(parse_detection_log(io.StringIO(log)), rewritten)
+        assert rewritten.getvalue() == log
+
     def test_empty_frame_writes_empty_list(self):
         frame = FrameDetections(frame_index=0, timestamp=0.0, camera="rear")
         assert format_detection_line(frame) == '{"camera":"rear","frame":0,"t":0.000,"dets":[]}\n'

@@ -349,7 +349,7 @@ def short_scenarios(draw) -> str:
     windows = []
     for direction in draw(st.lists(st.sampled_from(CAMERAS), max_size=2)):
         near, far = sorted(draw(st.lists(st.floats(0.0, reach), min_size=2, max_size=2)))
-        windows.append(f"{direction}:{near:.3f}-{far:.3f}")  # "-" splits the interval: no exponents
+        windows.append(f"{direction}:{near!r}-{far!r}")
     fields = {
         "scenario": {"duration_s": draw(st.floats(min_value=5.0, max_value=60.0)),
                      "seed": draw(st.integers(min_value=0, max_value=2**32)),

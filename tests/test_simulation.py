@@ -202,7 +202,10 @@ class TestRenderDetections:
                 if 0.0 < d <= scenario.detection_range and not occluded:
                     expected.setdefault(v.vehicle_id, []).append(k)
         assert len(expected) > 10
-        got = {v.vehicle.vehicle_id: list(v.ticks) for drawn in rendering.vehicles.values() for v in drawn}
+        got = {}
+        for camera, ticks in rendering.ticks.items():
+            for k, position in zip(ticks, rendering.positions[camera]):
+                got.setdefault(passes[position].vehicle_id, []).append(k)
         assert got == expected
 
     def test_canonical_precision(self):
@@ -399,7 +402,7 @@ FINITE_FIELDS = {
     "noise.center_jitter_px": "1", "noise.dropout_prob": "0.01", "noise.false_positive_rate": "0",
 }
 # (field, value) with one non-finite number; a profile has starts and rates,
-# an occlusion a near and a far end, and "-" splits the occlusion interval
+# an occlusion a near and a far end
 NON_FINITE = [
     (name, template.format(token))
     for name, template in [
@@ -410,7 +413,6 @@ NON_FINITE = [
         ("road.occlusions", "front:10-{}"),
     ]
     for token in ("nan", "inf", "-inf")
-    if not (token == "-inf" and "-" in template)
 ]
 
 
@@ -453,6 +455,15 @@ class TestScenarioFiles:
         )
         with pytest.raises(ConfigError, match="front|rear"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "value, near, far",
+        [("front:1e-3-50", 1e-3, 50.0), ("front:0.0-8.016680903854287e-301", 0.0, 8.016680903854287e-301)],
+    )
+    def test_occlusion_bounds_with_exponents(self, value, near, far):
+        # the "-" of a negative exponent does not split the interval
+        scenario = parse_scenario(scenario_text({**FINITE_FIELDS, "road.occlusions": value}))
+        assert [(w.direction, w.near, w.far) for w in scenario.occlusion_windows] == [("front", near, far)]
 
     @pytest.mark.parametrize(
         "name, value", NON_FINITE, ids=[f"{name}={value}" for name, value in NON_FINITE]
