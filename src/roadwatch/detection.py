@@ -297,10 +297,13 @@ def parse_detection_log(
 ) -> Iterator[FrameDetections]:
     """Parse a line-delimited detection log, yielding frames in file order.
 
-    Timestamps must strictly increase per camera stream. Malformed lines
-    raise :class:`LogParseError` with the offending line number.
+    Timestamps must strictly increase per camera stream and never decrease
+    across streams; a line that breaks either rule raises
+    :class:`StreamOrderError` before it is yielded. Malformed lines raise
+    :class:`LogParseError`. Both name the offending line number.
     """
     last_t: dict[str, float] = {}
+    latest = -_INF
     for lineno, line in enumerate(source, start=1):
         try:
             if isinstance(line, bytes):
@@ -336,7 +339,12 @@ def parse_detection_log(
                 f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
                 f"not after previous {previous:.3f}"
             )
-        last_t[camera] = timestamp
+        if timestamp < latest:
+            raise StreamOrderError(
+                f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
+                f"is before {latest:.3f}, the latest on any camera"
+            )
+        last_t[camera] = latest = timestamp
 
         detections = []
         try:

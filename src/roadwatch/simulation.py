@@ -131,6 +131,8 @@ class Scenario:
                 f"scenario.frame_rate_hz must be finite, > 0 and <= {MAX_FRAME_RATE_HZ:g}, "
                 f"got {self.frame_rate}"
             )
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"scenario.seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.truck_fraction <= 1.0:
             raise ConfigError(f"scenario.truck_fraction must be in [0, 1], got {self.truck_fraction}")
         for direction in DIRECTIONS:
@@ -182,8 +184,8 @@ class Scenario:
             )
         if not (0 < cam.image_width <= MAX_IMAGE_SIZE_PX and 0 < cam.image_height <= MAX_IMAGE_SIZE_PX):
             raise ConfigError(
-                f"camera image size must be positive and at most {MAX_IMAGE_SIZE_PX} px a side, "
-                f"got {cam.image_width}x{cam.image_height}"
+                f"camera image size must be positive and at most {MAX_IMAGE_SIZE_PX} px a side "
+                f"(camera.image_width_px x camera.image_height_px), got {cam.image_width}x{cam.image_height}"
             )
         if not 0 <= self.noise.center_jitter_px < math.inf:
             raise ConfigError(
@@ -262,7 +264,8 @@ def _parse_occlusions(text: str) -> list[OcclusionWindow]:
 
 def parse_scenario(text: str) -> Scenario:
     """Parse the key-value scenario format; raises ConfigError naming the field."""
-    parser = configparser.ConfigParser()
+    # no interpolation: a "%" in a value is then just a character
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -386,6 +389,29 @@ def _tick_time(k: int, frame_rate: float) -> float:
     return round(k * 1000.0 / frame_rate) / 1000.0
 
 
+def _round_tenths(x: np.ndarray) -> list[float]:
+    """``[round(v, 1) for v in x]``, bit for bit, for a float array.
+
+    ``round(v, 1)`` rounds the exact 10v to an integer n, half to even, and
+    returns the double nearest n/10. ``p = x * 10.0`` is rounded once, so
+    unless ``p`` lies at a half it sits on the same side of that half as the
+    exact 10v, and ``np.rint(p)`` gives the same n; ``n / 10.0`` is then the
+    double nearest n/10. Elements within a few spacings of a half, of
+    magnitude at least 2**52 (where halves are no longer doubles) or not
+    finite take ``round`` itself.
+    """
+    with np.errstate(all="ignore"):
+        p = x * 10.0
+        n = np.rint(p)
+        out = n / 10.0
+        near_half = np.abs(np.abs(p - n) - 0.5) <= 4.0 * np.spacing(np.abs(p))
+        exceptions = np.flatnonzero(near_half | ~(np.abs(p) < 2.0**52))
+    values = out.tolist()
+    for i in exceptions.tolist():
+        values[i] = round(float(x[i]), 1)
+    return values
+
+
 _OTHER_CONFIDENCE = round((1.0 - NOMINAL_CONFIDENCE) / (len(CLASSES) - 1), 4)
 # class -> its rendered class confidences, and their combined score
 _CONFIDENCES = {
@@ -395,6 +421,9 @@ _SCORES = {cls: NOMINAL_OBJECTNESS * max(confs) for cls, confs in _CONFIDENCES.i
 
 
 DetectionLabels = dict[tuple[str, int, float, float], int]
+
+# entries whose times and box sizes _Rendering.frames computes at a time
+_BLOCK_ENTRIES = 1024
 
 
 def _merge_frames(
@@ -441,8 +470,9 @@ class _Rendering:
     It keeps, per camera, four flat arrays with one entry per kept vehicle
     detection (28 bytes each): its tick, cx, cy and the vehicle's position
     in ``passes``, sorted by (tick, position); and the false-positive
-    boxes. The frames themselves are built on demand, so the whole day is
-    never held in memory.
+    boxes; and each pass's speed and spawn time. The frames themselves are
+    built on demand, so the whole day is never held in memory: tick times
+    and box sizes are computed for one block of entries at a time.
     """
 
     def __init__(
@@ -455,6 +485,8 @@ class _Rendering:
         self.scenario = scenario
         self.trail_frames = trail_frames
         self.passes = passes = list(passes)
+        self.speeds = np.array([vehicle.speed for vehicle in passes], dtype=float)
+        self.spawn_times = np.array([vehicle.spawn_time for vehicle in passes], dtype=float)
         fps = scenario.frame_rate
         cam = scenario.camera
         noise = scenario.noise
@@ -541,18 +573,27 @@ class _Rendering:
         fp = next(false_positives, None)
         fp_tick = end if fp is None else fp.frame_index
 
-        i = 0
+        i = lo = hi = 0  # entries [lo, hi) are the block in hand
         k = min(ticks[0] if n else end, fp_tick)
         while k < end:
-            t = _tick_time(k, fps)
             dets = []
-            while i < n and ticks[i] == k:
-                vehicle = passes[positions[i]]
-                h = size / (reach - vehicle.speed * (t - vehicle.spawn_time))
-                cls = vehicle.vehicle_class
-                dets.append(Detection(k, xs[i], ys[i], round(VEHICLE_ASPECT * h, 1), round(h, 1),
-                                      NOMINAL_OBJECTNESS, _CONFIDENCES[cls], _SCORES[cls], cls))
-                i += 1
+            if i < n and ticks[i] == k:
+                if i == hi:
+                    # the next block, run on to the end of its last tick
+                    lo, hi = i, bisect.bisect_right(ticks, ticks[min(i + _BLOCK_ENTRIES, n) - 1], i)
+                    block = _view(ticks)[lo:hi]
+                    at = _view(positions)[lo:hi]
+                    ts = np.rint(block * 1000.0 / fps) / 1000.0  # _tick_time, as in __init__
+                    h = size / (reach - self.speeds[at] * (ts - self.spawn_times[at]))
+                    ts, widths, heights = ts.tolist(), _round_tenths(VEHICLE_ASPECT * h), _round_tenths(h)
+                t = ts[i - lo]
+                while i < n and ticks[i] == k:
+                    cls = passes[positions[i]].vehicle_class
+                    dets.append(Detection(k, xs[i], ys[i], widths[i - lo], heights[i - lo],
+                                          NOMINAL_OBJECTNESS, _CONFIDENCES[cls], _SCORES[cls], cls))
+                    i += 1
+            else:
+                t = _tick_time(k, fps)
             while fp_tick == k:
                 dets.append(fp)
                 fp = next(false_positives, None)

@@ -254,7 +254,28 @@ def _linear_sum_assignment(costs: Sequence[Sequence[float]]) -> list[tuple[int, 
     path = [-1] * n_cols
     col4row = [-1] * n_rows
     row4col = [-1] * n_cols
+    fresh = True  # no search has run yet, so every v is 0
     for cur_row in range(n_rows):
+        if fresh:
+            # With every v and this row's u at 0, the reduced costs are the
+            # raw costs. The search below would stop at once on the free
+            # column that holds the row's minimum, the lowest-index one
+            # (among tied minima it prefers the last-scanned free column),
+            # and leave v at 0. So take that column without the search. A
+            # search can leave some v a little above 0 by rounding, so from
+            # the first one on, every row searches; so does an infinite row,
+            # which the search rejects.
+            row = costs[cur_row]
+            lowest = min(row)
+            j = row.index(lowest)
+            if row4col[j] >= 0:
+                j = next((k for k in range(j + 1, n_cols) if row[k] == lowest and row4col[k] < 0), -1)
+            if j >= 0 and lowest < math.inf:
+                u[cur_row] = lowest
+                col4row[cur_row] = j
+                row4col[j] = cur_row
+                continue
+            fresh = False
         # Dijkstra on reduced costs from cur_row to the nearest free column.
         # Columns are scanned from the last one, so that a constant matrix
         # gives the identity.

@@ -351,6 +351,22 @@ class TestReplayEquivalence:
         assert len(summary) < 25
         assert summary[-3:] == ["hourly counts", "  hour  events  warnings", "  (no events)"]
 
+    def test_per_camera_logs_joined_exit_2_at_first_rear_line(self, scenario_file, tmp_path, capsys):
+        # each camera's lines in order, but the rear ones after all the front ones
+        dump = tmp_path / "d.log"
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "s"),
+                     "--dump-detections", str(dump)]) == 0
+        lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
+        front = [line for line in lines if line.startswith('{"camera":"front"')]
+        rear = [line for line in lines if line.startswith('{"camera":"rear"')]
+        assert front and rear and len(front) + len(rear) == len(lines)
+        joined = tmp_path / "joined.log"
+        joined.write_text("".join(front + rear), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", "--log", str(joined), "--device", "stdout"]) == 2
+        assert re.search(rf"^error: line {len(front) + 1}: camera rear .* the latest on any camera$",
+                         capsys.readouterr().err, re.M)
+
     def test_malformed_log_exit_2(self, tmp_path, capsys):
         log = tmp_path / "bad.log"
         log.write_text('{"camera":"front","frame":0,"t":0.0,"dets":[]}\ngarbage\n', encoding="utf-8")

@@ -232,13 +232,13 @@ class TestGridPayloadIO:
 
 
 def random_canonical_frames(rng, n_frames):
-    """Frames whose values are exactly representable in the log's precision."""
+    """Frames whose values are exactly representable in the log's precision,
+    on both cameras, with times that increase across the cameras."""
     frames = []
-    last_t = {"front": -1.0, "rear": -1.0}
+    last_t = -1.0
     for i in range(n_frames):
         camera = "front" if rng.uniform() < 0.5 else "rear"
-        t = round(last_t[camera] + 0.001 + float(rng.uniform(0, 2.0)), 3)
-        last_t[camera] = t
+        t = last_t = round(last_t + 0.001 + float(rng.uniform(0, 2.0)), 3)
         dets = []
         for _ in range(rng.integers(0, 4)):
             confs = tuple(round(float(c), 4) for c in rng.uniform(0, 1, 3))
@@ -360,13 +360,20 @@ class TestDetectionLog:
         with pytest.raises(StreamOrderError, match="1.500.*2.000"):
             list(parse_detection_log(io.StringIO(lines)))
 
-    def test_independent_camera_clocks(self):
+    def test_camera_clocks_share_one_order(self):
+        # a tie across cameras is legal; a time below another camera's is not,
+        # and its line is rejected before it is yielded
         lines = (
             '{"camera":"front","frame":0,"t":5.000,"dets":[]}\n'
-            '{"camera":"rear","frame":0,"t":1.000,"dets":[]}\n'
-            '{"camera":"rear","frame":1,"t":2.000,"dets":[]}\n'
+            '{"camera":"rear","frame":0,"t":5.000,"dets":[]}\n'
+            '{"camera":"rear","frame":1,"t":6.000,"dets":[]}\n'
+            '{"camera":"front","frame":1,"t":5.500,"dets":[]}\n'
         )
-        assert len(list(parse_detection_log(io.StringIO(lines)))) == 3
+        frames = []
+        with pytest.raises(StreamOrderError, match="^line 4: camera front timestamp 5.500 is before 6.000"):
+            for frame in parse_detection_log(io.StringIO(lines)):
+                frames.append(frame)
+        assert [(f.camera, f.timestamp) for f in frames] == [("front", 5.0), ("rear", 5.0), ("rear", 6.0)]
 
     def test_unknown_class_rejected(self):
         line = (

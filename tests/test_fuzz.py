@@ -13,6 +13,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import pytest
 
@@ -218,17 +219,21 @@ def record_text(camera, frame, t, dets) -> str:
 
 @st.composite
 def legal_records(draw) -> list[str]:
-    """Lines of legal records: both cameras, increasing per-camera times
-    spelled as ints or floats, zero to three detections each."""
+    """Lines of legal records: both cameras, times that increase per camera
+    and never go back across cameras, spelled as ints or floats, zero to
+    three detections each."""
     lines = []
     last_t = {}
+    latest = None
     for frame in range(draw(st.integers(min_value=1, max_value=6))):
         camera = draw(st.sampled_from(CAMERAS))
-        if camera in last_t:
-            t = last_t[camera] + draw(st.sampled_from([1, 0.5, 1e3]))
-        else:
+        if latest is None:
             t = draw(st.sampled_from([0, -0.0, 0.0, 1e-3, -1e9]))
-        last_t[camera] = t
+        elif last_t.get(camera) != latest and draw(st.booleans()):
+            t = latest  # a tie with the other camera
+        else:
+            t = latest + draw(st.sampled_from([1, 0.5, 1e3]))
+        last_t[camera] = latest = t
         if t == int(t) and draw(st.booleans()):
             t = int(t)
         dets = [detection_text(draw(legal_detection())) for _ in range(draw(st.integers(0, 3)))]
@@ -289,7 +294,7 @@ def with_broken(tokens: dict[str, str], field: str, token: str) -> str:
 def broken_record(draw):
     """Legal lines, then one whose record fields break one rule."""
     lines = draw(legal_records())
-    rule = draw(st.sampled_from(["camera", "frame", "t", "order"]))
+    rule = draw(st.sampled_from(["camera", "frame", "t", "order", "cross-camera order"]))
     camera, frame, t = '"front"', str(len(lines)), "2e9"
     if rule == "camera":
         camera, names = draw(st.sampled_from(['"side"', '"FRONT"', "null", "1", '["front"]'])), "unknown camera"
@@ -299,12 +304,19 @@ def broken_record(draw):
     elif rule == "t":
         t, names = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", '"1.0"', "true", "null",
                                          "1" + "0" * 400])), "bad timestamp"
-    else:
+    elif rule == "order":
         previous = json.loads(lines[-1])
         camera, t, names = f'"{previous["camera"]}"', draw(st.sampled_from(
             [json.dumps(previous["t"]), json.dumps(previous["t"] - 1)])), "not after previous"
+    else:
+        # the other camera, after its own last time but before the latest
+        previous = json.loads(lines[-1])
+        lines.append(record_text(previous["camera"], len(lines), previous["t"] + 1, []))
+        other = next(c for c in CAMERAS if c != previous["camera"])
+        camera, frame, t = f'"{other}"', str(len(lines)), json.dumps(previous["t"] + 0.5)
+        names = "the latest on any camera"
     lines.append(f'{{"camera":{camera},"frame":{frame},"t":{t},"dets":[]}}')
-    error = StreamOrderError if rule == "order" else LogParseError
+    error = StreamOrderError if rule.endswith("order") else LogParseError
     return lines, error, names
 
 
@@ -341,8 +353,9 @@ GROUND_TRUTH = ("vehicle", "pass_t", "delta")
 
 
 @st.composite
-def short_scenarios(draw) -> str:
-    """A valid scenario of at most a minute, with every sensing effect on or off."""
+def short_scenario_fields(draw) -> dict[str, dict]:
+    """The sections and keys of a valid scenario of at most a minute, with
+    every sensing effect on or off."""
     unit = st.floats(min_value=0.0, max_value=1.0)
     speed_min = draw(st.floats(min_value=5.0, max_value=30.0))
     reach = draw(st.floats(min_value=20.0, max_value=200.0))
@@ -369,11 +382,18 @@ def short_scenarios(draw) -> str:
                   "dropout_prob": draw(st.just(0.0) | st.floats(min_value=0.0, max_value=0.5)),
                   "false_positive_rate": draw(st.just(0.0) | st.floats(min_value=0.0, max_value=0.05))},
     }
+    return fields
+
+
+def scenario_file_text(fields: dict[str, dict]) -> str:
     return "".join(
         f"[{section}]\n" + "".join(f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
                                     for key, value in options.items())
         for section, options in fields.items()
     )
+
+
+short_scenarios = short_scenario_fields().map(scenario_file_text)
 
 
 def audit_without_ground_truth(path) -> list[dict]:
@@ -382,7 +402,7 @@ def audit_without_ground_truth(path) -> list[dict]:
 
 
 @settings(FUZZ, max_examples=40)
-@given(short_scenarios())
+@given(short_scenarios)
 def test_replay_of_simulated_dump_gives_simulate_audit(tmp_path_factory, text):
     # the rendered numbers are canonical: each is the double its log text
     # parses back to, so the replay tracks exactly the frames simulate did
@@ -410,3 +430,47 @@ def test_replay_of_simulated_dump_gives_simulate_audit(tmp_path_factory, text):
         for d in frame.detections:
             for v in (d.cx, d.cy, d.width, d.height):
                 assert v == float(f"{v:.1f}")
+
+
+# --- invalid scenario values ----------------------------------------------------
+
+# every key of a scenario file; a profile or an occlusion window takes the
+# bad value at one place of its text
+SCENARIO_FIELDS = [
+    ("scenario", "duration_s", "{}"), ("scenario", "seed", "{}"), ("scenario", "frame_rate_hz", "{}"),
+    ("scenario", "truck_fraction", "{}"),
+    ("arrivals.front", "profile", "0:{}"), ("arrivals.front", "profile", "0:0.1, {}:0.2"),
+    ("arrivals.rear", "profile", "0:{}"), ("arrivals.rear", "profile", "0:0.1, {}:0.2"),
+    ("road", "speed_min_mps", "{}"), ("road", "speed_max_mps", "{}"), ("road", "detection_range_m", "{}"),
+    ("road", "occlusions", "front:{}-50"), ("road", "occlusions", "rear:10-{}"),
+    ("camera", "focal_length_px", "{}"), ("camera", "vehicle_height_m", "{}"),
+    ("camera", "image_width_px", "{}"), ("camera", "image_height_px", "{}"),
+    ("noise", "center_jitter_px", "{}"), ("noise", "dropout_prob", "{}"), ("noise", "false_positive_rate", "{}"),
+]
+BAD_VALUES = (
+    st.sampled_from(["0", "0.0", "-1", "-0.5", "-1e308", "5e-324", "1e308", "nan", "inf", "-inf", None])
+    | st.sampled_from(["abc", "1.2.3", "0x1F", "--1", "1e", "50%", "%(seed)s", "[1]", "1,5", "1:2", "-", ""])
+)
+
+
+@pytest.mark.parametrize("section, key, spelling", SCENARIO_FIELDS,
+                         ids=[f"{section}.{key}-{k}" for k, (section, key, _) in enumerate(SCENARIO_FIELDS)])
+@settings(FUZZ, max_examples=25, deadline=timedelta(seconds=20))
+@given(short_scenario_fields(), BAD_VALUES, st.floats(min_value=5.0, max_value=120.0))
+def test_one_invalid_scenario_value_exits_0_or_2(tmp_path_factory, section, key, spelling, fields, value,
+                                                 duration):
+    # None leaves the key out; a value that is still valid runs to the end
+    fields["scenario"]["duration_s"] = duration
+    if value is None:
+        del fields[section][key]
+    else:
+        fields[section][key] = spelling.format(value)
+    work = tmp_path_factory.getbasetemp() / "bad-scenario"
+    work.mkdir(exist_ok=True)
+    path = work / "scenario.cfg"
+    path.write_text(scenario_file_text(fields), encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(["simulate", "--scenario", str(path), "--out", str(work / "out")])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert section in err.getvalue() and key in err.getvalue(), err.getvalue()

@@ -3,6 +3,9 @@
 import gc
 import io
 import math
+import sys
+import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +14,8 @@ import pytest
 from roadwatch.errors import ConfigError
 from roadwatch.simulation import (
     BUILTIN_SCENARIOS,
+    DIRECTIONS,
+    VEHICLE_ASPECT,
     CameraModel,
     NoiseModel,
     RatePiece,
@@ -219,6 +224,84 @@ class TestRenderDetections:
                 assert round(d.cy, 1) == d.cy
                 assert round(d.width, 1) == d.width
                 assert round(d.height, 1) == d.height
+
+
+def adversarial_tenths() -> list[float]:
+    """Values where rounding to a tenth is hard: random ones, every k/20 and
+    its neighbours, and values near 2**49, 2**52, 1e22 and the float maximum."""
+    rng = np.random.default_rng(21)
+    values = rng.uniform(-1e3, 1e3, 20_000).tolist() + np.exp(rng.uniform(-40.0, 709.0, 5_000)).tolist()
+    for k in range(-4_000, 4_001):
+        values += [k / 20, math.nextafter(k / 20, math.inf), math.nextafter(k / 20, -math.inf)]
+    for edge in (2.0**49, 2.0**52, 2.0**49 / 10, 2.0**52 / 10, 1e22, sys.float_info.max):
+        x = edge
+        for _ in range(40):
+            values += [x, -x, math.nextafter(-x, math.inf), x + x * 2**-50]
+            x = math.nextafter(x, -math.inf)
+    return values + [0.0, -0.0, 5e-324, -5e-324, 0.05, 0.15, 0.25, 2.675, math.inf, -math.inf, math.nan]
+
+
+def frame_bits(frames) -> list:
+    """Each frame's fields, floats spelled so that equal means equal bits."""
+    return [
+        (f.frame_index, f.timestamp.hex(), f.camera,
+         [(d.cx.hex(), d.cy.hex(), d.width.hex(), d.height.hex(), d.best_class) for d in f.detections])
+        for f in frames
+    ]
+
+
+class TestBlockWalk:
+    """Frames build their times and box sizes a block of entries at a time."""
+
+    def test_round_tenths_is_round(self):
+        from roadwatch.simulation import _round_tenths
+
+        values = adversarial_tenths()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _round_tenths(np.array(values))
+        assert [v.hex() for v in got] == [round(v, 1).hex() for v in values]
+
+    @pytest.mark.parametrize("name, duration", [("paper-day", 7200.0), ("country-road", None),
+                                                ("occluded-curve", None)])
+    def test_block_size_does_not_change_frames(self, monkeypatch, name, duration):
+        import roadwatch.simulation as simulation
+
+        scenario = load_scenario(name)
+        scenario.seed = 1
+        if duration is not None:
+            scenario.duration = duration
+        rng = np.random.default_rng(scenario.seed)
+        rendering = simulation._Rendering(generate_passes(scenario, rng), scenario, rng, trail_frames=3)
+        fps, cam = scenario.frame_rate, scenario.camera
+        size = cam.focal_length_px * cam.vehicle_height_m
+        expected = {}
+        for camera in DIRECTIONS:
+            frames = list(rendering.frames(camera))
+            expected[camera] = frame_bits(frames)
+            # the per-entry reference: _tick_time, the pinhole height and round()
+            assert all(f.timestamp.hex() == simulation._tick_time(f.frame_index, fps).hex() for f in frames)
+            vehicles_at = Counter(rendering.ticks[camera])
+            got = [(f.frame_index, d.width.hex(), d.height.hex())
+                   for f in frames for d in f.detections[:vehicles_at[f.frame_index]]]
+            reference = []
+            for k, position in zip(rendering.ticks[camera], rendering.positions[camera]):
+                v = rendering.passes[position]
+                h = size / (scenario.detection_range - v.speed * (simulation._tick_time(k, fps) - v.spawn_time))
+                reference.append((k, round(VEHICLE_ASPECT * h, 1).hex(), round(h, 1).hex()))
+            assert got == reference and len(got) > 1000
+        for block in (1, 2, 7):
+            monkeypatch.setattr(simulation, "_BLOCK_ENTRIES", block)
+            # ticks whose entries lie on both sides of a multiple of the block size
+            straddling = 0
+            for camera in DIRECTIONS:
+                first, last = {}, {}
+                for i, k in enumerate(rendering.ticks[camera]):
+                    first.setdefault(k, i)
+                    last[k] = i
+                straddling += sum(first[k] // block != last[k] // block for k in first)
+                assert frame_bits(rendering.frames(camera)) == expected[camera], (camera, block)
+            assert straddling > 0, block
 
 
 class TestMergeStreams:

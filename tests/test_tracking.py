@@ -304,6 +304,20 @@ class TestSolverPort:
                             assert _linear_sum_assignment(work.tolist()) == expected, (kind, work)
         assert gated > 500
 
+    def test_free_column_rows_stop_at_the_first_search(self):
+        # rows 0-2 of the transpose find their cheapest column free; row 3
+        # searches, and rounding leaves v[1] at about +2.8e-17, so the raw
+        # minimum of the all-0.1 row 4 is no longer its reduced minimum
+        from scipy.optimize import linear_sum_assignment
+
+        from roadwatch.tracking import _linear_sum_assignment
+
+        costs = np.array([[0.3, 0.1, 0.2, 0.3, 0.1], [0.2, 0.1, 0.1, 0.3, 0.1], [0.2, 0.0, 0.1, 0.2, 0.1],
+                          [0.3, 0.1, 0.2, 0.3, 0.1], [0.2, 0.0, 0.1, 0.2, 0.1], [0.2, 0.1, 0.2, 0.3, 0.1]])
+        for work in (costs, costs.T):
+            rows, cols = linear_sum_assignment(work)
+            assert _linear_sum_assignment(work.tolist()) == list(zip(rows.tolist(), cols.tolist()))
+
 
 class TestAssociate:
     """The tracker's association helper against ``assign(cost_matrix(...))``."""
