@@ -22,7 +22,7 @@ import math
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
@@ -63,6 +63,15 @@ NOMINAL_CONFIDENCE = 0.9
 MAX_DURATION_S = 604800.0
 MAX_FRAME_RATE_HZ = 1000.0
 MAX_EXPECTED_ARRIVALS = 1e6
+# bounds on the work of a run, per direction. Every vehicle renders at one
+# image point, so every track-detection pair is in gate and a frame costs
+# about the square of the vehicles in view: at most MAX_VEHICLES_IN_VIEW
+# expected at once (the largest rate times the shorter of the duration and
+# the longest pass), and at most MAX_EXPECTED_DETECTIONS rendered per camera
+# (that number times the frame count). A run at both limits, with 5 px of
+# centre jitter, took 145 s and peaked at 334 MB on a 2-core x86-64.
+MAX_VEHICLES_IN_VIEW = 20.0
+MAX_EXPECTED_DETECTIONS = 3e6
 # at most a million expected false positives per camera (the per-frame rate
 # times the frame count); an image side, and the box height of a vehicle at
 # the far edge of the detection range, at most MAX_IMAGE_SIZE_PX. A vehicle
@@ -106,7 +115,7 @@ class NoiseModel:
 
 @dataclass
 class Scenario:
-    """Simulator world description; see scenarios/*.cfg for the file schema."""
+    """Simulator world description; SCENARIO_KEYS gives the file schema, scenarios/*.cfg examples."""
 
     duration: float
     arrival_profile: dict[str, list[RatePiece]]
@@ -120,21 +129,24 @@ class Scenario:
     seed: int = 0
 
     def validate(self) -> None:
-        # each check is False for NaN and inf: an infinite duration or
-        # arrival rate would never end the arrival loop
-        if not 0 < self.duration <= MAX_DURATION_S:
+        for section, key, attr, _, bound in SCENARIO_KEYS:
+            if bound is None:
+                continue
+            value = self
+            for part in attr.split("."):  # a field, a model's field or an item of speed_range
+                value = value[int(part)] if part.isdigit() else getattr(value, part)
+            holds, wording = bound
+            if not holds(value):
+                raise ConfigError(f"{section}.{key} must be {wording}, got {value}")
+        lo, hi = self.speed_range
+        if not lo <= hi < math.inf:
+            raise ConfigError(f"road.speed_max_mps must be finite and >= speed_min_mps, got {hi}")
+        # bounds each pass time, and so each pre-warning delta and the histogram
+        if self.detection_range / lo > MAX_DURATION_S:
             raise ConfigError(
-                f"scenario.duration_s must be finite, > 0 and <= {MAX_DURATION_S:g}, got {self.duration}"
+                f"road.detection_range_m / road.speed_min_mps must be <= {MAX_DURATION_S:g} s, "
+                f"got {self.detection_range / lo:g}"
             )
-        if not 0 < self.frame_rate <= MAX_FRAME_RATE_HZ:
-            raise ConfigError(
-                f"scenario.frame_rate_hz must be finite, > 0 and <= {MAX_FRAME_RATE_HZ:g}, "
-                f"got {self.frame_rate}"
-            )
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ConfigError(f"scenario.seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.truck_fraction <= 1.0:
-            raise ConfigError(f"scenario.truck_fraction must be in [0, 1], got {self.truck_fraction}")
         for direction in DIRECTIONS:
             pieces = self.arrival_profile.get(direction, [])
             if not pieces:
@@ -147,25 +159,25 @@ class Scenario:
             for piece in pieces:
                 if not 0 <= piece.rate < math.inf:
                     raise ConfigError(f"arrivals.{direction}.profile rates must be finite and >= 0")
-            expected = max(piece.rate for piece in pieces) * self.duration
-            if expected > MAX_EXPECTED_ARRIVALS:
+            rate = max(piece.rate for piece in pieces)
+            if rate * self.duration > MAX_EXPECTED_ARRIVALS:
                 raise ConfigError(
                     f"arrivals.{direction}.profile: largest rate x duration_s must be "
-                    f"<= {MAX_EXPECTED_ARRIVALS:g} expected arrivals, got {expected:g}"
+                    f"<= {MAX_EXPECTED_ARRIVALS:g} expected arrivals, got {rate * self.duration:g}"
                 )
-        lo, hi = self.speed_range
-        if not 0 < lo < math.inf:
-            raise ConfigError(f"road.speed_min_mps must be finite and > 0, got {lo}")
-        if not lo <= hi < math.inf:
-            raise ConfigError(f"road.speed_max_mps must be finite and >= speed_min_mps, got {hi}")
-        if not 0 < self.detection_range < math.inf:
-            raise ConfigError(f"road.detection_range_m must be finite and > 0, got {self.detection_range}")
-        # bounds each pass time, and so each pre-warning delta and the histogram
-        if self.detection_range / lo > MAX_DURATION_S:
-            raise ConfigError(
-                f"road.detection_range_m / road.speed_min_mps must be <= {MAX_DURATION_S:g} s, "
-                f"got {self.detection_range / lo:g}"
-            )
+            in_view = rate * min(self.duration, self.detection_range / lo)
+            if in_view > MAX_VEHICLES_IN_VIEW:
+                raise ConfigError(
+                    f"arrivals.{direction}.profile: largest rate x min(duration_s, road.detection_range_m / "
+                    f"road.speed_min_mps) must be <= {MAX_VEHICLES_IN_VIEW:g} expected vehicles in view, "
+                    f"got {in_view:g}"
+                )
+            detections = in_view * self.duration * self.frame_rate
+            if detections > MAX_EXPECTED_DETECTIONS:
+                raise ConfigError(
+                    f"arrivals.{direction}.profile: vehicles in view x duration_s x frame_rate_hz must be "
+                    f"<= {MAX_EXPECTED_DETECTIONS:g} expected detections per camera, got {detections:g}"
+                )
         for window in self.occlusion_windows:
             if window.direction not in DIRECTIONS:
                 raise ConfigError(f"road.occlusions direction must be front|rear, got {window.direction!r}")
@@ -174,8 +186,6 @@ class Scenario:
                     f"road.occlusions must satisfy 0 <= near <= far < inf, got {window.near}-{window.far}"
                 )
         cam = self.camera
-        if not (0 < cam.focal_length_px < math.inf and 0 < cam.vehicle_height_m < math.inf):
-            raise ConfigError("camera.focal_length_px and camera.vehicle_height_m must be finite and > 0")
         far_box = cam.focal_length_px * cam.vehicle_height_m / self.detection_range
         if not far_box <= MAX_IMAGE_SIZE_PX:
             raise ConfigError(
@@ -186,16 +196,6 @@ class Scenario:
             raise ConfigError(
                 f"camera image size must be positive and at most {MAX_IMAGE_SIZE_PX} px a side "
                 f"(camera.image_width_px x camera.image_height_px), got {cam.image_width}x{cam.image_height}"
-            )
-        if not 0 <= self.noise.center_jitter_px < math.inf:
-            raise ConfigError(
-                f"noise.center_jitter_px must be finite and >= 0, got {self.noise.center_jitter_px}"
-            )
-        if not 0.0 <= self.noise.dropout_prob <= 1.0:
-            raise ConfigError(f"noise.dropout_prob must be in [0, 1], got {self.noise.dropout_prob}")
-        if not 0 <= self.noise.false_positive_rate < math.inf:
-            raise ConfigError(
-                f"noise.false_positive_rate must be finite and >= 0, got {self.noise.false_positive_rate}"
             )
         expected = self.noise.false_positive_rate * self.duration * self.frame_rate
         if expected > MAX_EXPECTED_FALSE_POSITIVES:
@@ -222,7 +222,7 @@ class VehiclePass:
 BUILTIN_SCENARIOS = ("paper-day", "country-road", "occluded-curve", "empty")
 
 
-def _parse_profile(text: str, where: str) -> list[RatePiece]:
+def _parse_profile(text: str) -> list[RatePiece]:
     pieces = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -232,7 +232,7 @@ def _parse_profile(text: str, where: str) -> list[RatePiece]:
             start_s, rate_s = chunk.split(":")
             pieces.append(RatePiece(start=float(start_s), rate=float(rate_s)))
         except ValueError as exc:
-            raise ConfigError(f"{where}: bad profile entry {chunk!r} (want start:rate)") from exc
+            raise ConfigError(f"bad profile entry {chunk!r} (want start:rate)") from exc
     return pieces
 
 
@@ -256,10 +256,43 @@ def _parse_occlusions(text: str) -> list[OcclusionWindow]:
                 OcclusionWindow(direction=direction.strip(), near=float(near_s), far=float(far_s))
             )
         except ValueError as exc:
-            raise ConfigError(
-                f"road.occlusions: bad entry {chunk!r} (want direction:near-far)"
-            ) from exc
+            raise ConfigError(f"bad entry {chunk!r} (want direction:near-far)") from exc
     return windows
+
+
+# per-field bounds, (test, wording); each test is False for NaN: an
+# infinite duration or arrival rate would never end the arrival loop
+_POSITIVE = (lambda v: 0 < v < math.inf, "finite and > 0")
+_NON_NEGATIVE = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
+# every key of a scenario file: (section, key, Scenario attribute, converter,
+# bound or None). An attribute "a.b" is field b of the camera or noise model,
+# direction b of arrival_profile, or item b of speed_range. A key left out
+# keeps its attribute's default; a key whose attribute has none is required.
+# The bounds that join fields are in Scenario.validate.
+SCENARIO_KEYS = [
+    ("scenario", "duration_s", "duration", float,
+     (lambda v: 0 < v <= MAX_DURATION_S, f"finite, > 0 and <= {MAX_DURATION_S:g}")),
+    # numpy's generators take no negative seed
+    ("scenario", "seed", "seed", int, (lambda v: v >= 0, ">= 0")),
+    ("scenario", "frame_rate_hz", "frame_rate", float,
+     (lambda v: 0 < v <= MAX_FRAME_RATE_HZ, f"finite, > 0 and <= {MAX_FRAME_RATE_HZ:g}")),
+    ("scenario", "truck_fraction", "truck_fraction", float, _UNIT),
+    ("arrivals.front", "profile", "arrival_profile.front", _parse_profile, None),
+    ("arrivals.rear", "profile", "arrival_profile.rear", _parse_profile, None),
+    ("road", "speed_min_mps", "speed_range.0", float, _POSITIVE),
+    ("road", "speed_max_mps", "speed_range.1", float, None),
+    ("road", "detection_range_m", "detection_range", float, _POSITIVE),
+    ("road", "occlusions", "occlusion_windows", _parse_occlusions, None),
+    ("camera", "focal_length_px", "camera.focal_length_px", float, _POSITIVE),
+    ("camera", "vehicle_height_m", "camera.vehicle_height_m", float, _POSITIVE),
+    ("camera", "image_width_px", "camera.image_width", int, None),
+    ("camera", "image_height_px", "camera.image_height", int, None),
+    ("noise", "center_jitter_px", "noise.center_jitter_px", float, _NON_NEGATIVE),
+    ("noise", "dropout_prob", "noise.dropout_prob", float, _UNIT),
+    ("noise", "false_positive_rate", "noise.false_positive_rate", float, _NON_NEGATIVE),
+]
+_REQUIRED = {f.name for f in fields(Scenario) if f.default is MISSING and f.default_factory is MISSING}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -270,48 +303,41 @@ def parse_scenario(text: str) -> Scenario:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"scenario file is not valid config syntax: {exc}") from exc
-
-    def get(section, option, convert, default=None, required=False):
-        if not parser.has_option(section, option):
-            if required:
-                raise ConfigError(f"missing required field {section}.{option}")
-            return default
-        raw = parser.get(section, option)
+    values: dict = {"camera": {}, "noise": {}}
+    for section, key, attr, convert, _ in SCENARIO_KEYS:
+        name, _, part = attr.partition(".")
+        if not parser.has_option(section, key):
+            if name in _REQUIRED:
+                raise ConfigError(f"missing required field {section}.{key}")
+            continue
+        raw = parser.get(section, key)
         try:
-            return convert(raw)
+            value = convert(raw)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{section}.{option}: cannot parse {raw!r}") from exc
-
-    scenario = Scenario(
-        duration=get("scenario", "duration_s", float, required=True),
-        arrival_profile={
-            direction: _parse_profile(
-                get(f"arrivals.{direction}", "profile", str, required=True),
-                f"arrivals.{direction}",
-            )
-            for direction in DIRECTIONS
-        },
-        speed_range=(
-            get("road", "speed_min_mps", float, required=True),
-            get("road", "speed_max_mps", float, required=True),
-        ),
-        detection_range=get("road", "detection_range_m", float, required=True),
-        occlusion_windows=_parse_occlusions(get("road", "occlusions", str, default="")),
-        frame_rate=get("scenario", "frame_rate_hz", float, default=30.0),
-        camera=CameraModel(
-            focal_length_px=get("camera", "focal_length_px", float, default=1000.0),
-            vehicle_height_m=get("camera", "vehicle_height_m", float, default=1.5),
-            image_width=get("camera", "image_width_px", int, default=1280),
-            image_height=get("camera", "image_height_px", int, default=720),
-        ),
-        noise=NoiseModel(
-            center_jitter_px=get("noise", "center_jitter_px", float, default=0.0),
-            dropout_prob=get("noise", "dropout_prob", float, default=0.0),
-            false_positive_rate=get("noise", "false_positive_rate", float, default=0.0),
-        ),
-        truck_fraction=get("scenario", "truck_fraction", float, default=0.2),
-        seed=get("scenario", "seed", int, default=0),
+            raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from exc
+        if part:
+            values.setdefault(name, {})[part] = value
+        else:
+            values[name] = value
+    # options of [DEFAULT] show up in every section, so they are reported too
+    keys: dict[str, list[str]] = {}
+    for section, key, *_ in SCENARIO_KEYS:
+        keys.setdefault(section, []).append(key)
+    for section in parser.sections():
+        if section not in keys:
+            raise ConfigError(f"unknown section [{section}] (sections: {', '.join(keys)})")
+        for key in parser.options(section):
+            if key not in keys[section]:
+                raise ConfigError(f"unknown key {section}.{key} (keys: {', '.join(keys[section])})")
+    speeds = values["speed_range"]
+    values.update(
+        speed_range=(speeds["0"], speeds["1"]),
+        camera=CameraModel(**values["camera"]),
+        noise=NoiseModel(**values["noise"]),
     )
+    scenario = Scenario(**values)
     scenario.validate()
     return scenario
 

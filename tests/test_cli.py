@@ -166,6 +166,36 @@ class TestSimulate:
         assert time.monotonic() - start < 10.0
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, misspelt, message",
+        [("frame_rate_hz = 30", "frame_rate = 60", "unknown key scenario.frame_rate "),
+         ("dropout_prob = 0.01", "dropout_probability = 0.5", "unknown key noise.dropout_probability "),
+         ("[camera]", "[camerra]", "unknown section [camerra]")],
+    )
+    def test_misspelt_scenario_name_exit_2(self, scenario_file, tmp_path, capsys, line, misspelt, message):
+        # each once ran on the default in its place: 30 Hz, no dropout, a 1280 px camera
+        scenario_file.write_text(SCENARIO.replace(line, misspelt), encoding="utf-8")
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_dense_scenario_exit_2_fast(self, scenario_file, tmp_path, capsys):
+        # every field is in bounds, but 80 vehicles are in view at once: 8 data
+        # seconds once took 16 s, and the cost grows with the cube of the duration
+        dense = (SCENARIO.replace("duration_s = 120", "duration_s = 8")
+                 .replace("frame_rate_hz = 30", "frame_rate_hz = 1000")
+                 .replace("profile = 0:0.05", "profile = 0:10")
+                 .replace("speed_min_mps = 18", "speed_min_mps = 0.01")
+                 .replace("speed_max_mps = 30", "speed_max_mps = 0.01")
+                 .replace("detection_range_m = 120", "detection_range_m = 1000")
+                 .replace("center_jitter_px = 1.0", "center_jitter_px = 0.0")
+                 .replace("dropout_prob = 0.01", "dropout_prob = 0.0"))
+        scenario_file.write_text(dense, encoding="utf-8")
+        start = time.monotonic()
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 2
+        assert time.monotonic() - start < 10.0
+        assert "arrivals.front.profile: largest rate x min(duration_s" in capsys.readouterr().err
+
     def test_builtin_scenario_audit_trace_pinned(self, tmp_path, capsys):
         # digests of a known-good run: any change to tracking or flow-check
         # behaviour shows up here, not only a simulate/replay mismatch;

@@ -25,7 +25,7 @@ import numpy as np
 from roadwatch.cli import main
 from roadwatch.detection import CAMERAS, CLASSES, Detection, parse_detection_log
 from roadwatch.errors import LogParseError, RoadwatchError, StreamOrderError
-from roadwatch.simulation import generate_passes, load_scenario, merge_streams, render_detections
+from roadwatch.simulation import SCENARIO_KEYS, generate_passes, load_scenario, merge_streams, render_detections
 from roadwatch.tracking import TrackerConfig
 
 FUZZ = settings(
@@ -434,18 +434,11 @@ def test_replay_of_simulated_dump_gives_simulate_audit(tmp_path_factory, text):
 
 # --- invalid scenario values ----------------------------------------------------
 
-# every key of a scenario file; a profile or an occlusion window takes the
-# bad value at one place of its text
+# every key of a scenario file, from the parser's own table; a profile or
+# an occlusion window takes the bad value at one place of its text
+SPELLINGS = {"profile": ["0:{}", "0:0.1, {}:0.2"], "occlusions": ["front:{}-50", "rear:10-{}"]}
 SCENARIO_FIELDS = [
-    ("scenario", "duration_s", "{}"), ("scenario", "seed", "{}"), ("scenario", "frame_rate_hz", "{}"),
-    ("scenario", "truck_fraction", "{}"),
-    ("arrivals.front", "profile", "0:{}"), ("arrivals.front", "profile", "0:0.1, {}:0.2"),
-    ("arrivals.rear", "profile", "0:{}"), ("arrivals.rear", "profile", "0:0.1, {}:0.2"),
-    ("road", "speed_min_mps", "{}"), ("road", "speed_max_mps", "{}"), ("road", "detection_range_m", "{}"),
-    ("road", "occlusions", "front:{}-50"), ("road", "occlusions", "rear:10-{}"),
-    ("camera", "focal_length_px", "{}"), ("camera", "vehicle_height_m", "{}"),
-    ("camera", "image_width_px", "{}"), ("camera", "image_height_px", "{}"),
-    ("noise", "center_jitter_px", "{}"), ("noise", "dropout_prob", "{}"), ("noise", "false_positive_rate", "{}"),
+    (section, key, spelling) for section, key, *_ in SCENARIO_KEYS for spelling in SPELLINGS.get(key, ["{}"])
 ]
 BAD_VALUES = (
     st.sampled_from(["0", "0.0", "-1", "-0.5", "-1e308", "5e-324", "1e308", "nan", "inf", "-inf", None])
@@ -465,12 +458,46 @@ def test_one_invalid_scenario_value_exits_0_or_2(tmp_path_factory, section, key,
         del fields[section][key]
     else:
         fields[section][key] = spelling.format(value)
+    code, err = run_scenario(tmp_path_factory, fields)
+    assert code in (0, 2), err
+    if code == 2:
+        assert section in err and key in err, err
+
+
+def run_scenario(tmp_path_factory, fields: dict[str, dict]) -> tuple[int, str]:
     work = tmp_path_factory.getbasetemp() / "bad-scenario"
     work.mkdir(exist_ok=True)
     path = work / "scenario.cfg"
     path.write_text(scenario_file_text(fields), encoding="utf-8")
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = main(["simulate", "--scenario", str(path), "--out", str(work / "out")])
-    assert code in (0, 2), err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(FUZZ, max_examples=25, deadline=timedelta(seconds=20))
+@given(short_scenario_fields(), st.sampled_from(SCENARIO_KEYS), st.data())
+def test_misspelt_scenario_key_exits_2(tmp_path_factory, fields, row, data):
+    # a misspelt key once parsed, and the run took the default in its place
+    section, key = row[:2]
+    cut = data.draw(st.integers(0, len(key) - 1))
+    misspelt = data.draw(st.sampled_from([key[:cut] + key[cut + 1:], key[:cut] + "x" + key[cut:], key + "s"]))
+    fields[section][misspelt] = fields[section].pop(key)
+    code, err = run_scenario(tmp_path_factory, fields)
+    assert code == 2, err
+    # a required key is reported missing, as the table loop runs first
+    assert f"unknown key {section}.{misspelt} " in err or f"missing required field {section}.{key}" in err, err
+
+
+@settings(FUZZ, max_examples=25, deadline=timedelta(seconds=20))
+@given(short_scenario_fields(), st.floats(0.0, 10.0), st.floats(1.0, 2000.0), st.floats(0.01, 30.0),
+       st.sampled_from([30.0, 1000.0]) | st.floats(1.0, 1000.0), st.floats(1.0, 5.0))
+def test_dense_scenario_exits_0_or_2(tmp_path_factory, fields, rate, reach, speed_min, fps, duration):
+    # rate, range, minimum speed and frame rate together set the vehicles in
+    # view, which no single field bounds; the expected number straddles its limit
+    fields["scenario"].update(duration_s=duration, frame_rate_hz=fps)
+    fields["arrivals.front"]["profile"] = fields["arrivals.rear"]["profile"] = f"0:{rate!r}"
+    fields["road"].update(speed_min_mps=speed_min, speed_max_mps=speed_min, detection_range_m=reach)
+    code, err = run_scenario(tmp_path_factory, fields)
+    assert code in (0, 2), err
     if code == 2:
-        assert section in err.getvalue() and key in err.getvalue(), err.getvalue()
+        assert "arrivals.front.profile: largest rate x min(" in err, err

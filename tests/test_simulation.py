@@ -3,6 +3,7 @@
 import gc
 import io
 import math
+import re
 import sys
 import warnings
 from collections import Counter
@@ -498,6 +499,16 @@ NON_FINITE = [
     for token in ("nan", "inf", "-inf")
 ]
 
+# (field, value) just outside the field's own bound
+OUT_OF_RANGE = [
+    ("scenario.duration_s", "0"), ("scenario.duration_s", "604801"), ("scenario.seed", "-1"),
+    ("scenario.frame_rate_hz", "0"), ("scenario.frame_rate_hz", "1000.5"), ("scenario.truck_fraction", "-0.1"),
+    ("scenario.truck_fraction", "1.5"), ("road.speed_min_mps", "0"), ("road.speed_min_mps", "-1"),
+    ("road.detection_range_m", "0"), ("camera.focal_length_px", "0"), ("camera.vehicle_height_m", "-1.5"),
+    ("noise.center_jitter_px", "-0.1"), ("noise.dropout_prob", "-0.01"), ("noise.dropout_prob", "1.5"),
+    ("noise.false_positive_rate", "-1e-9"),
+]
+
 
 def scenario_text(fields: dict[str, str]) -> str:
     """Scenario file text from {"section.option": value}; the option is the last dotted part."""
@@ -557,6 +568,41 @@ class TestScenarioFiles:
         parse_scenario(scenario_text(FINITE_FIELDS))
         with pytest.raises(ConfigError, match=name.replace(".", r"\.")):
             parse_scenario(scenario_text({**FINITE_FIELDS, name: value}))
+
+    @pytest.mark.parametrize(
+        "name, reported",
+        [("scenario.frame_rate", "unknown key scenario.frame_rate"),
+         ("noise.dropout_probability", "unknown key noise.dropout_probability"),
+         ("camerra.image_width_px", "unknown section [camerra]"),
+         # an option of [DEFAULT] shows up in every section
+         ("DEFAULT.seed", "unknown key arrivals.front.seed")],
+    )
+    def test_unknown_section_or_key_diagnosed(self, name, reported):
+        # each once parsed without an error and left its value unused
+        with pytest.raises(ConfigError, match=re.escape(reported)):
+            parse_scenario(scenario_text({**FINITE_FIELDS, name: "60"}))
+
+    @pytest.mark.parametrize(
+        "name, value", OUT_OF_RANGE, ids=[f"{name}={value}" for name, value in OUT_OF_RANGE]
+    )
+    def test_out_of_range_number_diagnosed(self, name, value):
+        with pytest.raises(ConfigError, match=name.replace(".", r"\.") + " must be"):
+            parse_scenario(scenario_text({**FINITE_FIELDS, name: value}))
+
+    @pytest.mark.parametrize(
+        "fields, bound",
+        [({"arrivals.rear.profile": "0:0.36", "road.speed_min_mps": "1"},
+          "<= 20 expected vehicles in view, got 21.6"),
+         ({"arrivals.front.profile": "0:0.2666666667", "scenario.duration_s": "28800",
+           "scenario.frame_rate_hz": "60", "road.speed_min_mps": "18"},
+          "<= 3e+06 expected detections per camera, got 3.07")],
+        ids=["in-view", "detections"],
+    )
+    def test_work_bound_diagnosed(self, fields, bound):
+        # every field is in bounds; the second has paper-day's largest rate at 60 Hz
+        direction = "rear" if "arrivals.rear.profile" in fields else "front"
+        with pytest.raises(ConfigError, match=rf"^arrivals\.{direction}\.profile: .*{re.escape(bound)}"):
+            parse_scenario(scenario_text({**FINITE_FIELDS, **fields}))
 
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(ConfigError, match="paper-day"):
