@@ -153,6 +153,12 @@ def cmd_replay(args) -> int:
     trackers = {d: VehicleTracker(d, config) for d in DIRECTIONS}
     with _device(args.device) as device, open(args.log, "rb") as source:
         monitor = FlowCheckMonitor(t_duration=args.t_duration, start_time=0.0, device=device)
+        if source.seekable():
+            # a bad line anywhere exits 2 before the first warning goes out;
+            # a pipe cannot be read twice, so it is checked as it streams
+            for _ in parse_detection_log(source):
+                pass
+            source.seek(0)
         frames = parse_detection_log(source)
         frame_count, last_t = drive(_paced(frames) if args.pace_realtime else frames, trackers, monitor)
     if args.out:

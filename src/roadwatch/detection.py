@@ -16,7 +16,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -360,20 +360,17 @@ def parse_detection_log(
         yield FrameDetections(frame_index, timestamp, camera, detections)
 
 
-def tee_detection_log(
-    frames: Iterable[FrameDetections], sink: IO[bytes] | IO[str]
-) -> Iterator[FrameDetections]:
-    """Yield ``frames``, writing each one's canonical log line to ``sink`` first."""
-    text_sink = isinstance(sink, io.TextIOBase) or hasattr(sink, "encoding")
-    for frame in frames:
-        line = format_detection_line(frame)
-        sink.write(line if text_sink else line.encode("utf-8"))
-        yield frame
+def line_writer(sink: IO[bytes] | IO[str]) -> Callable[[str], object]:
+    """``sink.write`` for text lines, encoding each to UTF-8 when ``sink`` is binary."""
+    if isinstance(sink, io.TextIOBase) or hasattr(sink, "encoding"):
+        return sink.write
+    return lambda line: sink.write(line.encode("utf-8"))
 
 
 def write_detection_log(
     frames: Iterable[FrameDetections], sink: IO[bytes] | IO[str]
 ) -> None:
     """Write frames as canonical-form log lines (byte-stable round trip)."""
-    for _ in tee_detection_log(frames, sink):
-        pass
+    write = line_writer(sink)
+    for frame in frames:
+        write(format_detection_line(frame))

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import bisect
 import configparser
+import heapq
 import json
 import math
+import signal
 import sys
 from array import array
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -35,11 +38,12 @@ from .detection import (  # noqa: F401
     CLASSES,
     Detection,
     FrameDetections,
-    tee_detection_log,
+    format_detection_line,
+    line_writer,
     write_detection_log,
 )
 from .errors import ConfigError
-from .tracking import Track, TrackerConfig, VehicleTracker, majority
+from .tracking import NEW_VEHICLE, Track, TrackerConfig, TrackerEvent, VehicleTracker, majority
 from .warning import (
     DECISION_SKIP_CLASS,
     DECISION_SUPPRESS,
@@ -69,7 +73,8 @@ MAX_EXPECTED_ARRIVALS = 1e6
 # expected at once (the largest rate times the shorter of the duration and
 # the longest pass), and at most MAX_EXPECTED_DETECTIONS rendered per camera
 # (that number times the frame count). A run at both limits, with 5 px of
-# centre jitter, took 145 s and peaked at 334 MB on a 2-core x86-64.
+# centre jitter, took 77 s on a 2-core x86-64; the parent peaked at 302 MB
+# and each camera worker near 250 MB.
 MAX_VEHICLES_IN_VIEW = 20.0
 MAX_EXPECTED_DETECTIONS = 3e6
 # at most a million expected false positives per camera (the per-frame rate
@@ -452,27 +457,6 @@ DetectionLabels = dict[tuple[str, int, float, float], int]
 _BLOCK_ENTRIES = 1024
 
 
-def _merge_frames(
-    front: Iterator[FrameDetections], rear: Iterator[FrameDetections]
-) -> Iterator[FrameDetections]:
-    """Interleave two camera streams, each in timestamp order: the earlier first, front first on ties."""
-    a = next(front, None)
-    b = next(rear, None)
-    while a is not None and b is not None:
-        if b.timestamp < a.timestamp:
-            yield b
-            b = next(rear, None)
-        else:
-            yield a
-            a = next(front, None)
-    if a is not None:
-        yield a
-        yield from front
-    if b is not None:
-        yield b
-        yield from rear
-
-
 def _view(values: array) -> np.ndarray:
     """A numpy view of ``values``, without a copy."""
     return np.frombuffer(values, dtype=values.typecode)
@@ -662,9 +646,9 @@ def render_detections(
 
     Returns the frame lists and a label map (camera, frame index, cx, cy) ->
     vehicle id for ground-truth matching; false positives are absent from
-    the map. :func:`run_passes` does not call this: it builds the same
-    frames one at a time from the same draws, so its memory follows the
-    live tracks and the archive, not the length of the day.
+    the map. :func:`run_passes` does not call this: its camera workers build
+    the same frames one at a time from the same draws, so their memory
+    follows the live tracks and the archive, not the length of the day.
     """
     rendering = _Rendering(passes, scenario, rng, trail_frames)
     frames = {d: list(rendering.frames(d)) for d in DIRECTIONS}
@@ -683,7 +667,7 @@ def merge_streams(frames: dict[str, list[FrameDetections]]) -> list[FrameDetecti
 
     Each stream must already be in timestamp order, as rendered.
     """
-    return list(_merge_frames(iter(frames["front"]), iter(frames["rear"])))
+    return list(heapq.merge(frames["front"], frames["rear"], key=attrgetter("timestamp")))
 
 
 # --- pipeline driver and report ----------------------------------------------
@@ -743,6 +727,70 @@ class SimulationReport:
         return [(h, events[h], warns[h]) for h in sorted(events)]
 
 
+# One frame's record between the two halves of the pipeline: (timestamp,
+# dump line or None, events), each event paired with its vehicle id or None.
+# A frame whose step raised carries the exception in place of its events.
+Record = tuple[float, str | None, list[tuple[TrackerEvent, int | None]] | Exception]
+
+
+def _track(
+    frames: Iterable[FrameDetections],
+    trackers: dict[str, VehicleTracker],
+    dump: bool = False,
+    label: Callable[[Track], int | None] | None = None,
+) -> Iterator[Record]:
+    """The first half of the pipeline: each frame's record, after its tracker's step.
+
+    The dump line is formatted when ``dump`` is set. A new-vehicle event is
+    paired with ``label(track)`` when ``label`` is given; every other event
+    with None. A frame whose step raises is the last record.
+    """
+    for frame in frames:
+        line = format_detection_line(frame) if dump else None
+        tracker = trackers[frame.camera]
+        try:
+            events = tracker.step(frame)
+        except Exception as exc:
+            yield frame.timestamp, line, exc
+            return
+        yield frame.timestamp, line, [
+            (e, label(tracker.archive[e.track_id]) if label and e.kind == NEW_VEHICLE else None) for e in events
+        ]
+
+
+def _flow_check(
+    records: Iterable[Record],
+    monitor: FlowCheckMonitor,
+    write: Callable[[str], object] | None = None,
+    pass_times: dict[int, float] | None = None,
+) -> tuple[int, float]:
+    """The second half of the pipeline: records, in merged stream order, into the one flow check.
+
+    Each record's dump line goes to ``write`` first; then its exception is
+    raised, or its events are observed. A warning whose event carries a
+    vehicle id gets that vehicle's pass time from ``pass_times`` and its
+    pre-warning delta. Returns the frame count and the largest frame
+    timestamp (0.0 for none).
+    """
+    count = 0
+    last_t = 0.0
+    for timestamp, line, events in records:
+        if line is not None:
+            write(line)
+        if isinstance(events, Exception):
+            raise events
+        count += 1
+        if timestamp > last_t:
+            last_t = timestamp
+        for event, vehicle_id in events:
+            warning = monitor.observe(event)
+            if warning is not None and vehicle_id is not None:
+                warning.vehicle_id = vehicle_id
+                warning.pass_time = pass_times[vehicle_id]
+                warning.delta = warning.pass_time - warning.timestamp
+    return count, last_t
+
+
 def drive(
     frames: Iterable[FrameDetections],
     trackers: dict[str, VehicleTracker],
@@ -752,15 +800,7 @@ def drive(
 
     Returns the frame count and the largest frame timestamp (0.0 for none).
     """
-    count = 0
-    last_t = 0.0
-    for frame in frames:
-        count += 1
-        if frame.timestamp > last_t:
-            last_t = frame.timestamp
-        for event in trackers[frame.camera].step(frame):
-            monitor.observe(event)
-    return count, last_t
+    return _flow_check(_track(frames, trackers), monitor)
 
 
 def _majority_vehicle(
@@ -781,6 +821,65 @@ def _majority_vehicle(
     return majority(counts, recency) if counts else None
 
 
+# Frames a camera worker sends at a time. The parent holds one batch per
+# camera, so this bounds its memory: on paper-day, batches of 4,096 frames
+# raised the parent's peak RSS by 5-6 % over the one-process loop that the
+# workers replaced, and batches of 256 lowered it.
+_BATCH_FRAMES = 256
+
+
+def _camera_worker(
+    rendering: _Rendering, camera: str, config: TrackerConfig, dump: bool, receiver, sender
+) -> None:
+    """One camera's half of simulate, run in a process of its own.
+
+    Builds the camera's frames, formats their dump lines when ``dump`` is
+    set, tracks them and labels each new vehicle with its ground truth. It
+    sends the records to ``sender`` in batches of ``_BATCH_FRAMES``, then
+    None. An exception ends the records: a step's at its frame (see
+    ``_track``), any other at the timestamp of the last record.
+    """
+    # Ctrl-C reaches the whole process group: the parent handles it and stops the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # the parent's end, copied by fork: closed, a send fails once the parent is gone instead of blocking
+    receiver.close()
+    hits = config.confirm_hits
+
+    def label(track: Track) -> int | None:
+        # A tentative track dies on its first miss, so at confirmation its
+        # hits are its first confirm_hits ones (one when confirm_hits <= 1).
+        return _majority_vehicle(track, hits, camera, rendering.label)
+
+    batch: list[Record] = []
+    timestamp = -math.inf
+    try:
+        for record in _track(rendering.frames(camera), {camera: VehicleTracker(camera, config)}, dump, label):
+            timestamp = record[0]
+            batch.append(record)
+            if len(batch) == _BATCH_FRAMES:
+                sender.send(batch)
+                batch = []
+    except Exception as exc:
+        batch.append((timestamp, None, exc))
+    sender.send(batch)
+    sender.send(None)
+
+
+def _received(camera: str, process, receiver) -> Iterator[Record]:
+    """The records of one camera worker, with one batch in hand at a time."""
+    while True:
+        try:
+            batch = receiver.recv()
+        except EOFError:
+            process.join()
+            raise RuntimeError(
+                f"the {camera} camera worker exited with code {process.exitcode} before its last frame"
+            ) from None
+        if batch is None:
+            return
+        yield from batch
+
+
 def run_passes(
     passes: list[VehiclePass],
     scenario: Scenario,
@@ -792,33 +891,49 @@ def run_passes(
 ) -> SimulationReport:
     """Render the given passes and run tracking + flow check over them.
 
-    Each frame is built, written to ``dump_sink`` and tracked before the
-    next one is built. Ground truth is looked up afterwards, only for the
-    tracks that warned, and filled into their audit records.
+    Every random draw is made here. Then each camera's frames are built,
+    formatted and tracked in a worker process of its own
+    (``_camera_worker``), while this process merges the two record streams
+    by timestamp, front first on ties, writes each dump line to
+    ``dump_sink`` and runs the one flow check. So no output depends on how
+    the workers are scheduled. A worker's exception is raised here at its
+    frame's place in the merged stream, after that frame's dump line. An
+    exception here stops both workers, and a worker that dies raises
+    RuntimeError naming its camera and exit code.
     """
+    import multiprocessing  # here, so that replay and report never load it
+
     # built first, so that a bad t_duration fails before any draw
     monitor = FlowCheckMonitor(t_duration=t_duration, start_time=0.0, device=device)
     config = tracker_config or TrackerConfig.for_image_width(scenario.camera.image_width)
     rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)
-    frames = _merge_frames(rendering.frames("front"), rendering.frames("rear"))
-    if dump_sink is not None:
-        frames = tee_detection_log(frames, dump_sink)
-    trackers = {d: VehicleTracker(d, config) for d in DIRECTIONS}
-    drive(frames, trackers, monitor)
-
-    by_id = {p.vehicle_id: p for p in passes}
-    for rec in monitor.audit:
-        if rec.decision != DECISION_WARN:
-            continue
-        # A warning fires as its track is confirmed, and a tentative track
-        # dies on its first miss, so the first confirm_hits entries are what
-        # the track had seen when it warned; later ones may be other vehicles.
-        track = trackers[rec.camera].archive[rec.track_id]
-        vehicle_id = _majority_vehicle(track, config.confirm_hits, rec.camera, rendering.label)
-        if vehicle_id is not None:
-            rec.vehicle_id = vehicle_id
-            rec.pass_time = by_id[vehicle_id].pass_time
-            rec.delta = rec.pass_time - rec.timestamp
+    pass_times = {p.vehicle_id: p.pass_time for p in rendering.passes}
+    # fork shares the draws without pickling them; any other start method works, only slower
+    context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    workers = []
+    try:
+        for camera in DIRECTIONS:
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(
+                target=_camera_worker,
+                args=(rendering, camera, config, dump_sink is not None, receiver, sender),
+                name=f"roadwatch-{camera}",
+                daemon=True,
+            )
+            process.start()
+            # closed before the next worker starts, so that a dead worker's receiver reads EOF
+            sender.close()
+            workers.append((camera, process, receiver))
+        records = heapq.merge(*(_received(*worker) for worker in workers), key=itemgetter(0))
+        _flow_check(records, monitor, None if dump_sink is None else line_writer(dump_sink), pass_times)
+    except BaseException:
+        for _, process, _ in workers:
+            process.terminate()
+        raise
+    finally:
+        for _, process, receiver in workers:
+            process.join()
+            receiver.close()
     return SimulationReport(scenario.duration, t_duration, scenario.seed, monitor.audit, monitor.emit_failures)
 
 

@@ -1,0 +1,12 @@
+"""Checks shared by every test."""
+
+import multiprocessing
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Simulate's camera workers end with the run, also when it fails."""
+    yield
+    assert multiprocessing.active_children() == []

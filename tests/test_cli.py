@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import os
 import re
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -229,15 +231,21 @@ class TestSimulate:
 
     def test_tie_heavy_run_leaves_scipy_optimize_unloaded(self, tmp_path):
         # a fresh process, because test_acceptance's scipy.stats import
-        # loads scipy.optimize into this one
+        # loads scipy.optimize into this one. The camera workers solve the
+        # frames, so each reports its own count when it is done.
         scenario = tmp_path / "ties.cfg"
         scenario.write_text(TIES_SCENARIO, encoding="utf-8")
         script = """\
 import sys
 import roadwatch.cli
-from roadwatch import tracking
+from roadwatch import simulation, tracking
 port, calls = tracking._linear_sum_assignment, []
 tracking._linear_sum_assignment = lambda costs: calls.append(1) or port(costs)
+worker = simulation._camera_worker
+def reporting_worker(rendering, camera, *args):
+    worker(rendering, camera, *args)
+    print("worker", camera, len(calls), "scipy.optimize" in sys.modules)
+simulation._camera_worker = reporting_worker
 code = roadwatch.cli.main(["simulate", "--scenario", sys.argv[1], "--out", sys.argv[2]])
 print(code, len(calls), "scipy.optimize" in sys.modules)
 """
@@ -248,10 +256,13 @@ print(code, len(calls), "scipy.optimize" in sys.modules)
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        code, port_calls, loaded = proc.stdout.splitlines()[-1].split()
-        assert code == "0"
-        assert int(port_calls) > 1000  # the conflicting frames were solved
-        assert loaded == "False"
+        lines = proc.stdout.splitlines()
+        workers = {camera: (int(n), loaded) for _, camera, n, loaded in
+                   (line.split() for line in lines if line.startswith("worker "))}
+        assert lines[-1].split() == ["0", "0", "False"]  # no port call in this process
+        assert sorted(workers) == ["front", "rear"]
+        assert sum(n for n, _ in workers.values()) > 1000  # the conflicting frames were solved
+        assert all(loaded == "False" for _, loaded in workers.values())
 
     def test_large_frames_leave_scipy_optimize_unloaded(self):
         # criterion 7's 50 lanes with 20 detections a frame, then one frame
@@ -393,9 +404,42 @@ class TestReplayEquivalence:
         joined = tmp_path / "joined.log"
         joined.write_text("".join(front + rear), encoding="utf-8")
         capsys.readouterr()
-        assert main(["replay", "--log", str(joined), "--device", "stdout"]) == 2
+        out = tmp_path / "r"
+        assert main(["replay", "--log", str(joined), "--device", "stdout", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
         assert re.search(rf"^error: line {len(front) + 1}: camera rear .* the latest on any camera$",
-                         capsys.readouterr().err, re.M)
+                         captured.err, re.M)
+        # the whole file is checked before the first frame is tracked
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_log_from_a_pipe_is_checked_as_it_streams(self, scenario_file, tmp_path, capfd):
+        # a FIFO cannot be read twice, so its front warnings go out before the bad rear line
+        dump = tmp_path / "d.log"
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "s"),
+                     "--dump-detections", str(dump)]) == 0
+        lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
+        front = [line for line in lines if line.startswith('{"camera":"front"')]
+        rear = [line for line in lines if line.startswith('{"camera":"rear"')]
+        fifo = tmp_path / "joined.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            try:
+                fifo.write_text("".join(front + rear), encoding="utf-8")
+            except BrokenPipeError:  # replay stops reading at the bad line
+                pass
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        capfd.readouterr()
+        try:
+            assert main(["replay", "--log", str(fifo), "--device", "stdout"]) == 2
+        finally:
+            writer.join()
+        captured = capfd.readouterr()
+        assert f"error: line {len(front) + 1}: camera rear" in captured.err
+        assert captured.out.startswith("WARN t=") and "cam=rear" not in captured.out
 
     def test_malformed_log_exit_2(self, tmp_path, capsys):
         log = tmp_path / "bad.log"

@@ -2,18 +2,26 @@
 
 import gc
 import io
+import json
 import math
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
+from multiprocessing.connection import Connection
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from roadwatch.errors import ConfigError
+from roadwatch.errors import ConfigError, ValidationError
 from roadwatch.simulation import (
+    _BATCH_FRAMES,
     BUILTIN_SCENARIOS,
     DIRECTIONS,
     VEHICLE_ASPECT,
@@ -39,7 +47,7 @@ from roadwatch.simulation import (
 )
 from roadwatch.detection import FrameDetections
 from roadwatch.tracking import TrackerConfig, VehicleTracker
-from roadwatch.warning import AuditRecord
+from roadwatch.warning import AuditRecord, StdoutDevice
 
 
 def make_scenario(**overrides):
@@ -322,20 +330,50 @@ class TestMergeStreams:
 
 
 class TestOnePass:
-    def test_simulate_builds_frames_one_at_a_time(self, monkeypatch):
-        alive = []
+    def test_simulate_builds_frames_one_at_a_time(self, monkeypatch, tmp_path):
+        # each camera worker counts the frames alive at its first step and
+        # writes the count to a file, since it runs in a process of its own
+        stepped = set()
         step = VehicleTracker.step
 
         def counting_step(self, frame):
-            if not alive:
-                alive.append(sum(1 for o in gc.get_objects() if isinstance(o, FrameDetections)))
+            if self.camera not in stepped:
+                stepped.add(self.camera)
+                alive = sum(1 for o in gc.get_objects() if isinstance(o, FrameDetections))
+                (tmp_path / self.camera).write_text(str(alive), encoding="utf-8")
             return step(self, frame)
 
+        # and this process counts the records it has received but not yet written
+        received = [0]
+        recv = Connection.recv
+
+        def counting_recv(self):
+            batch = recv(self)
+            received[0] += len(batch or ())
+            return batch
+
+        class HeldCounter(io.TextIOBase):
+            def __init__(self):
+                self.written = 0
+                self.held = []
+
+            def write(self, line):
+                self.held.append(received[0] - self.written)
+                self.written += 1
+                return len(line)
+
         monkeypatch.setattr(VehicleTracker, "step", counting_step)
-        report = run_pipeline(rush_hour(noise=NoiseModel(center_jitter_px=2.0, dropout_prob=0.01)))
+        monkeypatch.setattr(Connection, "recv", counting_recv)
+        sink = HeldCounter()
+        report = run_pipeline(rush_hour(noise=NoiseModel(center_jitter_px=2.0, dropout_prob=0.01)), dump_sink=sink)
         assert report.warnings_without_filter > 50
-        # one pending frame per camera in the merge, not the whole run
-        assert alive[0] < 10
+        assert not stepped  # every step ran in a worker
+        # one pending frame at a time in each worker, not the whole run
+        alive = {camera: int((tmp_path / camera).read_text()) for camera in DIRECTIONS}
+        assert max(alive.values()) < 10, alive
+        # and at most one batch per camera here
+        assert sink.written > 10 * _BATCH_FRAMES
+        assert 1 < max(sink.held) <= 2 * _BATCH_FRAMES
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["spawn-order", "reversed"])
     def test_label_lookup_matches_label_map(self, reverse):
@@ -382,6 +420,169 @@ class TestOnePass:
         shared = [f for f in stream if len(f.detections) == 2]
         assert shared
         assert all(f.detections[0].height > f.detections[1].height for f in shared)
+
+
+class TestCameraWorkers:
+    """Simulate runs each camera in a worker process; failures end the run cleanly."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail a run that hangs, as one whose workers are never stopped would."""
+
+        def expire(signum, frame):
+            pytest.fail("the run did not end within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def full_run(self):
+        scenario = rush_hour()
+        dump, device = io.StringIO(), io.StringIO()
+        # a short quiet gap, so that a busy run still warns often
+        run_pipeline(scenario, t_duration=1.0, dump_sink=dump, device=StdoutDevice(device))
+        assert multiprocessing.active_children() == []
+        return scenario, dump.getvalue().splitlines(keepends=True), device.getvalue().splitlines(keepends=True)
+
+    def test_worker_error_raised_at_its_frame(self, monkeypatch):
+        scenario, lines, warnings_sent = self.full_run()
+        rear = [i for i, line in enumerate(lines) if line.startswith('{"camera":"rear"')]
+        failing = rear[len(rear) // 2]
+        record = json.loads(lines[failing])
+        k, t = record["frame"], record["t"]
+        step = VehicleTracker.step
+
+        def failing_step(self, frame):
+            if frame.camera == "rear" and frame.frame_index == k:
+                raise ValidationError(f"no step at frame {k}")
+            return step(self, frame)
+
+        monkeypatch.setattr(VehicleTracker, "step", failing_step)
+        dump, device = io.StringIO(), io.StringIO()
+        with pytest.raises(ValidationError, match=f"^no step at frame {k}$"):
+            run_pipeline(scenario, t_duration=1.0, dump_sink=dump, device=StdoutDevice(device))
+        # every frame before it in the merged stream went through, and its dump line was written
+        assert dump.getvalue() == "".join(lines[:failing + 1])
+        sent = device.getvalue().splitlines(keepends=True)
+        assert sent == [w for w in warnings_sent if float(w.split()[1][2:]) < t or (
+            float(w.split()[1][2:]) == t and "cam=front" in w)]
+        assert 10 < len(sent) < len(warnings_sent)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_parent_error_stops_both_workers(self, error):
+        class FailingSink(io.StringIO):
+            def write(self, line):
+                if self.tell() > 100_000:
+                    raise error("sink failed")
+                return super().write(line)
+
+        started = time.monotonic()
+        with pytest.raises(error, match="sink failed"):
+            run_pipeline(make_scenario(duration=6000.0), dump_sink=FailingSink())
+        assert multiprocessing.active_children() == []
+        # the workers were stopped, not run to the end of the day
+        assert time.monotonic() - started < 30
+
+    def test_killed_worker_named_with_its_exit_code(self, monkeypatch):
+        step = VehicleTracker.step
+
+        def dying_step(self, frame):
+            if frame.camera == "rear" and frame.frame_index >= 3000:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return step(self, frame)
+
+        monkeypatch.setattr(VehicleTracker, "step", dying_step)
+        with pytest.raises(RuntimeError, match="^the rear camera worker exited with code -9 before its last frame$"):
+            run_pipeline(rush_hour())
+        assert multiprocessing.active_children() == []
+
+    def test_buffered_output_written_once(self, tmp_path):
+        # text buffered before the workers start is flushed once, by this process
+        script = """\
+import sys
+from roadwatch.simulation import run_pipeline, load_scenario
+sys.stdout.write("stdout before\\n")
+with open(sys.argv[1], "w", encoding="utf-8") as dump:
+    dump.write("dump before\\n")
+    run_pipeline(load_scenario("country-road"), dump_sink=dump)
+sys.stdout.write("stdout after\\n")
+"""
+        dump = tmp_path / "dump.log"
+        proc = subprocess.run([sys.executable, "-c", script, str(dump)], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "stdout before\nstdout after\n"
+        text = dump.read_text(encoding="utf-8")
+        assert text.startswith("dump before\n") and text.count("dump before") == 1
+        assert text.count("\n") > 1000
+
+    def test_workers_end_when_the_parent_is_killed(self):
+        # no handler runs in a killed parent: each worker's next send fails
+        script = """\
+import itertools, multiprocessing
+from roadwatch import simulation
+flow_check = simulation._flow_check
+def announcing_flow_check(records, *args):
+    records = iter(records)
+    first = next(records)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    return flow_check(itertools.chain([first], records), *args)
+simulation._flow_check = announcing_flow_check
+simulation.run_pipeline(simulation.load_scenario("paper-day"))
+"""
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True) as proc:
+            try:
+                workers = [int(pid) for pid in proc.stdout.readline().split()]
+            finally:
+                proc.kill()
+        assert len(workers) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rpartition(")")[2].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 30
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(running(pid) for pid in workers)
+
+    def test_ctrl_c_prints_one_traceback(self):
+        # Ctrl-C goes to the whole process group; only the parent reacts to it.
+        # The script says when both workers have sent their first records, and
+        # gives a worker that took the signal time to report it.
+        script = """\
+import itertools, time
+from roadwatch import simulation
+flow_check = simulation._flow_check
+def announcing_flow_check(records, *args):
+    try:
+        records = iter(records)
+        first = next(records)
+        print("running", flush=True)
+        return flow_check(itertools.chain([first], records), *args)
+    except KeyboardInterrupt:
+        time.sleep(1)
+        raise
+simulation._flow_check = announcing_flow_check
+simulation.run_pipeline(simulation.load_scenario("paper-day"))
+"""
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, start_new_session=True) as proc:
+            try:
+                assert proc.stdout.readline() == "running\n"
+                os.killpg(proc.pid, signal.SIGINT)
+                _, err = proc.communicate(timeout=60)
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert err.count("Traceback") == 1, err
+        assert err.rstrip().endswith("KeyboardInterrupt")
 
 
 class TestRunPipeline:
