@@ -22,7 +22,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .detection import FrameDetections, parse_detection_log
+from .detection import FrameDetections, detection_records, parse_detection_log
 from .errors import ConfigError, RoadwatchError
 from .simulation import (
     DIRECTIONS,
@@ -156,7 +156,7 @@ def cmd_replay(args) -> int:
         if source.seekable():
             # a bad line anywhere exits 2 before the first warning goes out;
             # a pipe cannot be read twice, so it is checked as it streams
-            for _ in parse_detection_log(source):
+            for _ in detection_records(source):
                 pass
             source.seek(0)
         frames = parse_detection_log(source)

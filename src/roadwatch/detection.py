@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import os
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import LogParseError, PayloadError, StreamOrderError, ValidationError
+from .workers import received, send_items
 
 CLASSES = ("truck", "vehicle", "pedestrian")
 CAMERAS = ("front", "rear")
@@ -114,7 +116,7 @@ def decode_grid(
     confidence) strictly exceeds ``score_threshold`` becomes a detection.
     Box fields must already be absolute pixel values. A kept anchor is
     checked and built as the log parser builds a detection
-    (:func:`_make_detection`), so that its log line parses back; its
+    (:func:`_detection_fields`), so that its log line parses back; its
     center is then clamped to the image bounds. The result is ordered by
     descending combined score, ties broken by (cell index, anchor index)
     ascending.
@@ -158,10 +160,9 @@ def decode_grid(
         b = int(best[cell, anchor])
         cls = CLASSES[b] if b < len(CLASSES) else b
         try:
-            det = _make_detection(
-                frame_index, cls, cx, cy, w, h, float(objectness[cell, anchor]),
-                confidences[cell, anchor].tolist(),
-            )
+            det = Detection(frame_index, *_detection_fields(
+                cls, cx, cy, w, h, float(objectness[cell, anchor]), confidences[cell, anchor].tolist(),
+            ))
         except ValueError as exc:
             raise ValidationError(f"cell {cell}, anchor {anchor}: {exc}") from exc
         det.cx = float(min(max(cx, 0.0), spec.image_width))
@@ -256,9 +257,10 @@ _INF = math.inf
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _make_detection(frame_index, cls, cx, cy, w, h, obj, confs) -> Detection:
-    """The :class:`Detection` of one log entry's fields, under the log's rules.
+def _detection_fields(cls, cx, cy, w, h, obj, confs) -> tuple:
+    """A :class:`Detection`'s fields after its frame index, from one log entry's, under the log's rules.
 
+    That is ``(cx, cy, w, h, obj, (c0, c1, c2), combined score, cls)``.
     Raises ValueError for a detection that breaks them. The class must be
     known, with a list of one confidence per class. Box fields, objectness
     and confidences must be JSON numbers (not strings or booleans); box
@@ -289,13 +291,16 @@ def _make_detection(frame_index, cls, cx, cy, w, h, obj, confs) -> Detection:
         best = c1
     if c2 > best:
         best = c2
-    return Detection(frame_index, cx, cy, w, h, obj, (c0, c1, c2), obj * best, cls)
+    return cx, cy, w, h, obj, (c0, c1, c2), obj * best, cls
 
 
-def parse_detection_log(
+def detection_records(
     source: IO[bytes] | IO[str] | Iterable[str | bytes],
-) -> Iterator[FrameDetections]:
-    """Parse a line-delimited detection log, yielding frames in file order.
+) -> Iterator[tuple[int, float, str, list[tuple]]]:
+    """Validate a line-delimited detection log, yielding one record a frame, in file order.
+
+    A record is (frame index, timestamp, camera, each detection's fields as
+    :func:`_detection_fields` gives them), with no :class:`Detection` built.
 
     Timestamps must strictly increase per camera stream and never decrease
     across streams; a line that breaks either rule raises
@@ -350,14 +355,62 @@ def parse_detection_log(
         try:
             for d in raw_dets:
                 cls, obj, confs = d["cls"], d["obj"], d["conf"]
-                detections.append(
-                    _make_detection(frame_index, cls, d["cx"], d["cy"], d["w"], d["h"], obj, confs)
-                )
+                detections.append(_detection_fields(cls, d["cx"], d["cy"], d["w"], d["h"], obj, confs))
         except _MALFORMED as exc:
             raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
         if type(timestamp) is not float:
             timestamp = float(timestamp)
-        yield FrameDetections(frame_index, timestamp, camera, detections)
+        yield frame_index, timestamp, camera, detections
+
+
+def _parse_worker(source, receiver, sender) -> None:
+    """The log parse helper: ``source``'s records, validated in a process of its own."""
+    send_items(detection_records(source), receiver, sender)
+
+
+def _in_helper(source) -> bool:
+    """Whether to parse ``source`` in a helper process.
+
+    Only when it is seekable, so its lines are all there to read ahead;
+    ``fork`` is available; and this process may use two CPUs, since on one
+    the helper only takes turns with the consumer.
+    """
+    try:
+        if not source.seekable():
+            return False
+    except (AttributeError, ValueError, OSError):  # not a stream, or a closed one
+        return False
+    if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2:
+        return False
+    import multiprocessing  # at the first next(), as the helper starts
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def parse_detection_log(
+    source: IO[bytes] | IO[str] | Iterable[str | bytes],
+) -> Iterator[FrameDetections]:
+    """Parse a line-delimited detection log, yielding frames in file order.
+
+    The lines are validated as :func:`detection_records` does, and raise
+    its errors after the frames before them. Where :func:`_in_helper`
+    allows, a helper process forked at the first ``next`` validates them
+    and reads the source to its end; the frames are built here. Any other
+    source (a pipe, a list) is validated here, one line per frame, as it
+    streams.
+    """
+    if _in_helper(source):
+        records = received("log parse helper", _parse_worker, source)
+    else:
+        records = detection_records(source)
+    try:
+        for frame_index, timestamp, camera, dets in records:
+            detections = []
+            for d in dets:
+                detections.append(Detection(frame_index, *d))
+            yield FrameDetections(frame_index, timestamp, camera, detections)
+    finally:
+        records.close()
 
 
 def line_writer(sink: IO[bytes] | IO[str]) -> Callable[[str], object]:

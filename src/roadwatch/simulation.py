@@ -20,7 +20,6 @@ import configparser
 import heapq
 import json
 import math
-import signal
 import sys
 from array import array
 from collections import Counter
@@ -51,6 +50,7 @@ from .warning import (
     AuditRecord,
     FlowCheckMonitor,
 )
+from .workers import received, send_items
 
 DIRECTIONS = ("front", "rear")
 
@@ -821,28 +821,16 @@ def _majority_vehicle(
     return majority(counts, recency) if counts else None
 
 
-# Frames a camera worker sends at a time. The parent holds one batch per
-# camera, so this bounds its memory: on paper-day, batches of 4,096 frames
-# raised the parent's peak RSS by 5-6 % over the one-process loop that the
-# workers replaced, and batches of 256 lowered it.
-_BATCH_FRAMES = 256
-
-
 def _camera_worker(
     rendering: _Rendering, camera: str, config: TrackerConfig, dump: bool, receiver, sender
 ) -> None:
     """One camera's half of simulate, run in a process of its own.
 
     Builds the camera's frames, formats their dump lines when ``dump`` is
-    set, tracks them and labels each new vehicle with its ground truth. It
-    sends the records to ``sender`` in batches of ``_BATCH_FRAMES``, then
-    None. An exception ends the records: a step's at its frame (see
-    ``_track``), any other at the timestamp of the last record.
+    set, tracks them and labels each new vehicle with its ground truth, and
+    sends the records (see :func:`workers.send_items`). A step's exception
+    is a record at its frame (see ``_track``).
     """
-    # Ctrl-C reaches the whole process group: the parent handles it and stops the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # the parent's end, copied by fork: closed, a send fails once the parent is gone instead of blocking
-    receiver.close()
     hits = config.confirm_hits
 
     def label(track: Track) -> int | None:
@@ -850,34 +838,8 @@ def _camera_worker(
         # hits are its first confirm_hits ones (one when confirm_hits <= 1).
         return _majority_vehicle(track, hits, camera, rendering.label)
 
-    batch: list[Record] = []
-    timestamp = -math.inf
-    try:
-        for record in _track(rendering.frames(camera), {camera: VehicleTracker(camera, config)}, dump, label):
-            timestamp = record[0]
-            batch.append(record)
-            if len(batch) == _BATCH_FRAMES:
-                sender.send(batch)
-                batch = []
-    except Exception as exc:
-        batch.append((timestamp, None, exc))
-    sender.send(batch)
-    sender.send(None)
-
-
-def _received(camera: str, process, receiver) -> Iterator[Record]:
-    """The records of one camera worker, with one batch in hand at a time."""
-    while True:
-        try:
-            batch = receiver.recv()
-        except EOFError:
-            process.join()
-            raise RuntimeError(
-                f"the {camera} camera worker exited with code {process.exitcode} before its last frame"
-            ) from None
-        if batch is None:
-            return
-        yield from batch
+    trackers = {camera: VehicleTracker(camera, config)}
+    send_items(_track(rendering.frames(camera), trackers, dump, label), receiver, sender)
 
 
 def run_passes(
@@ -901,39 +863,21 @@ def run_passes(
     exception here stops both workers, and a worker that dies raises
     RuntimeError naming its camera and exit code.
     """
-    import multiprocessing  # here, so that replay and report never load it
-
     # built first, so that a bad t_duration fails before any draw
     monitor = FlowCheckMonitor(t_duration=t_duration, start_time=0.0, device=device)
     config = tracker_config or TrackerConfig.for_image_width(scenario.camera.image_width)
     rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)
     pass_times = {p.vehicle_id: p.pass_time for p in rendering.passes}
-    # fork shares the draws without pickling them; any other start method works, only slower
-    context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-    workers = []
+    streams = [
+        received(f"{camera} camera worker", _camera_worker, rendering, camera, config, dump_sink is not None)
+        for camera in DIRECTIONS
+    ]
     try:
-        for camera in DIRECTIONS:
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_camera_worker,
-                args=(rendering, camera, config, dump_sink is not None, receiver, sender),
-                name=f"roadwatch-{camera}",
-                daemon=True,
-            )
-            process.start()
-            # closed before the next worker starts, so that a dead worker's receiver reads EOF
-            sender.close()
-            workers.append((camera, process, receiver))
-        records = heapq.merge(*(_received(*worker) for worker in workers), key=itemgetter(0))
+        records = heapq.merge(*streams, key=itemgetter(0))
         _flow_check(records, monitor, None if dump_sink is None else line_writer(dump_sink), pass_times)
-    except BaseException:
-        for _, process, _ in workers:
-            process.terminate()
-        raise
     finally:
-        for _, process, receiver in workers:
-            process.join()
-            receiver.close()
+        for stream in streams:
+            stream.close()
     return SimulationReport(scenario.duration, t_duration, scenario.seed, monitor.audit, monitor.emit_failures)
 
 

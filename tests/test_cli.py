@@ -288,6 +288,38 @@ print(len(tracker.tracks), calls, "scipy.optimize" in sys.modules)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "70 [2000] False"
 
+    def test_runs_without_a_worker_leave_multiprocessing_unloaded(self, scenario_file, tmp_path, capsys):
+        # a fresh process, since pytest loads multiprocessing into this one;
+        # only a run that starts a worker imports it, at the worker's start
+        dump, out = tmp_path / "d.log", tmp_path / "out"
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out),
+                     "--dump-detections", str(dump)]) == 0
+        script = """\
+import sys
+import roadwatch.cli
+from roadwatch.detection import parse_detection_log
+from roadwatch.simulation import DIRECTIONS, drive
+from roadwatch.tracking import TrackerConfig, VehicleTracker
+from roadwatch.warning import FlowCheckMonitor
+loaded = ["multiprocessing" in sys.modules]
+assert roadwatch.cli.main(["report", "--out", sys.argv[2]]) == 0
+loaded.append("multiprocessing" in sys.modules)
+with open(sys.argv[1], encoding="utf-8") as log:
+    lines = log.readlines()
+trackers = {d: VehicleTracker(d, TrackerConfig()) for d in DIRECTIONS}
+frames, _ = drive(parse_detection_log(lines), trackers, FlowCheckMonitor(t_duration=10.0, start_time=0.0))
+loaded.append("multiprocessing" in sys.modules)
+assert roadwatch.cli.main(["replay", "--log", "/dev/stdin", "--device", "stdout"]) == 0
+loaded.append("multiprocessing" in sys.modules)
+print(frames, *loaded)
+"""
+        proc = subprocess.run([sys.executable, "-c", script, str(dump), str(out)], input=dump.read_bytes(),
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.decode("utf-8").splitlines()
+        assert lines[-1].split() == [str(len(dump.read_bytes().splitlines())), "False", "False", "False", "False"]
+        assert f"frames              {lines[-1].split()[0]}" in lines
+
     def test_rendered_dumps_pinned(self, tmp_path, capsys):
         # country-road has jitter, dropout and false positives, and
         # occluded-curve has occlusion windows; re-pinned when each

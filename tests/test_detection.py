@@ -1,8 +1,13 @@
 """Decoder and detection-log tests, including brute-force and round-trip oracles."""
 
 import io
+import itertools
 import json
 import math
+import multiprocessing
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +24,7 @@ from roadwatch.detection import (
     write_detection_log,
     write_grid_payload,
 )
-from roadwatch.errors import LogParseError, PayloadError, StreamOrderError, ValidationError
+from roadwatch.errors import LogParseError, PayloadError, RoadwatchError, StreamOrderError, ValidationError
 
 
 def make_payload(spec, fill=0.0):
@@ -470,3 +475,127 @@ class TestDetectionLog:
         with pytest.raises((ValueError, TypeError)) as expected:
             json.loads(bad_line.strip())["camera"]
         assert str(info.value) == f"line 2: malformed record: {expected.value}"
+
+
+def canonical_log(n_frames, seed=7) -> bytes:
+    sink = io.BytesIO()
+    write_detection_log(random_canonical_frames(np.random.default_rng(seed), n_frames), sink)
+    return sink.getvalue()
+
+
+def helper_names():
+    return [p.name for p in multiprocessing.active_children()]
+
+
+def parsed_until_error(frames):
+    """The frames taken from ``frames``, and (type, message, line number) of the error that ended them."""
+    taken = []
+    try:
+        for frame in frames:
+            taken.append(frame)
+    except RoadwatchError as exc:
+        return taken, (type(exc), str(exc), getattr(exc, "line_number", None))
+    return taken, None
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper needs fork")
+class TestParseHelper:
+    """A seekable log is validated in a helper process; anything else streams in this one."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail a parse that hangs, as one whose helper is never stopped would."""
+
+        def expire(signum, frame):
+            pytest.fail("the parse did not end within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # the helper runs only where this process may use two CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["not json at all", '{"camera":"front","frame":1,"t":-1.0,"dets":[]}'],
+        ids=["malformed", "out-of-order"],
+    )
+    def test_bad_line_raised_after_the_frames_before_it(self, bad_line):
+        lines = canonical_log(3000).splitlines(keepends=True)
+        lines[1500] = bad_line.encode("utf-8") + b"\n"
+        source = io.BytesIO(b"".join(lines))
+        frames = parse_detection_log(source)
+        first = next(frames)
+        assert helper_names() == ["roadwatch log parse helper"]
+        got = parsed_until_error(itertools.chain([first], frames))
+        # an iterator is not seekable, so it is parsed in this process
+        expected = parsed_until_error(parse_detection_log(iter(lines)))
+        assert got == expected
+        assert len(got[0]) == 1500 and got[1][1].startswith("line 1501: ")
+        assert helper_names() == []
+
+    @pytest.mark.parametrize("how", ["close", "drop"])
+    def test_parse_ended_early_stops_the_helper(self, how):
+        frames = parse_detection_log(io.BytesIO(canonical_log(5000)))
+        next(frames)
+        assert helper_names() == ["roadwatch log parse helper"]
+        if how == "close":
+            frames.close()
+        else:
+            del frames
+        assert multiprocessing.active_children() == []
+
+    def test_killed_helper_named_with_its_exit_code(self):
+        # a log larger than the pipe holds, so the helper is still sending
+        frames = parse_detection_log(io.BytesIO(canonical_log(10_000)))
+        next(frames)
+        (helper,) = multiprocessing.active_children()
+        os.kill(helper.pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="^the log parse helper exited with code -9 before its last frame$"):
+            list(frames)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("rule", ["one CPU", "no fork"])
+    def test_parsed_here_without_a_spare_cpu_or_fork(self, monkeypatch, rule):
+        if rule == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        data = canonical_log(300)
+        frames = parse_detection_log(io.BytesIO(data))
+        first = next(frames)
+        assert helper_names() == []
+        assert [first, *frames] == list(parse_detection_log(iter(data.splitlines())))
+
+    def test_fifo_frame_arrives_before_the_writer_closes(self, tmp_path):
+        fifo = tmp_path / "log.fifo"
+        os.mkfifo(fifo)
+        lines = canonical_log(5).splitlines(keepends=True)
+        received = threading.Event()
+        seen_before_close = []
+
+        def write():
+            with open(fifo, "wb", buffering=0) as sink:
+                sink.write(lines[0])
+                # the reader must have the first frame while the pipe is still open
+                seen_before_close.append(received.wait(30))
+                sink.write(b"".join(lines[1:]))
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            with open(fifo, "rb") as source:
+                frames = parse_detection_log(source)
+                first = next(frames)
+                received.set()
+                rest = list(frames)
+        finally:
+            received.set()
+            writer.join()
+        assert seen_before_close == [True]
+        assert [first, *rest] == list(parse_detection_log(iter(lines)))

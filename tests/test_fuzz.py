@@ -11,9 +11,12 @@ derandomized, so every run tests the same inputs.
 
 import io
 import json
+import multiprocessing
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from unittest import mock
 
 import pytest
 
@@ -345,6 +348,29 @@ def test_record_breaking_one_rule_rejected(case):
     lines, error, names = case
     with pytest.raises(error, match=f"^line {len(lines)}: .*{names}"):
         list(parse_detection_log(io.StringIO("\n".join(lines) + "\n")))
+
+
+def parse_outcome(frames) -> tuple:
+    """Each frame's exact fields, then (type, message, line number) of the error that ended them."""
+    got = []
+    try:
+        for f in frames:
+            got.append(frame_fields(f.camera, f.frame_index, f.timestamp, f.detections))
+    except RoadwatchError as exc:
+        return got, (type(exc), str(exc), getattr(exc, "line_number", None))
+    return got, None
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper needs fork")
+@FUZZ
+@given(legal_records() | broken_record().map(lambda case: case[0]) | any_lines)
+def test_helper_parses_as_this_process_does(lines):
+    data = b"".join((line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n" for line in lines)
+    # a generator is not seekable, so it is parsed in this process
+    here = parse_outcome(parse_detection_log(line for line in io.BytesIO(data)))
+    # and a seekable source in the helper, where this process may use two CPUs
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
+        assert parse_outcome(parse_detection_log(io.BytesIO(data))) == here
 
 
 # --- simulate, then replay its dump --------------------------------------------

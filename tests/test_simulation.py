@@ -21,7 +21,6 @@ import pytest
 
 from roadwatch.errors import ConfigError, ValidationError
 from roadwatch.simulation import (
-    _BATCH_FRAMES,
     BUILTIN_SCENARIOS,
     DIRECTIONS,
     VEHICLE_ASPECT,
@@ -48,6 +47,7 @@ from roadwatch.simulation import (
 from roadwatch.detection import FrameDetections
 from roadwatch.tracking import TrackerConfig, VehicleTracker
 from roadwatch.warning import AuditRecord, StdoutDevice
+from roadwatch.workers import BATCH_FRAMES
 
 
 def make_scenario(**overrides):
@@ -372,8 +372,8 @@ class TestOnePass:
         alive = {camera: int((tmp_path / camera).read_text()) for camera in DIRECTIONS}
         assert max(alive.values()) < 10, alive
         # and at most one batch per camera here
-        assert sink.written > 10 * _BATCH_FRAMES
-        assert 1 < max(sink.held) <= 2 * _BATCH_FRAMES
+        assert sink.written > 10 * BATCH_FRAMES
+        assert 1 < max(sink.held) <= 2 * BATCH_FRAMES
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["spawn-order", "reversed"])
     def test_label_lookup_matches_label_map(self, reverse):
