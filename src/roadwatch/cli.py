@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -159,8 +159,10 @@ def cmd_replay(args) -> int:
             for _ in detection_records(source):
                 pass
             source.seek(0)
-        frames = parse_detection_log(source)
-        frame_count, last_t = drive(_paced(frames) if args.pace_realtime else frames, trackers, monitor)
+        # closed here, so that a step that raises stops the parse helper at once: the
+        # exception and its traceback form a cycle that keeps the parse alive until a collection
+        with closing(parse_detection_log(source)) as frames:
+            frame_count, last_t = drive(_paced(frames) if args.pace_realtime else frames, trackers, monitor)
     if args.out:
         report = SimulationReport(
             last_t, args.t_duration, 0, monitor.audit, monitor.emit_failures, ground_truth=False

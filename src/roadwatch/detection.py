@@ -254,7 +254,10 @@ _MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 _FLOAT_MAX = sys.float_info.max
 _NUMBER = (float, int)  # the types json.loads gives a JSON number; bool is neither
 _INF = math.inf
-_raw_decode = json.JSONDecoder().raw_decode
+# orjson gives an integer beyond 64 bits as a rounded float, where json.loads
+# keeps it exact; a timestamp is stored for the comparisons with the next
+# lines, so orjson's decode is taken only for timestamps of smaller magnitude
+_EXACT_TIME = 2.0**63
 
 
 def _detection_fields(cls, cx, cy, w, h, obj, confs) -> tuple:
@@ -294,6 +297,56 @@ def _detection_fields(cls, cx, cy, w, h, obj, confs) -> tuple:
     return cx, cy, w, h, obj, (c0, c1, c2), obj * best, cls
 
 
+class _KeyCount(Exception):
+    """A detection without exactly its seven keys: orjson's decode leaves its line to json.loads."""
+
+
+def _checked_record(record, lineno: int, last_t: dict, latest, exact_keys: bool) -> tuple:
+    """One decoded line's (frame index, timestamp, camera, detections) under the log's rules.
+
+    The timestamp is as decoded, an int or a float, and the detections are
+    :func:`_detection_fields` tuples. The line must not go back in time
+    from ``last_t`` (each camera's last timestamp) and ``latest``; nothing
+    is stored here. With ``exact_keys``, a detection that has other than
+    seven keys raises :class:`_KeyCount`.
+    """
+    try:
+        camera = record["camera"]
+        frame_index = record["frame"]
+        timestamp = record["t"]
+        raw_dets = record["dets"]
+    except _MALFORMED as exc:
+        raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
+    if camera not in CAMERAS:
+        raise LogParseError(f"line {lineno}: unknown camera {camera!r}", lineno)
+    if type(frame_index) is not int or not 0 <= frame_index <= MAX_FRAME_INDEX:
+        raise LogParseError(f"line {lineno}: bad frame index {frame_index!r}", lineno)
+    # False for NaN, infinities and integers that do not fit a float
+    if type(timestamp) not in _NUMBER or not -_FLOAT_MAX <= timestamp <= _FLOAT_MAX:
+        raise LogParseError(f"line {lineno}: bad timestamp {timestamp!r}", lineno)
+    previous = last_t.get(camera)
+    if previous is not None and timestamp <= previous:
+        raise StreamOrderError(
+            f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
+            f"not after previous {previous:.3f}"
+        )
+    if timestamp < latest:
+        raise StreamOrderError(
+            f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
+            f"is before {latest:.3f}, the latest on any camera"
+        )
+    detections = []
+    try:
+        for d in raw_dets:
+            if exact_keys and len(d) != 7:
+                raise _KeyCount
+            cls, obj, confs = d["cls"], d["obj"], d["conf"]
+            detections.append(_detection_fields(cls, d["cx"], d["cy"], d["w"], d["h"], obj, confs))
+    except _MALFORMED as exc:
+        raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
+    return frame_index, timestamp, camera, detections
+
+
 def detection_records(
     source: IO[bytes] | IO[str] | Iterable[str | bytes],
 ) -> Iterator[tuple[int, float, str, list[tuple]]]:
@@ -306,58 +359,43 @@ def detection_records(
     across streams; a line that breaks either rule raises
     :class:`StreamOrderError` before it is yielded. Malformed lines raise
     :class:`LogParseError`. Both name the offending line number.
+
+    Each line is decoded with orjson, and taken when its record has exactly
+    the four documented keys, each detection exactly its seven, its
+    timestamp is below 2**63 in magnitude and the rules hold. orjson then
+    gives what ``json.loads`` gives. Any other line is decided by
+    ``json.loads`` of the stripped line, so its record or its error is
+    ``json.loads``'s: a blank or whitespace-padded line, a NaN, an integer
+    beyond 64 bits, an extra key at any depth, a BOM or a lone surrogate.
     """
+    import orjson  # at the first next(), so that a process that parses no log never loads it
+
+    loads = orjson.loads
     last_t: dict[str, float] = {}
     latest = -_INF
     for lineno, line in enumerate(source, start=1):
+        checked = None
         try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            line = line.strip()
-            if not line:
-                continue
-            # json.loads less its wrappers: a stripped line has no JSON
-            # whitespace around the value, so the value must end the line.
-            # On failure json.loads raises, worded as it always was.
+            record = loads(line)
+            if len(record) == 4 and -_EXACT_TIME < record["t"] < _EXACT_TIME:
+                checked = _checked_record(record, lineno, last_t, latest, True)
+        except (ValueError, TypeError, KeyError, LogParseError, StreamOrderError, _KeyCount):
+            pass  # the line is left to json.loads
+        if checked is None:
+            # outside the except clause, so that an error raised here does not chain orjson's
             try:
-                record, end = _raw_decode(line)
-                if end != len(line):
-                    raise ValueError
-            except ValueError:
+                if isinstance(line, bytes):
+                    line = line.decode("utf-8")
+                line = line.strip()
+                if not line:
+                    continue
                 record = json.loads(line)
-            camera = record["camera"]
-            frame_index = record["frame"]
-            timestamp = record["t"]
-            raw_dets = record["dets"]
-        except _MALFORMED as exc:
-            raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
-        if camera not in CAMERAS:
-            raise LogParseError(f"line {lineno}: unknown camera {camera!r}", lineno)
-        if type(frame_index) is not int or not 0 <= frame_index <= MAX_FRAME_INDEX:
-            raise LogParseError(f"line {lineno}: bad frame index {frame_index!r}", lineno)
-        # False for NaN, infinities and integers that do not fit a float
-        if type(timestamp) not in _NUMBER or not -_FLOAT_MAX <= timestamp <= _FLOAT_MAX:
-            raise LogParseError(f"line {lineno}: bad timestamp {timestamp!r}", lineno)
-        previous = last_t.get(camera)
-        if previous is not None and timestamp <= previous:
-            raise StreamOrderError(
-                f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
-                f"not after previous {previous:.3f}"
-            )
-        if timestamp < latest:
-            raise StreamOrderError(
-                f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
-                f"is before {latest:.3f}, the latest on any camera"
-            )
+            except _MALFORMED as exc:
+                raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
+            checked = _checked_record(record, lineno, last_t, latest, False)
+        frame_index, timestamp, camera, detections = checked
+        # stored as decoded: an int compares exactly with the next lines' timestamps
         last_t[camera] = latest = timestamp
-
-        detections = []
-        try:
-            for d in raw_dets:
-                cls, obj, confs = d["cls"], d["obj"], d["conf"]
-                detections.append(_detection_fields(cls, d["cx"], d["cy"], d["w"], d["h"], obj, confs))
-        except _MALFORMED as exc:
-            raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
         if type(timestamp) is not float:
             timestamp = float(timestamp)
         yield frame_index, timestamp, camera, detections
@@ -371,14 +409,16 @@ def _parse_worker(source, receiver, sender) -> None:
 def _in_helper(source) -> bool:
     """Whether to parse ``source`` in a helper process.
 
-    Only when it is seekable, so its lines are all there to read ahead;
-    ``fork`` is available; and this process may use two CPUs, since on one
-    the helper only takes turns with the consumer.
+    Only when it is a seekable file, so its lines are all there to read
+    ahead (an in-memory stream has no file descriptor, and too few lines to
+    pay for the fork); ``fork`` is available; and this process may use two
+    CPUs, since on one the helper only takes turns with the consumer.
     """
     try:
         if not source.seekable():
             return False
-    except (AttributeError, ValueError, OSError):  # not a stream, or a closed one
+        source.fileno()
+    except (AttributeError, ValueError, OSError):  # not a stream, a closed one, or one in memory
         return False
     if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2:
         return False
@@ -396,8 +436,8 @@ def parse_detection_log(
     its errors after the frames before them. Where :func:`_in_helper`
     allows, a helper process forked at the first ``next`` validates them
     and reads the source to its end; the frames are built here. Any other
-    source (a pipe, a list) is validated here, one line per frame, as it
-    streams.
+    source (a pipe, an in-memory stream, a list) is validated here, one
+    line per frame, as it streams.
     """
     if _in_helper(source):
         records = received("log parse helper", _parse_worker, source)

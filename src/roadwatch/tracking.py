@@ -7,11 +7,12 @@ gated), and manages the tentative/active/terminated lifecycle. Confirming a
 tentative track emits exactly one ``new_vehicle`` event, which is what the
 downstream warning stage consumes.
 
-The tracker runs the filter per axis on plain floats. F, Q, R and the spawn
-covariance are axis-separable and identical on x and y, so every covariance
-a track can reach is two copies of one 2x2 (position, velocity) block, and
-three scalars per track carry it exactly. The general 4x4 :func:`predict`
-and :func:`update` stay as the public reference that the tests compare the
+The tracker runs the filter per axis on plain floats, inline in
+:meth:`VehicleTracker.step`. F, Q, R and the spawn covariance are
+axis-separable and identical on x and y, so every covariance a track can
+reach is two copies of one 2x2 (position, velocity) block, and three
+scalars per track carry it exactly. The general 4x4 :func:`predict` and
+:func:`update` stay as the public reference that the tests compare the
 tracker against.
 
 Association runs in plain Python for frames of every size. The tracker
@@ -335,55 +336,30 @@ def _associate(
     """``assign(cost_matrix(predicted, centers), gate_distance)`` in plain
     Python, for frames of any size. While no track and no detection has two
     in-gate partners, the in-gate pairs are the result (the module docstring
-    says why that is exact); after the first conflict the distances go to
-    ``_linear_sum_assignment`` with ``assign``'s gating. A frame with no
-    track or no detection computes no distance, and a one-by-one frame needs
-    no partner lists.
+    says why that is exact). At the first conflict the whole frame goes to
+    :func:`_solved`. A frame with no track or no detection computes no
+    distance.
     """
-    n_tracks, n_dets = len(predicted), len(centers)
-    if not n_tracks or not n_dets:
-        return [], list(range(n_tracks)), list(range(n_dets))
     sqrt, inf = math.sqrt, math.inf
-    if n_tracks == 1 and n_dets == 1:
-        (px, py), (cx, cy) = predicted[0], centers[0]
-        dx = px - cx
-        dy = py - cy
-        c = sqrt(dx * dx + dy * dy)
-        if not c < inf:
-            raise ValidationError("costs must be finite and non-negative")
-        return ([(0, 0)], [], []) if c <= gate_distance else ([], [0], [0])
-    track_partner = [-1] * n_tracks
-    det_partner = [-1] * n_dets
-    conflict = False
-    costs = []
+    track_partner = [-1] * len(predicted)
+    det_partner = [-1] * len(centers)
     for i, (px, py) in enumerate(predicted):
-        row = []
         for j, (cx, cy) in enumerate(centers):
             dx = px - cx
             dy = py - cy
             c = sqrt(dx * dx + dy * dy)
             if not c < inf:
                 raise ValidationError("costs must be finite and non-negative")
-            row.append(c)
-            if c <= gate_distance and not conflict:
+            if c <= gate_distance:
                 if track_partner[i] >= 0 or det_partner[j] >= 0:
-                    conflict = True
-                else:
-                    track_partner[i] = j
-                    det_partner[j] = i
-        costs.append(row)
-    if conflict:
-        in_gate = [c for row in costs for c in row if c <= gate_distance]
-        work = costs
-        if len(in_gate) < n_tracks * n_dets:
-            sentinel = (max(max(in_gate), 1.0) + 1.0) * (min(n_tracks, n_dets) + 1)
-            work = [[c if c <= gate_distance else sentinel for c in row] for row in costs]
-        track_partner = [-1] * n_tracks
-        det_partner = [-1] * n_dets
-        for i, j in _linear_sum_assignment(work):
-            if costs[i][j] <= gate_distance:
+                    break
                 track_partner[i] = j
                 det_partner[j] = i
+        else:
+            continue
+        # the inner loop stopped at the first conflict
+        track_partner, det_partner = _solved(predicted, centers, gate_distance)
+        break
     matches = []
     unmatched_tracks = []
     for i, j in enumerate(track_partner):
@@ -392,6 +368,40 @@ def _associate(
         else:
             unmatched_tracks.append(i)
     return matches, unmatched_tracks, [j for j, i in enumerate(det_partner) if i < 0]
+
+
+def _solved(
+    predicted: list[tuple[float, float]],
+    centers: list[tuple[float, float]],
+    gate_distance: float,
+) -> tuple[list[int], list[int]]:
+    """Each track's and each detection's partner (-1 for none) under
+    :func:`assign`'s gating, from the cost matrix and ``_linear_sum_assignment``."""
+    sqrt, inf = math.sqrt, math.inf
+    n_tracks, n_dets = len(predicted), len(centers)
+    costs = []
+    for px, py in predicted:
+        row = []
+        for cx, cy in centers:
+            dx = px - cx
+            dy = py - cy
+            c = sqrt(dx * dx + dy * dy)
+            if not c < inf:
+                raise ValidationError("costs must be finite and non-negative")
+            row.append(c)
+        costs.append(row)
+    in_gate = [c for row in costs for c in row if c <= gate_distance]
+    work = costs
+    if len(in_gate) < n_tracks * n_dets:
+        sentinel = (max(max(in_gate), 1.0) + 1.0) * (min(n_tracks, n_dets) + 1)
+        work = [[c if c <= gate_distance else sentinel for c in row] for row in costs]
+    track_partner = [-1] * n_tracks
+    det_partner = [-1] * n_dets
+    for i, j in _linear_sum_assignment(work):
+        if costs[i][j] <= gate_distance:
+            track_partner[i] = j
+            det_partner[j] = i
+    return track_partner, det_partner
 
 
 def majority(counts: dict, recency: dict):
@@ -426,44 +436,11 @@ class Track:
     class_counts: Counter = field(default_factory=Counter)
     class_recency: dict[str, int] = field(default_factory=dict)
 
-    def predict(self, dt: float, q_pos: float, q_cross: float, q_vel: float) -> None:
-        """Constant-velocity step; ``q_*`` are the per-axis blocks of Q."""
-        self.x += dt * self.vx
-        self.y += dt * self.vy
-        self.p_pos += dt * self.p_cross + dt * (self.p_cross + dt * self.p_vel) + q_pos
-        self.p_cross += dt * self.p_vel + q_cross
-        self.p_vel += q_vel
-
-    def update(self, zx: float, zy: float, r: float) -> None:
-        """Fold in a position observation; Joseph-form covariance."""
-        s = self.p_pos + r
-        k0 = self.p_pos / s
-        k1 = self.p_cross / s
-        ix = zx - self.x
-        iy = zy - self.y
-        self.x += k0 * ix
-        self.y += k0 * iy
-        self.vx += k1 * ix
-        self.vy += k1 * iy
-        a0 = 1.0 - k0
-        p_pos, p_cross = self.p_pos, self.p_cross
-        self.p_pos = a0 * a0 * p_pos + r * k0 * k0
-        self.p_cross = a0 * (p_cross - k1 * p_pos) + r * k0 * k1
-        self.p_vel += k1 * (k1 * p_pos - 2.0 * p_cross) + r * k1 * k1
-
     @property
     def history(self) -> list[tuple[int, tuple[float, float]]]:
         """Every hit as (frame index, (cx, cy)), oldest first; a new list on each read."""
         centers = self.centers
         return list(zip(self.ticks, zip(centers[0::2], centers[1::2])))
-
-    def record_assignment(self, frame_index: int, cx: float, cy: float, object_class: str):
-        self.ticks.append(frame_index)
-        centers = self.centers
-        centers.append(cx)
-        centers.append(cy)
-        self.class_counts[object_class] += 1
-        self.class_recency[object_class] = len(self.ticks)
 
     def majority_class(self) -> str:
         """Majority class over assigned detections; ties go to the most recent."""
@@ -495,39 +472,80 @@ class VehicleTracker:
             raise ValidationError(
                 f"frame index must be an int in [0, {MAX_FRAME_INDEX}], got {frame_index!r}"
             )
-        if self._last_timestamp is not None and frame.timestamp <= self._last_timestamp:
+        timestamp = frame.timestamp
+        last = self._last_timestamp
+        if last is not None and timestamp <= last:
             raise StreamOrderError(
-                f"camera {self.camera}: frame timestamp {frame.timestamp:.3f} "
-                f"not after previous {self._last_timestamp:.3f}"
+                f"camera {self.camera}: frame timestamp {timestamp:.3f} not after previous {last:.3f}"
             )
 
         cfg = self.config
         tracks = self.tracks
         dets = frame.detections
-        timestamp = frame.timestamp
         events: list[TrackerEvent] = []
 
-        if tracks and self._last_timestamp is not None:
-            dt = timestamp - self._last_timestamp
+        # the filter runs per axis on each track's scalars (module docstring)
+        if tracks and last is not None:
+            dt = timestamp - last
             dt2 = dt * dt
             q = PROCESS_NOISE
             q_pos, q_cross, q_vel = q * dt2 * dt2 / 4.0, q * dt2 * dt / 2.0, q * dt2
             for track in tracks:
-                track.predict(dt, q_pos, q_cross, q_vel)
+                track.x += dt * track.vx
+                track.y += dt * track.vy
+                p_cross, p_vel = track.p_cross, track.p_vel
+                track.p_pos += dt * p_cross + dt * (p_cross + dt * p_vel) + q_pos
+                track.p_cross = p_cross + (dt * p_vel + q_cross)
+                track.p_vel = p_vel + q_vel
 
-        matches, unmatched_tracks, unmatched_dets = _associate(
-            [(t.x, t.y) for t in tracks],
-            [(d.cx, d.cy) for d in dets],
-            cfg.gate_distance,
-        )
+        if not tracks or not dets:
+            matches, unmatched_tracks, unmatched_dets = (), range(len(tracks)), range(len(dets))
+        elif len(tracks) == 1 and len(dets) == 1:
+            # one by one: the pair is the result if it is in gate
+            dx = tracks[0].x - dets[0].cx
+            dy = tracks[0].y - dets[0].cy
+            c = math.sqrt(dx * dx + dy * dy)
+            if not c < math.inf:
+                raise ValidationError("costs must be finite and non-negative")
+            if c <= cfg.gate_distance:
+                matches, unmatched_tracks, unmatched_dets = ((0, 0),), (), ()
+            else:
+                matches, unmatched_tracks, unmatched_dets = (), (0,), (0,)
+        else:
+            matches, unmatched_tracks, unmatched_dets = _associate(
+                [(t.x, t.y) for t in tracks],
+                [(d.cx, d.cy) for d in dets],
+                cfg.gate_distance,
+            )
 
         r = MEASUREMENT_NOISE
         for track_idx, det_idx in matches:
             track = tracks[track_idx]
             det = dets[det_idx]
-            cx, cy = det.cx, det.cy
-            track.update(cx, cy, r)
-            track.record_assignment(frame_index, cx, cy, det.best_class)
+            zx, zy = det.cx, det.cy
+            # Kalman update, with the Joseph-form covariance
+            p_pos, p_cross = track.p_pos, track.p_cross
+            s = p_pos + r
+            k0 = p_pos / s
+            k1 = p_cross / s
+            ix = zx - track.x
+            iy = zy - track.y
+            track.x += k0 * ix
+            track.y += k0 * iy
+            track.vx += k1 * ix
+            track.vy += k1 * iy
+            a0 = 1.0 - k0
+            track.p_pos = a0 * a0 * p_pos + r * k0 * k0
+            track.p_cross = a0 * (p_cross - k1 * p_pos) + r * k0 * k1
+            track.p_vel += k1 * (k1 * p_pos - 2.0 * p_cross) + r * k1 * k1
+            ticks = track.ticks
+            ticks.append(frame_index)
+            centers = track.centers
+            centers.append(zx)
+            centers.append(zy)
+            object_class = det.best_class
+            track.class_counts[object_class] += 1
+            track.class_recency[object_class] = len(ticks)
             track.consecutive_hits += 1
             track.consecutive_misses = 0
             if track.status == TENTATIVE and track.consecutive_hits >= cfg.confirm_hits:
@@ -550,7 +568,14 @@ class VehicleTracker:
                 events.append(self._event(TRACK_TERMINATED, track, timestamp))
 
         for det_idx in unmatched_dets:
-            track = self._spawn(dets[det_idx], frame)
+            det = dets[det_idx]
+            cx, cy, object_class = det.cx, det.cy, det.best_class
+            track = Track(self._next_id, cx, cy, p_pos=MEASUREMENT_NOISE, p_vel=INITIAL_VELOCITY_VARIANCE,
+                          ticks=array("q", (frame_index,)), centers=array("d", (cx, cy)),
+                          class_counts=Counter((object_class,)), class_recency={object_class: 1})
+            self._next_id += 1
+            tracks.append(track)
+            self.archive[track.track_id] = track
             if cfg.confirm_hits <= 1:
                 track.status = ACTIVE
                 track.confirmed_at = timestamp
@@ -560,20 +585,6 @@ class VehicleTracker:
             self.tracks = [t for t in self.tracks if t.status != TERMINATED]
         self._last_timestamp = timestamp
         return events
-
-    def _spawn(self, det, frame: FrameDetections) -> Track:
-        track = Track(
-            track_id=self._next_id,
-            x=det.cx,
-            y=det.cy,
-            p_pos=MEASUREMENT_NOISE,
-            p_vel=INITIAL_VELOCITY_VARIANCE,
-        )
-        self._next_id += 1
-        track.record_assignment(frame.frame_index, det.cx, det.cy, det.best_class)
-        self.tracks.append(track)
-        self.archive[track.track_id] = track
-        return track
 
     def _event(self, kind: str, track: Track, timestamp: float) -> TrackerEvent:
         return TrackerEvent(

@@ -1,7 +1,9 @@
 """End-to-end CLI tests: simulate / replay / report, devices, exit codes."""
 
+import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import socket
@@ -320,6 +322,28 @@ print(frames, *loaded)
         assert lines[-1].split() == [str(len(dump.read_bytes().splitlines())), "False", "False", "False", "False"]
         assert f"frames              {lines[-1].split()[0]}" in lines
 
+    def test_only_a_log_parse_loads_orjson(self, scenario_file, tmp_path):
+        # a fresh process, since the parses of this one have loaded orjson;
+        # the parser imports it at its first record, so simulate never does
+        script = """\
+import sys
+import roadwatch.cli
+from roadwatch.detection import parse_detection_log
+dump = sys.argv[3]
+assert roadwatch.cli.main(["simulate", "--scenario", sys.argv[1], "--out", sys.argv[2], "--dump-detections", dump]) == 0
+loaded = ["orjson" in sys.modules]
+with open(dump, encoding="utf-8") as log:
+    frames = parse_detection_log(log.readlines())
+loaded.append("orjson" in sys.modules)
+next(frames)
+loaded.append("orjson" in sys.modules)
+print(*loaded)
+"""
+        proc = subprocess.run([sys.executable, "-c", script, str(scenario_file), str(tmp_path / "out"),
+                               str(tmp_path / "d.log")], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False False True"
+
     def test_rendered_dumps_pinned(self, tmp_path, capsys):
         # country-road has jitter, dropout and false positives, and
         # occluded-curve has occlusion windows; re-pinned when each
@@ -555,6 +579,28 @@ class TestReplayEquivalence:
             assert "frames" not in captured.out
         else:
             assert "new_vehicle_events  1\n" in captured.out
+
+    def test_step_that_raises_stops_the_parse_helper(self, tmp_path, capsys, monkeypatch):
+        # the log passes the pre-scan, and the step of line 1001 finds an
+        # infinite distance; with the collector off, the helper is stopped
+        # only if replay closes the parse itself
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        lines = []
+        for k in range(2000):
+            cx = "1.7976931348623157e308" if k == 1000 else "640.0"
+            lines.append(f'{{"camera":"front","frame":{k},"t":{k / 30:.3f},"dets":[{{"cx":{cx},"cy":360.0,'
+                         f'"w":40.0,"h":30.0,"cls":"vehicle","obj":0.95,"conf":[0.05,0.9,0.05]}}]}}\n')
+        log = tmp_path / "overflow.log"
+        log.write_text("".join(lines), encoding="utf-8")
+        gc.disable()
+        try:
+            code = main(["replay", "--log", str(log), "--device", "stdout"])
+            left = [p.name for p in multiprocessing.active_children()]
+        finally:
+            gc.enable()
+        assert code == 2
+        assert left == []
+        assert "error: costs must be finite and non-negative" in capsys.readouterr().err
 
     def test_replay_report_artifacts_pinned(self, tmp_path, capsys):
         # digests taken before replay shared simulate's drive() and report

@@ -483,6 +483,13 @@ def canonical_log(n_frames, seed=7) -> bytes:
     return sink.getvalue()
 
 
+def log_file(tmp_path, data: bytes):
+    """``data`` written to a file under ``tmp_path``, opened for reading: a seekable log with a file descriptor."""
+    path = tmp_path / "detections.log"
+    path.write_bytes(data)
+    return open(path, "rb")
+
+
 def helper_names():
     return [p.name for p in multiprocessing.active_children()]
 
@@ -500,7 +507,7 @@ def parsed_until_error(frames):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper needs fork")
 class TestParseHelper:
-    """A seekable log is validated in a helper process; anything else streams in this one."""
+    """A seekable log file is validated in a helper process; anything else is parsed in this one."""
 
     @pytest.fixture(autouse=True)
     def deadline(self):
@@ -525,14 +532,14 @@ class TestParseHelper:
         ["not json at all", '{"camera":"front","frame":1,"t":-1.0,"dets":[]}'],
         ids=["malformed", "out-of-order"],
     )
-    def test_bad_line_raised_after_the_frames_before_it(self, bad_line):
+    def test_bad_line_raised_after_the_frames_before_it(self, bad_line, tmp_path):
         lines = canonical_log(3000).splitlines(keepends=True)
         lines[1500] = bad_line.encode("utf-8") + b"\n"
-        source = io.BytesIO(b"".join(lines))
-        frames = parse_detection_log(source)
-        first = next(frames)
-        assert helper_names() == ["roadwatch log parse helper"]
-        got = parsed_until_error(itertools.chain([first], frames))
+        with log_file(tmp_path, b"".join(lines)) as source:
+            frames = parse_detection_log(source)
+            first = next(frames)
+            assert helper_names() == ["roadwatch log parse helper"]
+            got = parsed_until_error(itertools.chain([first], frames))
         # an iterator is not seekable, so it is parsed in this process
         expected = parsed_until_error(parse_detection_log(iter(lines)))
         assert got == expected
@@ -540,34 +547,47 @@ class TestParseHelper:
         assert helper_names() == []
 
     @pytest.mark.parametrize("how", ["close", "drop"])
-    def test_parse_ended_early_stops_the_helper(self, how):
-        frames = parse_detection_log(io.BytesIO(canonical_log(5000)))
-        next(frames)
-        assert helper_names() == ["roadwatch log parse helper"]
-        if how == "close":
-            frames.close()
-        else:
-            del frames
-        assert multiprocessing.active_children() == []
+    def test_parse_ended_early_stops_the_helper(self, how, tmp_path):
+        with log_file(tmp_path, canonical_log(5000)) as source:
+            frames = parse_detection_log(source)
+            next(frames)
+            assert helper_names() == ["roadwatch log parse helper"]
+            if how == "close":
+                frames.close()
+            else:
+                del frames
+            assert multiprocessing.active_children() == []
 
-    def test_killed_helper_named_with_its_exit_code(self):
+    def test_killed_helper_named_with_its_exit_code(self, tmp_path):
         # a log larger than the pipe holds, so the helper is still sending
-        frames = parse_detection_log(io.BytesIO(canonical_log(10_000)))
-        next(frames)
-        (helper,) = multiprocessing.active_children()
-        os.kill(helper.pid, signal.SIGKILL)
-        with pytest.raises(RuntimeError, match="^the log parse helper exited with code -9 before its last frame$"):
-            list(frames)
+        with log_file(tmp_path, canonical_log(10_000)) as source:
+            frames = parse_detection_log(source)
+            next(frames)
+            (helper,) = multiprocessing.active_children()
+            os.kill(helper.pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError, match="^the log parse helper exited with code -9 before its last frame$"):
+                list(frames)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("rule", ["one CPU", "no fork"])
-    def test_parsed_here_without_a_spare_cpu_or_fork(self, monkeypatch, rule):
+    def test_parsed_here_without_a_spare_cpu_or_fork(self, monkeypatch, rule, tmp_path):
         if rule == "one CPU":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         else:
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         data = canonical_log(300)
-        frames = parse_detection_log(io.BytesIO(data))
+        with log_file(tmp_path, data) as source:
+            frames = parse_detection_log(source)
+            first = next(frames)
+            assert helper_names() == []
+            assert [first, *frames] == list(parse_detection_log(iter(data.splitlines())))
+
+    @pytest.mark.parametrize("stream", [io.BytesIO, lambda data: io.StringIO(data.decode("utf-8"))],
+                             ids=["bytes", "text"])
+    def test_in_memory_log_parsed_here(self, stream):
+        # seekable, but with no file descriptor: too few lines to pay for a fork
+        data = canonical_log(300)
+        frames = parse_detection_log(stream(data))
         first = next(frames)
         assert helper_names() == []
         assert [first, *frames] == list(parse_detection_log(iter(data.splitlines())))

@@ -14,7 +14,7 @@ import json
 import multiprocessing
 import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from datetime import timedelta
 from unittest import mock
 
@@ -24,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
+import orjson
 
 from roadwatch.cli import main
-from roadwatch.detection import CAMERAS, CLASSES, Detection, parse_detection_log
+from roadwatch.detection import CAMERAS, CLASSES, Detection, detection_records, parse_detection_log
 from roadwatch.errors import LogParseError, RoadwatchError, StreamOrderError
 from roadwatch.simulation import SCENARIO_KEYS, generate_passes, load_scenario, merge_streams, render_detections
 from roadwatch.tracking import TrackerConfig
@@ -364,13 +365,172 @@ def parse_outcome(frames) -> tuple:
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper needs fork")
 @FUZZ
 @given(legal_records() | broken_record().map(lambda case: case[0]) | any_lines)
-def test_helper_parses_as_this_process_does(lines):
+def test_helper_parses_as_this_process_does(tmp_path_factory, lines):
     data = b"".join((line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n" for line in lines)
     # a generator is not seekable, so it is parsed in this process
     here = parse_outcome(parse_detection_log(line for line in io.BytesIO(data)))
-    # and a seekable source in the helper, where this process may use two CPUs
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True):
-        assert parse_outcome(parse_detection_log(io.BytesIO(data))) == here
+    # and a seekable file in the helper, where this process may use two CPUs
+    log = tmp_path_factory.getbasetemp() / "helper.log"
+    log.write_bytes(data)
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), open(log, "rb") as source:
+        assert parse_outcome(parse_detection_log(source)) == here
+
+
+# --- orjson's decode against json.loads ----------------------------------------
+
+# numbers where the two decoders differ: orjson rejects NaN, the infinities
+# and 1e400, and gives an integer beyond 64 bits as a rounded float
+EDGE_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, str(2**64 - 1), str(2**64),
+                str(2**64 + 1), str(-(2**63)), str(-(2**63) - 1), str(2**70 + 1), str(10**30), "-0", "-0.0"]
+# timestamps that tie or differ by less than a float resolves beyond 2**53
+EDGE_TIMES = [0, 0.5, 1, 2**53 + 1, 2**63 - 1, 2**64, 2**64 + 1, 2**70, 2**70 + 1, 2**70 + 2, 1e30]
+DEEP = "[" * 1000 + "]" * 1000  # json.loads raises RecursionError; orjson decodes it
+
+
+@st.composite
+def twisted_pairs(draw, pairs: list[tuple[str, str]]) -> str:
+    """``pairs`` as a JSON object, with one value swapped for an edge number,
+    a key duplicated, or an extra key (flat, lone-surrogate or 1,000 deep)
+    added."""
+    pairs = list(pairs)
+    k = draw(st.integers(0, len(pairs) - 1))
+    twist = draw(st.sampled_from(["number", "duplicate", "extra", "surrogate", "deep"]))
+    if twist == "number":
+        pairs[k] = (pairs[k][0], draw(st.sampled_from(EDGE_NUMBERS)))
+    elif twist == "duplicate":
+        pairs.insert(k, (pairs[k][0], draw(st.sampled_from(EDGE_NUMBERS + ['"front"', '"truck"', "[]"]))))
+    else:
+        value = {"extra": "1", "surrogate": '"\\ud800"', "deep": DEEP}[twist]
+        pairs.insert(k, (draw(st.sampled_from(["x", "t0", "\\udc00"])), value))
+    return json_object(pairs)
+
+
+def json_object(pairs: list[tuple[str, str]]) -> str:
+    return "{" + ",".join(f'"{key}":{value}' for key, value in pairs) + "}"
+
+
+@st.composite
+def orjson_edge_lines(draw) -> list[str | bytes]:
+    """Log lines on which orjson and json.loads may decode apart, each a str
+    or bytes: edge numbers, duplicate and extra keys, lone surrogates, a
+    BOM, padding that only Python's strip removes, and blank lines. One
+    line in three is twisted, so that most examples go on past a line."""
+    # mostly in order, with ties as often as not
+    times = draw(st.lists(st.sampled_from(EDGE_TIMES), min_size=1, max_size=6, unique=draw(st.booleans())))
+    if draw(st.integers(0, 3)):
+        times.sort()
+    lines = []
+    for frame, t in enumerate(times):
+        twisted = draw(st.integers(0, 2)) == 0
+        # a detection, or the record, is twisted with even odds on a twisted line
+        twist = (lambda pairs: draw(twisted_pairs(pairs)) if twisted and draw(st.booleans()) else json_object(pairs))
+        dets = []
+        for _ in range(draw(st.integers(0, 2))):
+            tokens = draw(legal_detection())
+            confs = list(tokens["confs"])
+            if twisted and draw(st.booleans()):
+                confs[draw(st.integers(0, 2))] = draw(st.sampled_from(EDGE_NUMBERS))
+            dets.append(twist([(key, tokens[key]) for key in DETECTION if key != "conf"]
+                              + [("conf", f"[{','.join(confs)}]")]))
+        line = twist([("camera", json.dumps(draw(st.sampled_from(CAMERAS)))), ("frame", str(frame)),
+                      ("t", json.dumps(t)), ("dets", f"[{','.join(dets)}]")])
+        if twisted and draw(st.booleans()):
+            line = draw(st.sampled_from(["\ufeff", "\x0b", "\x0c", " "])) + line
+        line += draw(st.sampled_from(["", "\n", "\r\n", " \n"] + (["\x0b", "\x0c\n"] if twisted else [])))
+        if twisted and draw(st.integers(0, 3)) == 0:
+            # a raw lone surrogate only a str line can hold; a bytes line holds its CESU-8 bytes
+            line = line.replace('"camera":"rear"', '"camera":"rear\ud800"')
+        lines.append(line)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "\n", "   \n", "\x0b\n", "\x0c"])))
+    return [line.encode("utf-8", "surrogatepass") if draw(st.booleans()) else line for line in lines]
+
+
+@contextmanager
+def recursion_headroom(frames: int = 500):
+    """A recursion limit ``frames`` above the current depth. Hypothesis raises
+    the limit while a test runs; under this one json.loads raises
+    RecursionError on DEEP, as it does at the default limit."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def records_outcome(lines) -> tuple:
+    """Each record's exact fields, then (type, message, line number) of the error that ended them."""
+    got = []
+    try:
+        with recursion_headroom():
+            for frame_index, timestamp, camera, dets in detection_records(iter(lines)):
+                got.append([exact([frame_index, timestamp, camera])]
+                           + [exact([*d[:5], *d[5], *d[6:]]) for d in dets])
+    except RoadwatchError as exc:
+        return got, (type(exc), str(exc), getattr(exc, "line_number", None))
+    return got, None
+
+
+def json_loads_only(lines) -> tuple:
+    """:func:`records_outcome` with orjson's decode failing, so that json.loads decides every line."""
+
+    def fail(line):
+        raise orjson.JSONDecodeError("forced", "", 0)
+
+    with mock.patch.object(orjson, "loads", fail):
+        return records_outcome(lines)
+
+
+@settings(FUZZ, max_examples=600)
+@given(orjson_edge_lines())
+def test_orjson_decode_changes_nothing_on_edge_lines(lines):
+    assert records_outcome(lines) == json_loads_only(lines)
+
+
+@FUZZ
+@given(legal_records() | broken_record().map(lambda case: case[0]) | any_lines)
+def test_orjson_decode_changes_nothing(lines):
+    assert records_outcome(lines) == json_loads_only(lines)
+
+
+@pytest.mark.parametrize(
+    "line, outcome",
+    [
+        # an extra key that json.loads cannot decode: orjson's decode must not take the line
+        ('{"camera":"front","frame":0,"t":0,"dets":[],"x":' + DEEP + "}", RecursionError),
+        ('{"camera":"front","frame":0,"t":0,"dets":[{"cx":1,"cy":1,"w":1,"h":1,"cls":"truck","obj":1,'
+         '"conf":[1,0,0],"x":' + DEEP + "}]}", RecursionError),
+        ('{"camera":"front","frame":0,"t":0,"dets":[],"x":"\\ud800"}', None),
+        ("\x0b" + record_text("front", 0, 0, []), None),
+    ],
+    ids=["deep-record-key", "deep-detection-key", "lone-surrogate", "padded"],
+)
+def test_line_orjson_would_decode_apart_goes_to_json_loads(line, outcome):
+    got = records_outcome([line, line.encode("utf-8")])
+    assert got == json_loads_only([line, line.encode("utf-8")])
+    if outcome is RecursionError:
+        assert got[1][1].startswith("line 1: malformed record: maximum recursion depth exceeded")
+    else:
+        assert len(got[0]) == 1 and got[1][1] == "line 2: camera front timestamp 0.000 not after previous 0.000"
+
+
+def test_integer_timestamps_beyond_64_bits_compare_exactly():
+    # a float holds 2**70 + 1 as 2**70: json.loads keeps the integers exact
+    big = 2**70
+    lines = [record_text("front", 0, big + 1, []), record_text("front", 1, big + 1, [])]
+    got = records_outcome(lines)
+    assert got == json_loads_only(lines)
+    assert got[1] == (StreamOrderError, f"line 2: camera front timestamp {float(big):.3f} "
+                                        f"not after previous {float(big):.3f}", None)
+    lines[1] = record_text("front", 1, big + 2, [])
+    assert records_outcome(lines) == json_loads_only(lines) == ([[exact([0, float(big), "front"])],
+                                                                  [exact([1, float(big + 2), "front"])]], None)
 
 
 # --- simulate, then replay its dump --------------------------------------------

@@ -620,16 +620,28 @@ class TestHitStorage:
             (2**63 - 1, (0.1, 1.0 - 2**-53)),
         ]
         track = Track(track_id=1, x=0.0, y=0.0, p_pos=MEASUREMENT_NOISE, p_vel=INITIAL_VELOCITY_VARIANCE)
+        # written as the step writes a hit
         for k, (cx, cy) in hits:
-            track.record_assignment(k, cx, cy, "vehicle")
+            track.ticks.append(k)
+            track.centers.append(cx)
+            track.centers.append(cy)
         history = track.history
         assert [(type(k), type(cx), type(cy)) for k, (cx, cy) in history] == [(int, float, float)] * len(hits)
         assert [(k, (cx.hex(), cy.hex())) for k, (cx, cy) in history] == [
             (k, (cx.hex(), cy.hex())) for k, (cx, cy) in hits
         ]
-        assert track.class_recency == {"vehicle": len(hits)}
         with pytest.raises(AttributeError):
             track.history = []
+
+    def test_step_records_each_hit_and_its_class(self):
+        tracker = VehicleTracker("front", TrackerConfig(confirm_hits=9))
+        classes = ["truck", "vehicle", "vehicle", "truck", "vehicle"]
+        for k, cls in enumerate(classes):
+            tracker.step(frame(k, [(100.0 + k, 100.0)], classes=[cls]))
+        (track,) = tracker.tracks
+        assert track.history == [(k, (100.0 + k, 100.0)) for k in range(len(classes))]
+        assert track.class_counts == {"truck": 2, "vehicle": 3}
+        assert track.class_recency == {"truck": 4, "vehicle": 5}
 
     def test_archive_keeps_at_most_32_bytes_a_hit(self):
         # 8 bytes of frame index and 16 of center; a list of
@@ -691,33 +703,43 @@ def track_state(track):
     return make_state([track.x, track.y, track.vx, track.vy], cov)
 
 
-class TestBatchedPaths:
-    """The tracker's per-track fast path (``Track.predict``/``Track.update``,
-    which replaced the batched numpy filter) must agree with the public ops."""
+def stepped_once(track, dt, center, gate=75.0):
+    """``track``, alone in a tracker at t = 0, after a step to ``dt`` with one detection at ``center``."""
+    tracker = VehicleTracker("front", TrackerConfig(gate_distance=gate))
+    track.status = ACTIVE
+    tracker.tracks = [track]
+    tracker._last_timestamp = 0.0
+    tracker.step(FrameDetections(frame_index=1, timestamp=dt, camera="front", detections=[det(*center)]))
+    return track
 
-    def test_batch_transition_matches_predict(self):
-        from roadwatch.tracking import process_noise
 
+class TestFusedStep:
+    """``VehicleTracker.step`` runs the filter inline on each track's scalars
+    (it replaced ``Track.predict``/``Track.update``, and before them a
+    batched numpy filter); one step must agree with the public ops."""
+
+    def test_step_without_a_match_predicts(self):
         rng = np.random.default_rng(79)
         tracks = [random_track(rng) for _ in range(40)]
-        dt, q = 1.0 / 30.0, 10.0
-        Q = process_noise(dt, q)
+        dt, q = 1.0 / 30.0, PROCESS_NOISE
         for track in tracks:
             expected = predict(track_state(track), dt, q)
-            track.predict(dt, Q[0, 0], Q[0, 2], Q[2, 2])
-            got = track_state(track)
+            # a detection far outside the gate: the track only predicts
+            got = track_state(stepped_once(track, dt, (track.x + 1e6, track.y)))
+            assert track.consecutive_misses == 1
             np.testing.assert_allclose(got.mean, expected.mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got.covariance, expected.covariance, rtol=1e-12, atol=1e-12)
 
-    def test_batch_update_matches_update(self):
+    def test_step_with_a_match_predicts_then_updates(self):
         rng = np.random.default_rng(83)
         tracks = [random_track(rng) for _ in range(40)]
-        r = 4.0
+        dt, q, r = 1.0 / 30.0, PROCESS_NOISE, MEASUREMENT_NOISE
         for track in tracks:
-            obs = np.array([track.x, track.y]) + rng.normal(0, 5, 2)
-            expected = update(track_state(track), obs, r)
-            track.update(obs[0], obs[1], r)
-            got = track_state(track)
+            predicted = predict(track_state(track), dt, q)
+            obs = predicted.mean[:2] + rng.normal(0, 5, 2)
+            expected = update(predicted, obs, r)
+            got = track_state(stepped_once(track, dt, tuple(obs), gate=1e9))
+            assert track.consecutive_hits == 2 and track.history[-1] == (1, (obs[0], obs[1]))
             np.testing.assert_allclose(got.mean, expected.mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got.covariance, expected.covariance, rtol=1e-12, atol=1e-12)
 
