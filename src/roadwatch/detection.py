@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 import math
 import os
+import re
 import struct
-import sys
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -247,17 +246,19 @@ def format_detection_line(frame: FrameDetections) -> str:
     return f'{{"camera":"{frame.camera}","frame":{frame.frame_index},"t":{frame.timestamp:.3f},"dets":[{dets}]}}\n'
 
 
-# what a malformed line can raise before it is validated: json.loads raises
-# RecursionError on deep nesting, float() OverflowError on an integer literal
-# beyond the float range, and decoding UnicodeDecodeError (a ValueError)
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
-_FLOAT_MAX = sys.float_info.max
-_NUMBER = (float, int)  # the types json.loads gives a JSON number; bool is neither
+# what a decoded line can raise before it is validated; a decode error is a
+# ValueError, and orjson gives no int outside [-2**63, 2**64) to overflow float()
+_MALFORMED = (KeyError, TypeError, ValueError)
+_NUMBER = (float, int)  # the types orjson gives a JSON number; bool is neither
 _INF = math.inf
-# orjson gives an integer beyond 64 bits as a rounded float, where json.loads
-# keeps it exact; a timestamp is stored for the comparisons with the next
-# lines, so orjson's decode is taken only for timestamps of smaller magnitude
-_EXACT_TIME = 2.0**63
+# the deepest nesting a line may have: a valid record nests 4 deep, and
+# orjson recurses on the C stack with no limit of its own (near 3,000 levels
+# overflow a 256 KiB stack)
+DEEPEST = 512
+# a line's JSON strings and whatever else is not a bracket: what is left
+# once they are removed holds the brackets that nest
+_NOT_BRACKETS = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"|[^\[\]{}"]+|"')
+_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
 
 
 def _detection_fields(cls, cx, cy, w, h, obj, confs) -> tuple:
@@ -285,7 +286,7 @@ def _detection_fields(cls, cx, cy, w, h, obj, confs) -> tuple:
         and 0.0 <= obj <= 1.0 and 0.0 <= c0 <= 1.0 and 0.0 <= c1 <= 1.0 and 0.0 <= c2 <= 1.0
     ):
         raise ValueError(f"scores must be numbers in [0, 1], got obj={obj!r} conf={confs!r}")
-    # json.loads gives an integral number as an int; store every number as a float
+    # orjson gives an integral number as an int; store every number as a float
     if not type(cx) is type(cy) is type(w) is type(h) is type(obj) is type(c0) is type(c1) is type(c2) is float:
         cx, cy, w, h = float(cx), float(cy), float(w), float(h)
         obj, c0, c1, c2 = float(obj), float(c0), float(c1), float(c2)
@@ -297,54 +298,16 @@ def _detection_fields(cls, cx, cy, w, h, obj, confs) -> tuple:
     return cx, cy, w, h, obj, (c0, c1, c2), obj * best, cls
 
 
-class _KeyCount(Exception):
-    """A detection without exactly its seven keys: orjson's decode leaves its line to json.loads."""
-
-
-def _checked_record(record, lineno: int, last_t: dict, latest, exact_keys: bool) -> tuple:
-    """One decoded line's (frame index, timestamp, camera, detections) under the log's rules.
-
-    The timestamp is as decoded, an int or a float, and the detections are
-    :func:`_detection_fields` tuples. The line must not go back in time
-    from ``last_t`` (each camera's last timestamp) and ``latest``; nothing
-    is stored here. With ``exact_keys``, a detection that has other than
-    seven keys raises :class:`_KeyCount`.
-    """
-    try:
-        camera = record["camera"]
-        frame_index = record["frame"]
-        timestamp = record["t"]
-        raw_dets = record["dets"]
-    except _MALFORMED as exc:
-        raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
-    if camera not in CAMERAS:
-        raise LogParseError(f"line {lineno}: unknown camera {camera!r}", lineno)
-    if type(frame_index) is not int or not 0 <= frame_index <= MAX_FRAME_INDEX:
-        raise LogParseError(f"line {lineno}: bad frame index {frame_index!r}", lineno)
-    # False for NaN, infinities and integers that do not fit a float
-    if type(timestamp) not in _NUMBER or not -_FLOAT_MAX <= timestamp <= _FLOAT_MAX:
-        raise LogParseError(f"line {lineno}: bad timestamp {timestamp!r}", lineno)
-    previous = last_t.get(camera)
-    if previous is not None and timestamp <= previous:
-        raise StreamOrderError(
-            f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
-            f"not after previous {previous:.3f}"
-        )
-    if timestamp < latest:
-        raise StreamOrderError(
-            f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
-            f"is before {latest:.3f}, the latest on any camera"
-        )
-    detections = []
-    try:
-        for d in raw_dets:
-            if exact_keys and len(d) != 7:
-                raise _KeyCount
-            cls, obj, confs = d["cls"], d["obj"], d["conf"]
-            detections.append(_detection_fields(cls, d["cx"], d["cy"], d["w"], d["h"], obj, confs))
-    except _MALFORMED as exc:
-        raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
-    return frame_index, timestamp, camera, detections
+def _nests_deeper(line: str | bytes) -> bool:
+    """Whether ``line`` nests arrays and objects more than :data:`DEEPEST` deep, outside its JSON strings."""
+    if isinstance(line, str):
+        line = line.encode("utf-8", "surrogatepass")
+    depth = 0
+    for c in _NOT_BRACKETS.sub(b"", line):
+        depth += _STEP[c]
+        if depth > DEEPEST:
+            return True
+    return False
 
 
 def detection_records(
@@ -360,13 +323,11 @@ def detection_records(
     :class:`StreamOrderError` before it is yielded. Malformed lines raise
     :class:`LogParseError`. Both name the offending line number.
 
-    Each line is decoded with orjson, and taken when its record has exactly
-    the four documented keys, each detection exactly its seven, its
-    timestamp is below 2**63 in magnitude and the rules hold. orjson then
-    gives what ``json.loads`` gives. Any other line is decided by
-    ``json.loads`` of the stripped line, so its record or its error is
-    ``json.loads``'s: a blank or whitespace-padded line, a NaN, an integer
-    beyond 64 bits, an extra key at any depth, a BOM or a lone surrogate.
+    Each line is decoded with orjson, which decides what is JSON: a line
+    nested deeper than :data:`DEEPEST` is rejected before it is decoded,
+    only JSON whitespace may surround a record, and a lone surrogate is
+    rejected. A line that orjson rejects is skipped when its text is blank
+    to ``str.strip``.
     """
     import orjson  # at the first next(), so that a process that parses no log never loads it
 
@@ -374,26 +335,48 @@ def detection_records(
     last_t: dict[str, float] = {}
     latest = -_INF
     for lineno, line in enumerate(source, start=1):
-        checked = None
+        # a line of up to 2 * DEEPEST characters opens and closes at most DEEPEST
+        # levels, and orjson rejects an unclosed one of that length on any stack
+        if len(line) > 2 * DEEPEST and _nests_deeper(line):
+            raise LogParseError(f"line {lineno}: malformed record: nested deeper than {DEEPEST}", lineno)
         try:
             record = loads(line)
-            if len(record) == 4 and -_EXACT_TIME < record["t"] < _EXACT_TIME:
-                checked = _checked_record(record, lineno, last_t, latest, True)
-        except (ValueError, TypeError, KeyError, LogParseError, StreamOrderError, _KeyCount):
-            pass  # the line is left to json.loads
-        if checked is None:
-            # outside the except clause, so that an error raised here does not chain orjson's
-            try:
-                if isinstance(line, bytes):
-                    line = line.decode("utf-8")
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-            except _MALFORMED as exc:
-                raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
-            checked = _checked_record(record, lineno, last_t, latest, False)
-        frame_index, timestamp, camera, detections = checked
+        except ValueError as exc:
+            if not (line.decode("utf-8", "replace") if isinstance(line, bytes) else line).strip():
+                continue
+            raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
+        try:
+            camera = record["camera"]
+            frame_index = record["frame"]
+            timestamp = record["t"]
+            raw_dets = record["dets"]
+        except _MALFORMED as exc:
+            raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
+        if camera not in CAMERAS:
+            raise LogParseError(f"line {lineno}: unknown camera {camera!r}", lineno)
+        if type(frame_index) is not int or not 0 <= frame_index <= MAX_FRAME_INDEX:
+            raise LogParseError(f"line {lineno}: bad frame index {frame_index!r}", lineno)
+        # orjson gives no NaN, no infinity and no int beyond 2**64
+        if type(timestamp) not in _NUMBER:
+            raise LogParseError(f"line {lineno}: bad timestamp {timestamp!r}", lineno)
+        previous = last_t.get(camera)
+        if previous is not None and timestamp <= previous:
+            raise StreamOrderError(
+                f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
+                f"not after previous {previous:.3f}"
+            )
+        if timestamp < latest:
+            raise StreamOrderError(
+                f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
+                f"is before {latest:.3f}, the latest on any camera"
+            )
+        detections = []
+        try:
+            for d in raw_dets:
+                cls, obj, confs = d["cls"], d["obj"], d["conf"]
+                detections.append(_detection_fields(cls, d["cx"], d["cy"], d["w"], d["h"], obj, confs))
+        except _MALFORMED as exc:
+            raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
         # stored as decoded: an int compares exactly with the next lines' timestamps
         last_t[camera] = latest = timestamp
         if type(timestamp) is not float:

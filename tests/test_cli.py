@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import re
+import resource
 import socket
 import subprocess
 import sys
@@ -387,6 +388,28 @@ print(*loaded)
         assert code == 2
 
 
+def nested(depth: int) -> bytes:
+    return b"[" * depth + b"]" * depth
+
+
+def replay_in_child(tmp_path, data: bytes, source: str, stack: int | None = None) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``roadwatch replay`` of ``data`` in a
+    child process, read from a file or a pipe, under an optional stack limit."""
+    log = tmp_path / "child.log"
+    log.write_bytes(data)
+
+    def limit_stack():
+        resource.setrlimit(resource.RLIMIT_STACK, (stack, resource.getrlimit(resource.RLIMIT_STACK)[1]))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "roadwatch.cli", "replay", "--device", "stdout",
+         "--log", str(log) if source == "file" else "/dev/stdin"],
+        input=None if source == "file" else data, capture_output=True, timeout=120,
+        preexec_fn=limit_stack if stack else None,
+    )
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
 class TestReplayEquivalence:
     def test_replay_of_dump_reproduces_warning_trace(self, scenario_file, tmp_path, capsys):
         out_sim = tmp_path / "sim"
@@ -575,10 +598,39 @@ class TestReplayEquivalence:
         assert main(["replay", "--log", str(log), "--device", "stdout"]) == code
         captured = capsys.readouterr()
         if code == 2:
-            assert f"error: line 2: bad frame index {frame}" in captured.err
+            # orjson gives an integer of 2**64 or more as a float
+            shown = frame if frame < 2**64 else float(frame)
+            assert f"error: line 2: bad frame index {shown!r}" in captured.err
             assert "frames" not in captured.out
         else:
             assert "new_vehicle_events  1\n" in captured.out
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_deep_line_exit_2_in_a_process_of_its_own(self, scenario_file, tmp_path, capsys, source):
+        # orjson recurses on the C stack with no limit of its own: a line this
+        # deep once ended replay with SIGSEGV, after the warnings before it
+        dump = tmp_path / "d.log"
+        assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "s"),
+                     "--dump-detections", str(dump)]) == 0
+        capsys.readouterr()
+        data = dump.read_bytes() + b'{"camera":"front","frame":0,"t":1e9,"dets":[],"x":' + nested(200_000) + b"}\n"
+        lineno = data.count(b"\n")
+        code, out, err = replay_in_child(tmp_path, data, source)
+        assert code == 2, err
+        assert err.endswith(f"error: line {lineno}: malformed record: nested deeper than 512\n")
+        # a file is checked in full before the first warning goes out; a pipe streams
+        if source == "file":
+            assert out == ""
+        else:
+            assert out.startswith("WARN t=")
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_deep_line_exit_2_on_a_small_stack(self, tmp_path, source):
+        # orjson overflowed a 256 KiB stack between 3,000 and 4,900 levels
+        data = b'{"camera":"front","frame":0,"t":0,"dets":[]}\n{"camera":"front","frame":1,"t":1,"dets":[],"x":'
+        code, out, err = replay_in_child(tmp_path, data + nested(5_000) + b"}\n", source, stack=256 * 1024)
+        assert code == 2, err
+        assert err.endswith("error: line 2: malformed record: nested deeper than 512\n")
 
     def test_step_that_raises_stops_the_parse_helper(self, tmp_path, capsys, monkeypatch):
         # the log passes the pre-scan, and the step of line 1001 finds an

@@ -10,6 +10,7 @@ import signal
 import threading
 
 import numpy as np
+import orjson
 import pytest
 
 from roadwatch.detection import (
@@ -471,10 +472,38 @@ class TestDetectionLog:
         with pytest.raises(LogParseError, match="^line 2: ") as info:
             list(parse_detection_log(source))
         assert info.value.line_number == 2
-        # worded as json.loads and the record lookup word it
+        # worded as orjson's decode and the record lookup word it
         with pytest.raises((ValueError, TypeError)) as expected:
-            json.loads(bad_line.strip())["camera"]
+            orjson.loads(bad_line)["camera"]
         assert str(info.value) == f"line 2: malformed record: {expected.value}"
+
+    @pytest.mark.parametrize("blank", ["", "  ", "\t", "\x0b", "\x0c\r", "\u3000", "\x85"])
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["text", "bytes"])
+    def test_whitespace_only_line_skipped(self, blank, as_bytes):
+        # blank to str.strip, which a bytes line is decoded for
+        text = log_line(0) + blank + "\n" + log_line(2)
+        source = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+        assert [frame.frame_index for frame in parse_detection_log(source)] == [0, 2]
+
+    @pytest.mark.parametrize(
+        "extra, accepted",
+        [
+            ('"' + "[" * 1000 + '"', True),
+            ('"\\"' + "{" * 1000 + '\\""', True),
+            ('["\\\\",' + "[" * 600 + "]" * 600 + "]", False),
+        ],
+        ids=["in-a-string", "after-an-escaped-quote", "after-an-escaped-backslash"],
+    )
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["text", "bytes"])
+    def test_nesting_counted_outside_strings(self, extra, accepted, as_bytes):
+        text = log_line(0) + log_line(1).replace('"dets":', f'"x":{extra},"dets":') + log_line(2)
+        source = io.BytesIO(text.encode("utf-8")) if as_bytes else io.StringIO(text)
+        got = parsed_until_error(parse_detection_log(source))
+        if accepted:
+            assert ([frame.frame_index for frame in got[0]], got[1]) == ([0, 1, 2], None)
+        else:
+            assert ([frame.frame_index for frame in got[0]], got[1]) == (
+                [0], (LogParseError, "line 2: malformed record: nested deeper than 512", 2))
 
 
 def canonical_log(n_frames, seed=7) -> bytes:

@@ -24,10 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
-import orjson
 
 from roadwatch.cli import main
-from roadwatch.detection import CAMERAS, CLASSES, Detection, detection_records, parse_detection_log
+from roadwatch.detection import CAMERAS, CLASSES, DEEPEST, Detection, detection_records, parse_detection_log
 from roadwatch.errors import LogParseError, RoadwatchError, StreamOrderError
 from roadwatch.simulation import SCENARIO_KEYS, generate_passes, load_scenario, merge_streams, render_detections
 from roadwatch.tracking import TrackerConfig
@@ -183,7 +182,10 @@ SIZES = (
 )
 UNITS = st.sampled_from([0, 1, 0.0, -0.0, 1.0, TINY, 1.0 - 2**-53]) | st.floats(min_value=0.0, max_value=1.0)
 
-# one broken rule: (field, bad tokens, what the message names)
+# tokens that are not JSON: orjson rejects their line before any rule is checked
+NOT_JSON = {"NaN": "unexpected character", "Infinity": "unexpected character", "-Infinity": "no digit after minus sign",
+            "1" + "0" * 400: "number is infinity"}
+# one broken rule: (field, bad tokens, what the message names, unless the token is not JSON)
 BROKEN = [
     ("cls", ['"bicycle"', '""', "1", "null", '["vehicle"]'], "unknown class"),
     ("conf", ["[0.5,0.5]", "[0.1,0.2,0.3,0.4]", '"010"', "null", "0.5", '{"a":1,"b":2,"c":3}'],
@@ -306,8 +308,8 @@ def broken_record(draw):
         frame, names = draw(st.sampled_from(["-1", "1.0", "true", "null", '"3"',
                                                  "9223372036854775808"])), "bad frame index"
     elif rule == "t":
-        t, names = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", '"1.0"', "true", "null",
-                                         "1" + "0" * 400])), "bad timestamp"
+        t = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", '"1.0"', "true", "null", "1" + "0" * 400]))
+        names = f"malformed record: {NOT_JSON[t]}" if t in NOT_JSON else "bad timestamp"
     elif rule == "order":
         previous = json.loads(lines[-1])
         camera, t, names = f'"{previous["camera"]}"', draw(st.sampled_from(
@@ -339,6 +341,8 @@ def test_detection_breaking_one_rule_rejected(field, token, names, as_float, lin
     dets = [detection_text(other) for other in others]
     dets.insert(data.draw(st.integers(0, len(dets))), with_broken(tokens, field, token))
     lines.append(record_text("front", len(lines), 2e9, dets))
+    if token in NOT_JSON:
+        names = f"malformed record: {NOT_JSON[token]}"
     with pytest.raises(LogParseError, match=f"^line {len(lines)}: .*{names}"):
         list(parse_detection_log(io.StringIO("\n".join(lines) + "\n")))
 
@@ -362,9 +366,21 @@ def parse_outcome(frames) -> tuple:
     return got, None
 
 
+def nested_lines(depth: int) -> list[bytes]:
+    """A two-line log whose line 2 carries an extra key that makes it nest ``depth`` deep in all."""
+    inner = depth - 1
+    return [record_text("front", 0, 0, []).encode("utf-8"),
+            ('{"camera":"front","frame":1,"t":1,"dets":[],"x":' + "[" * inner + "]" * inner + "}").encode("utf-8")]
+
+
+# around the nesting limit, and where json.loads once ran out of stack
+DEPTHS = [4, DEEPEST, DEEPEST + 1, 960, 975, 990, 1000]
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper needs fork")
 @FUZZ
-@given(legal_records() | broken_record().map(lambda case: case[0]) | any_lines)
+@given(legal_records() | broken_record().map(lambda case: case[0]) | any_lines
+       | st.sampled_from(DEPTHS).map(nested_lines))
 def test_helper_parses_as_this_process_does(tmp_path_factory, lines):
     data = b"".join((line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n" for line in lines)
     # a generator is not seekable, so it is parsed in this process
@@ -376,22 +392,61 @@ def test_helper_parses_as_this_process_does(tmp_path_factory, lines):
         assert parse_outcome(parse_detection_log(source)) == here
 
 
-# --- orjson's decode against json.loads ----------------------------------------
+@contextmanager
+def recursion_headroom(frames: int):
+    """A recursion limit ``frames`` above the current depth."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
-# numbers where the two decoders differ: orjson rejects NaN, the infinities
-# and 1e400, and gives an integer beyond 64 bits as a rounded float
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper needs fork")
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_nesting_outcome_does_not_depend_on_the_stack(depth, tmp_path, capsys, monkeypatch):
+    # in this process under a tight and a raised recursion limit, in the
+    # helper, which runs a few frames deeper, and in replay
+    lines = nested_lines(depth)
+    outcomes = []
+    for frames in (100, 100_000):
+        with recursion_headroom(frames):
+            outcomes.append(parse_outcome(parse_detection_log(iter(lines))))
+    log = tmp_path / "nested.log"
+    log.write_bytes(b"\n".join(lines) + b"\n")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with open(log, "rb") as source:
+        outcomes.append(parse_outcome(parse_detection_log(source)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    rejected = f"line 2: malformed record: nested deeper than {DEEPEST}"
+    frames, error = outcomes[0]
+    assert (len(frames), error) == ((2, None) if depth <= DEEPEST else (1, (LogParseError, rejected, 2)))
+    assert main(["replay", "--log", str(log), "--device", "stdout"]) == (0 if depth <= DEEPEST else 2)
+    assert capsys.readouterr().err == ("" if depth <= DEEPEST else f"error: {rejected}\n")
+
+
+# --- lines at the edges of the JSON grammar -----------------------------------
+
+# numbers that orjson rejects (NaN, the infinities, 1e400), gives as an int
+# at the ends of 64 bits, or rounds to a float beyond them
 EDGE_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, str(2**64 - 1), str(2**64),
                 str(2**64 + 1), str(-(2**63)), str(-(2**63) - 1), str(2**70 + 1), str(10**30), "-0", "-0.0"]
 # timestamps that tie or differ by less than a float resolves beyond 2**53
 EDGE_TIMES = [0, 0.5, 1, 2**53 + 1, 2**63 - 1, 2**64, 2**64 + 1, 2**70, 2**70 + 1, 2**70 + 2, 1e30]
-DEEP = "[" * 1000 + "]" * 1000  # json.loads raises RecursionError; orjson decodes it
+# nesting just inside the limit at any level, just outside it at the record's, and far outside
+DEEP = ["[" * n + "]" * n for n in (DEEPEST - 3, DEEPEST, 1000)]
 
 
 @st.composite
 def twisted_pairs(draw, pairs: list[tuple[str, str]]) -> str:
     """``pairs`` as a JSON object, with one value swapped for an edge number,
-    a key duplicated, or an extra key (flat, lone-surrogate or 1,000 deep)
-    added."""
+    a key duplicated, or an extra key (flat, lone-surrogate or deep) added."""
     pairs = list(pairs)
     k = draw(st.integers(0, len(pairs) - 1))
     twist = draw(st.sampled_from(["number", "duplicate", "extra", "surrogate", "deep"]))
@@ -400,7 +455,7 @@ def twisted_pairs(draw, pairs: list[tuple[str, str]]) -> str:
     elif twist == "duplicate":
         pairs.insert(k, (pairs[k][0], draw(st.sampled_from(EDGE_NUMBERS + ['"front"', '"truck"', "[]"]))))
     else:
-        value = {"extra": "1", "surrogate": '"\\ud800"', "deep": DEEP}[twist]
+        value = {"extra": "1", "surrogate": '"\\ud800"', "deep": draw(st.sampled_from(DEEP))}[twist]
         pairs.insert(k, (draw(st.sampled_from(["x", "t0", "\\udc00"])), value))
     return json_object(pairs)
 
@@ -411,10 +466,10 @@ def json_object(pairs: list[tuple[str, str]]) -> str:
 
 @st.composite
 def orjson_edge_lines(draw) -> list[str | bytes]:
-    """Log lines on which orjson and json.loads may decode apart, each a str
-    or bytes: edge numbers, duplicate and extra keys, lone surrogates, a
-    BOM, padding that only Python's strip removes, and blank lines. One
-    line in three is twisted, so that most examples go on past a line."""
+    """Log lines at the edges of what orjson decodes, each a str or bytes:
+    edge numbers, duplicate, extra and deep keys, lone surrogates, a BOM,
+    padding that only Python's strip removes, and blank lines. One line in
+    three is twisted, so that most examples go on past a line."""
     # mostly in order, with ties as often as not
     times = draw(st.lists(st.sampled_from(EDGE_TIMES), min_size=1, max_size=6, unique=draw(st.booleans())))
     if draw(st.integers(0, 3)):
@@ -442,95 +497,59 @@ def orjson_edge_lines(draw) -> list[str | bytes]:
             line = line.replace('"camera":"rear"', '"camera":"rear\ud800"')
         lines.append(line)
         if draw(st.integers(0, 4)) == 0:
-            lines.append(draw(st.sampled_from(["", "\n", "   \n", "\x0b\n", "\x0c"])))
+            lines.append(draw(st.sampled_from(["", "\n", "   \n", "\x0b\n", "\x0c", "\u3000\n"])))
     return [line.encode("utf-8", "surrogatepass") if draw(st.booleans()) else line for line in lines]
-
-
-@contextmanager
-def recursion_headroom(frames: int = 500):
-    """A recursion limit ``frames`` above the current depth. Hypothesis raises
-    the limit while a test runs; under this one json.loads raises
-    RecursionError on DEEP, as it does at the default limit."""
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + frames)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def records_outcome(lines) -> tuple:
     """Each record's exact fields, then (type, message, line number) of the error that ended them."""
     got = []
     try:
-        with recursion_headroom():
-            for frame_index, timestamp, camera, dets in detection_records(iter(lines)):
-                got.append([exact([frame_index, timestamp, camera])]
-                           + [exact([*d[:5], *d[5], *d[6:]]) for d in dets])
+        for frame_index, timestamp, camera, dets in detection_records(iter(lines)):
+            got.append([exact([frame_index, timestamp, camera])]
+                       + [exact([*d[:5], *d[5], *d[6:]]) for d in dets])
     except RoadwatchError as exc:
         return got, (type(exc), str(exc), getattr(exc, "line_number", None))
     return got, None
 
 
-def json_loads_only(lines) -> tuple:
-    """:func:`records_outcome` with orjson's decode failing, so that json.loads decides every line."""
-
-    def fail(line):
-        raise orjson.JSONDecodeError("forced", "", 0)
-
-    with mock.patch.object(orjson, "loads", fail):
-        return records_outcome(lines)
-
-
-@settings(FUZZ, max_examples=600)
+@settings(FUZZ, max_examples=300)
 @given(orjson_edge_lines())
-def test_orjson_decode_changes_nothing_on_edge_lines(lines):
-    assert records_outcome(lines) == json_loads_only(lines)
-
-
-@FUZZ
-@given(legal_records() | broken_record().map(lambda case: case[0]) | any_lines)
-def test_orjson_decode_changes_nothing(lines):
-    assert records_outcome(lines) == json_loads_only(lines)
+def test_edge_lines_parse_alike_as_str_and_bytes(lines):
+    # records_outcome lets any error but a RoadwatchError through
+    as_str = [line.decode("utf-8", "surrogatepass") if isinstance(line, bytes) else line for line in lines]
+    as_bytes = [line.encode("utf-8", "surrogatepass") if isinstance(line, str) else line for line in lines]
+    assert records_outcome(as_str) == records_outcome(as_bytes)
 
 
 @pytest.mark.parametrize(
-    "line, outcome",
+    "line, message",
     [
-        # an extra key that json.loads cannot decode: orjson's decode must not take the line
-        ('{"camera":"front","frame":0,"t":0,"dets":[],"x":' + DEEP + "}", RecursionError),
+        ('{"camera":"front","frame":0,"t":0,"dets":[],"x":' + DEEP[-1] + "}", f"nested deeper than {DEEPEST}"),
         ('{"camera":"front","frame":0,"t":0,"dets":[{"cx":1,"cy":1,"w":1,"h":1,"cls":"truck","obj":1,'
-         '"conf":[1,0,0],"x":' + DEEP + "}]}", RecursionError),
-        ('{"camera":"front","frame":0,"t":0,"dets":[],"x":"\\ud800"}', None),
-        ("\x0b" + record_text("front", 0, 0, []), None),
+         '"conf":[1,0,0],"x":' + DEEP[-1] + "}]}", f"nested deeper than {DEEPEST}"),
+        ('{"camera":"front","frame":0,"t":0,"dets":[],"x":"\\ud800"}', "no matched low surrogate"),
+        ("\x0b" + record_text("front", 0, 0, []), "unexpected character"),
     ],
     ids=["deep-record-key", "deep-detection-key", "lone-surrogate", "padded"],
 )
-def test_line_orjson_would_decode_apart_goes_to_json_loads(line, outcome):
-    got = records_outcome([line, line.encode("utf-8")])
-    assert got == json_loads_only([line, line.encode("utf-8")])
-    if outcome is RecursionError:
-        assert got[1][1].startswith("line 1: malformed record: maximum recursion depth exceeded")
-    else:
-        assert len(got[0]) == 1 and got[1][1] == "line 2: camera front timestamp 0.000 not after previous 0.000"
+def test_line_json_loads_took_is_rejected(line, message):
+    # each line parsed before orjson decided every line
+    for form in (line, line.encode("utf-8")):
+        got, (error, text, lineno) = records_outcome([form])
+        assert (got, error, lineno) == ([], LogParseError, 1)
+        assert text.startswith(f"line 1: malformed record: {message}")
 
 
-def test_integer_timestamps_beyond_64_bits_compare_exactly():
-    # a float holds 2**70 + 1 as 2**70: json.loads keeps the integers exact
+def test_integer_timestamps_beyond_64_bits_compare_as_floats():
+    # orjson gives an integer of 2**64 or more as the nearest float: 2**70 + 1 and 2**70 + 2 are both 2**70
     big = 2**70
-    lines = [record_text("front", 0, big + 1, []), record_text("front", 1, big + 1, [])]
-    got = records_outcome(lines)
-    assert got == json_loads_only(lines)
-    assert got[1] == (StreamOrderError, f"line 2: camera front timestamp {float(big):.3f} "
-                                        f"not after previous {float(big):.3f}", None)
-    lines[1] = record_text("front", 1, big + 2, [])
-    assert records_outcome(lines) == json_loads_only(lines) == ([[exact([0, float(big), "front"])],
-                                                                  [exact([1, float(big + 2), "front"])]], None)
+    lines = [record_text("front", 0, big + 1, []), record_text("front", 1, big + 2, [])]
+    assert records_outcome(lines) == ([[exact([0, float(big), "front"])]], (
+        StreamOrderError, f"line 2: camera front timestamp {float(big):.3f} not after previous {float(big):.3f}", None))
+    # below 2**64 an integer is exact, though its float is not
+    lines = [record_text("front", 0, 2**64 - 2, []), record_text("front", 1, 2**64 - 1, [])]
+    assert records_outcome(lines) == ([[exact([0, float(2**64), "front"])], [exact([1, float(2**64), "front"])]], None)
 
 
 # --- simulate, then replay its dump --------------------------------------------
