@@ -13,7 +13,6 @@ diagnostics verbosity.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -63,10 +62,10 @@ def open_device(spec: str):
     raise ConfigError(f"unknown device {spec!r} (want stdout or udp:<host>:<port>)")
 
 
-def _tracker_config(args, base: TrackerConfig) -> TrackerConfig:
-    """``base`` with the tracker flags given on the command line."""
+def _tracker_config(args) -> TrackerConfig:
+    """The default tracker config with the tracker flags given on the command line."""
     flags = {"gate_distance": args.gate, "confirm_hits": args.confirm_hits, "max_misses": args.max_misses}
-    return dataclasses.replace(base, **{k: v for k, v in flags.items() if v is not None})
+    return TrackerConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
 @contextmanager
@@ -113,7 +112,7 @@ def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    config = _tracker_config(args, TrackerConfig.for_image_width(scenario.camera.image_width))
+    config = _tracker_config(args)
     with _device(args.device) as device, (
         _DumpFile(args.dump_detections) if args.dump_detections else nullcontext()
     ) as dump_sink:
@@ -149,7 +148,7 @@ def _paced(frames: Iterable[FrameDetections]) -> Iterator[FrameDetections]:
 
 
 def cmd_replay(args) -> int:
-    config = _tracker_config(args, TrackerConfig())
+    config = _tracker_config(args)
     trackers = {d: VehicleTracker(d, config) for d in DIRECTIONS}
     with _device(args.device) as device, open(args.log, "rb") as source:
         monitor = FlowCheckMonitor(t_duration=args.t_duration, start_time=0.0, device=device)

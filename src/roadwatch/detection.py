@@ -21,7 +21,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import LogParseError, PayloadError, StreamOrderError, ValidationError
-from .workers import received, send_items
+from .workers import received
 
 CLASSES = ("truck", "vehicle", "pedestrian")
 CAMERAS = ("front", "rear")
@@ -310,6 +310,21 @@ def _nests_deeper(line: str | bytes) -> bool:
     return False
 
 
+def decode_json(text: str | bytes):
+    """The JSON value of ``text``, as orjson decodes it, or ValueError.
+
+    Text nested deeper than :data:`DEEPEST` is rejected before it is
+    decoded. Text of up to ``2 * DEEPEST`` characters opens and closes at
+    most DEEPEST levels, and orjson rejects an unclosed one of that length
+    on any stack, so only longer text is scanned.
+    """
+    if len(text) > 2 * DEEPEST and _nests_deeper(text):
+        raise ValueError(f"nested deeper than {DEEPEST}")
+    import orjson  # at the first call, so that a process that decodes nothing never loads it
+
+    return orjson.loads(text)
+
+
 def detection_records(
     source: IO[bytes] | IO[str] | Iterable[str | bytes],
 ) -> Iterator[tuple[int, float, str, list[tuple]]]:
@@ -323,24 +338,17 @@ def detection_records(
     :class:`StreamOrderError` before it is yielded. Malformed lines raise
     :class:`LogParseError`. Both name the offending line number.
 
-    Each line is decoded with orjson, which decides what is JSON: a line
-    nested deeper than :data:`DEEPEST` is rejected before it is decoded,
-    only JSON whitespace may surround a record, and a lone surrogate is
-    rejected. A line that orjson rejects is skipped when its text is blank
-    to ``str.strip``.
+    Each line is decoded by :func:`decode_json`, which decides what is
+    JSON: a line nested deeper than :data:`DEEPEST` is rejected, only JSON
+    whitespace may surround a record, and a lone surrogate is rejected. A
+    line that it rejects is skipped when its text is blank to
+    ``str.strip``.
     """
-    import orjson  # at the first next(), so that a process that parses no log never loads it
-
-    loads = orjson.loads
     last_t: dict[str, float] = {}
     latest = -_INF
     for lineno, line in enumerate(source, start=1):
-        # a line of up to 2 * DEEPEST characters opens and closes at most DEEPEST
-        # levels, and orjson rejects an unclosed one of that length on any stack
-        if len(line) > 2 * DEEPEST and _nests_deeper(line):
-            raise LogParseError(f"line {lineno}: malformed record: nested deeper than {DEEPEST}", lineno)
         try:
-            record = loads(line)
+            record = decode_json(line)
         except ValueError as exc:
             if not (line.decode("utf-8", "replace") if isinstance(line, bytes) else line).strip():
                 continue
@@ -384,11 +392,6 @@ def detection_records(
         yield frame_index, timestamp, camera, detections
 
 
-def _parse_worker(source, receiver, sender) -> None:
-    """The log parse helper: ``source``'s records, validated in a process of its own."""
-    send_items(detection_records(source), receiver, sender)
-
-
 def _in_helper(source) -> bool:
     """Whether to parse ``source`` in a helper process.
 
@@ -423,7 +426,7 @@ def parse_detection_log(
     line per frame, as it streams.
     """
     if _in_helper(source):
-        records = received("log parse helper", _parse_worker, source)
+        records = received("log parse helper", detection_records, source)
     else:
         records = detection_records(source)
     try:

@@ -18,9 +18,7 @@ from __future__ import annotations
 import bisect
 import configparser
 import heapq
-import json
 import math
-import sys
 from array import array
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
@@ -37,6 +35,7 @@ from .detection import (  # noqa: F401
     CLASSES,
     Detection,
     FrameDetections,
+    decode_json,
     format_detection_line,
     line_writer,
     write_detection_log,
@@ -50,7 +49,7 @@ from .warning import (
     AuditRecord,
     FlowCheckMonitor,
 )
-from .workers import received, send_items
+from .workers import received
 
 DIRECTIONS = ("front", "rear")
 
@@ -420,29 +419,6 @@ def _tick_time(k: int, frame_rate: float) -> float:
     return round(k * 1000.0 / frame_rate) / 1000.0
 
 
-def _round_tenths(x: np.ndarray) -> list[float]:
-    """``[round(v, 1) for v in x]``, bit for bit, for a float array.
-
-    ``round(v, 1)`` rounds the exact 10v to an integer n, half to even, and
-    returns the double nearest n/10. ``p = x * 10.0`` is rounded once, so
-    unless ``p`` lies at a half it sits on the same side of that half as the
-    exact 10v, and ``np.rint(p)`` gives the same n; ``n / 10.0`` is then the
-    double nearest n/10. Elements within a few spacings of a half, of
-    magnitude at least 2**52 (where halves are no longer doubles) or not
-    finite take ``round`` itself.
-    """
-    with np.errstate(all="ignore"):
-        p = x * 10.0
-        n = np.rint(p)
-        out = n / 10.0
-        near_half = np.abs(np.abs(p - n) - 0.5) <= 4.0 * np.spacing(np.abs(p))
-        exceptions = np.flatnonzero(near_half | ~(np.abs(p) < 2.0**52))
-    values = out.tolist()
-    for i in exceptions.tolist():
-        values[i] = round(float(x[i]), 1)
-    return values
-
-
 _OTHER_CONFIDENCE = round((1.0 - NOMINAL_CONFIDENCE) / (len(CLASSES) - 1), 4)
 # class -> its rendered class confidences, and their combined score
 _CONFIDENCES = {
@@ -473,8 +449,9 @@ class _Rendering:
     ``center_jitter_px > 0``). Then per camera, front first, when
     ``false_positive_rate > 0``: the number of false positives (one Poisson
     draw), their ticks, cx, cy, width, height and class, each one array.
-    Drawn centres, clipped to the image, and false-positive sizes are
-    rounded with ``np.round(x, 1)``: the double nearest to a tenth, which
+    Every rendered number but the time is rounded with ``np.round(x, 1)``:
+    drawn centres, clipped to the image, false-positive sizes and the
+    projected box sizes. That gives the double nearest to a tenth, which
     the log writes and parses back unchanged.
 
     It keeps, per camera, four flat arrays with one entry per kept vehicle
@@ -595,7 +572,8 @@ class _Rendering:
                     at = _view(positions)[lo:hi]
                     ts = np.rint(block * 1000.0 / fps) / 1000.0  # _tick_time, as in __init__
                     h = size / (reach - self.speeds[at] * (ts - self.spawn_times[at]))
-                    ts, widths, heights = ts.tolist(), _round_tenths(VEHICLE_ASPECT * h), _round_tenths(h)
+                    ts = ts.tolist()
+                    widths, heights = np.round(VEHICLE_ASPECT * h, 1).tolist(), np.round(h, 1).tolist()
                 t = ts[i - lo]
                 while i < n and ticks[i] == k:
                     cls = passes[positions[i]].vehicle_class
@@ -821,15 +799,12 @@ def _majority_vehicle(
     return majority(counts, recency) if counts else None
 
 
-def _camera_worker(
-    rendering: _Rendering, camera: str, config: TrackerConfig, dump: bool, receiver, sender
-) -> None:
-    """One camera's half of simulate, run in a process of its own.
+def _camera_worker(rendering: _Rendering, camera: str, config: TrackerConfig, dump: bool) -> Iterator[Record]:
+    """One camera's half of simulate: its records, made in a process of its own.
 
     Builds the camera's frames, formats their dump lines when ``dump`` is
-    set, tracks them and labels each new vehicle with its ground truth, and
-    sends the records (see :func:`workers.send_items`). A step's exception
-    is a record at its frame (see ``_track``).
+    set, tracks them and labels each new vehicle with its ground truth. A
+    step's exception is a record at its frame (see ``_track``).
     """
     hits = config.confirm_hits
 
@@ -838,8 +813,7 @@ def _camera_worker(
         # hits are its first confirm_hits ones (one when confirm_hits <= 1).
         return _majority_vehicle(track, hits, camera, rendering.label)
 
-    trackers = {camera: VehicleTracker(camera, config)}
-    send_items(_track(rendering.frames(camera), trackers, dump, label), receiver, sender)
+    return _track(rendering.frames(camera), {camera: VehicleTracker(camera, config)}, dump, label)
 
 
 def run_passes(
@@ -865,7 +839,7 @@ def run_passes(
     """
     # built first, so that a bad t_duration fails before any draw
     monitor = FlowCheckMonitor(t_duration=t_duration, start_time=0.0, device=device)
-    config = tracker_config or TrackerConfig.for_image_width(scenario.camera.image_width)
+    config = tracker_config or TrackerConfig()
     rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)
     pass_times = {p.vehicle_id: p.pass_time for p in rendering.passes}
     streams = [
@@ -999,16 +973,14 @@ _DECISIONS = (DECISION_WARN, DECISION_SUPPRESS, DECISION_SKIP_CLASS)
 def _field(record: dict, key: str, kind: type, null: bool = False):
     """``record[key]`` if it has the type the report writer gives that field.
 
-    ``kind`` is float (any number that fits a finite float), int or str;
-    None passes only where the writer can write null.
+    ``kind`` is float (any number: :func:`decode_json` gives no NaN, no
+    infinity and no int beyond 2**64), int or str; None passes only where
+    the writer can write null.
     """
     value = record[key]
     if value is None and null:
         return None
-    if kind is float:
-        ok = type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
-    else:
-        ok = type(value) is kind
+    ok = type(value) in (int, float) if kind is float else type(value) is kind
     if not ok:
         raise ValueError(f"{key} must be {_KINDS[kind]}{' or null' if null else ''}, got {value!r}")
     return value
@@ -1030,18 +1002,18 @@ def load_report(out_dir: str | Path) -> SimulationReport:
     if not meta_path.is_file() or not audit_path.is_file():
         raise ConfigError(f"report artifacts not found in {out} (need {META_FILE} and {AUDIT_FILE})")
     try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = decode_json(meta_path.read_text(encoding="utf-8"))
         duration, t_duration = _field(meta, "duration_s", float), _field(meta, "t_duration_s", float)
         seed, emit_failures = _field(meta, "seed", int), _field(meta, "emit_failures", int)
         ground_truth = _field(meta, "spurious_warnings", int, null=True) is not None
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{META_FILE}: malformed report metadata: {exc}") from exc
     entries = []
     for lineno, line in enumerate(audit_path.read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = decode_json(line)
             entries.append(
                 AuditRecord(
                     timestamp=_field(rec, "t", float),
@@ -1055,7 +1027,7 @@ def load_report(out_dir: str | Path) -> SimulationReport:
                     delta=_field(rec, "delta", float, null=True),
                 )
             )
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{AUDIT_FILE} line {lineno}: malformed record: {exc}") from exc
     return SimulationReport(
         duration=duration,

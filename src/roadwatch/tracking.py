@@ -16,7 +16,9 @@ scalars per track carry it exactly. The general 4x4 :func:`predict` and
 tracker against.
 
 Association runs in plain Python for frames of every size. The tracker
-computes each distance rounded exactly as :func:`cost_matrix` rounds it.
+computes each distance rounded exactly as :func:`cost_matrix` rounds it. A
+distance that is NaN or overflows to infinity fails ``c <= gate_distance``,
+so its pair is out of gate, where :func:`assign` rejects the whole frame.
 If no track and no detection has more than one partner inside the gate,
 those in-gate pairs are the result. This is exact because :func:`assign`
 first maximises the number of in-gate pairs and only then minimises cost,
@@ -86,13 +88,15 @@ class TrackerConfig:
     max_misses: int = 3
 
     def __post_init__(self):
-        if self.gate_distance <= 0:
-            raise ValidationError(f"gate_distance must be > 0, got {self.gate_distance}")
+        # a finite gate keeps every in-gate distance, and the solver's sentinel, finite
+        if not 0 < self.gate_distance < math.inf:
+            raise ValidationError(f"gate_distance must be > 0 and finite, got {self.gate_distance}")
         if self.confirm_hits < 1:
             raise ValidationError(f"confirm_hits must be >= 1, got {self.confirm_hits}")
         if self.max_misses < 1:
             raise ValidationError(f"max_misses must be >= 1, got {self.max_misses}")
 
+    # kept only because perfbench/worker.py calls it: simulate and replay start from TrackerConfig()
     @classmethod
     def for_image_width(cls, image_width: int) -> "TrackerConfig":
         """Default config with the gate scaled proportionally to frame width."""
@@ -340,7 +344,7 @@ def _associate(
     :func:`_solved`. A frame with no track or no detection computes no
     distance.
     """
-    sqrt, inf = math.sqrt, math.inf
+    sqrt = math.sqrt
     track_partner = [-1] * len(predicted)
     det_partner = [-1] * len(centers)
     for i, (px, py) in enumerate(predicted):
@@ -348,8 +352,6 @@ def _associate(
             dx = px - cx
             dy = py - cy
             c = sqrt(dx * dx + dy * dy)
-            if not c < inf:
-                raise ValidationError("costs must be finite and non-negative")
             if c <= gate_distance:
                 if track_partner[i] >= 0 or det_partner[j] >= 0:
                     break
@@ -377,7 +379,7 @@ def _solved(
 ) -> tuple[list[int], list[int]]:
     """Each track's and each detection's partner (-1 for none) under
     :func:`assign`'s gating, from the cost matrix and ``_linear_sum_assignment``."""
-    sqrt, inf = math.sqrt, math.inf
+    sqrt = math.sqrt
     n_tracks, n_dets = len(predicted), len(centers)
     costs = []
     for px, py in predicted:
@@ -385,10 +387,7 @@ def _solved(
         for cx, cy in centers:
             dx = px - cx
             dy = py - cy
-            c = sqrt(dx * dx + dy * dy)
-            if not c < inf:
-                raise ValidationError("costs must be finite and non-negative")
-            row.append(c)
+            row.append(sqrt(dx * dx + dy * dy))
         costs.append(row)
     in_gate = [c for row in costs for c in row if c <= gate_distance]
     work = costs
@@ -504,10 +503,7 @@ class VehicleTracker:
             # one by one: the pair is the result if it is in gate
             dx = tracks[0].x - dets[0].cx
             dy = tracks[0].y - dets[0].cy
-            c = math.sqrt(dx * dx + dy * dy)
-            if not c < math.inf:
-                raise ValidationError("costs must be finite and non-negative")
-            if c <= cfg.gate_distance:
+            if math.sqrt(dx * dx + dy * dy) <= cfg.gate_distance:
                 matches, unmatched_tracks, unmatched_dets = ((0, 0),), (), ()
             else:
                 matches, unmatched_tracks, unmatched_dets = (), (0,), (0,)

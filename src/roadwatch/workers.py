@@ -1,13 +1,14 @@
 """Worker processes that make a stream's items while this process consumes them.
 
 Simulate's camera workers (``simulation._camera_worker``) and the log parse
-helper (``detection._parse_worker``) share this lifecycle.
+helper (``detection.detection_records``) share this lifecycle. A worker
+runs a plain function that returns the items, typically a generator.
 """
 
 from __future__ import annotations
 
 import signal
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 # Items a worker sends at a time. This process holds one batch per worker,
 # so this bounds its memory: on paper-day, batches of 4,096 frames raised
@@ -18,8 +19,8 @@ from typing import Iterable, Iterator
 BATCH_FRAMES = 256
 
 
-def send_items(items: Iterable, receiver, sender) -> None:
-    """A worker's half: ``items`` to ``sender`` in batches of ``BATCH_FRAMES``.
+def _send_items(items: Callable[..., Iterable], args: tuple, receiver, sender) -> None:
+    """A worker's half: ``items(*args)`` to ``sender`` in batches of ``BATCH_FRAMES``.
 
     Then None, or the exception that ended ``items`` after the batch
     before it.
@@ -30,7 +31,7 @@ def send_items(items: Iterable, receiver, sender) -> None:
     receiver.close()
     batch = []
     try:
-        for item in items:
+        for item in items(*args):
             batch.append(item)
             if len(batch) == BATCH_FRAMES:
                 sender.send(batch)
@@ -43,15 +44,15 @@ def send_items(items: Iterable, receiver, sender) -> None:
     sender.send(end)
 
 
-def received(name: str, target, *args) -> Iterator:
-    """The items of a worker ``target(*args, receiver, sender)``, one batch in hand at a time.
+def received(name: str, items: Callable[..., Iterable], *args) -> Iterator:
+    """The items of ``items(*args)``, built in a worker process, one batch in hand at a time.
 
     The worker starts at the first ``next``, with the ``fork`` start method
     where the platform has it: fork shares ``args`` without pickling them,
-    and any other start method works, only slower. The worker should call
-    :func:`send_items`. Its exception is raised here after its last item.
-    A worker that dies raises RuntimeError naming it (``name``) and its
-    exit code. Closing the generator, or an exception in it, stops the worker.
+    and any other start method works, only slower. An exception that ends
+    the items is raised here after the last of them. A worker that dies
+    raises RuntimeError naming it (``name``) and its exit code. Closing the
+    generator, or an exception in it, stops the worker.
     """
     # imported at the first next(), so that a run that starts no worker never loads it
     import multiprocessing
@@ -59,7 +60,7 @@ def received(name: str, target, *args) -> Iterator:
     context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
     receiver, sender = context.Pipe(duplex=False)
     process = context.Process(
-        target=target, args=(*args, receiver, sender), name=f"roadwatch {name}", daemon=True
+        target=_send_items, args=(items, args, receiver, sender), name=f"roadwatch {name}", daemon=True
     )
     process.start()
     try:

@@ -388,8 +388,7 @@ def test_criterion_8_determinism_and_equivalence():
     )
 
     # replay the dumped detection log and compare the full decision trace
-    config = TrackerConfig.for_image_width(scenario.camera.image_width)
-    trackers = {c: VehicleTracker(c, config) for c in ("front", "rear")}
+    trackers = {c: VehicleTracker(c, TrackerConfig()) for c in ("front", "rear")}
     monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
     drive(parse_detection_log(io.StringIO(dump_a.getvalue())), trackers, monitor)
     replay_trace = [

@@ -12,10 +12,13 @@ import subprocess
 import sys
 import threading
 import time
+from importlib import resources
 
 import pytest
 
 from roadwatch.cli import main
+from roadwatch.errors import ValidationError
+from roadwatch.tracking import VehicleTracker
 
 SCENARIO = """\
 [scenario]
@@ -87,6 +90,12 @@ def scenario_file(tmp_path):
     path = tmp_path / "site.cfg"
     path.write_text(SCENARIO, encoding="utf-8")
     return path
+
+
+def one_vehicle_line(k, cx):
+    """A front-camera log line at frame k (t = k / 30) with one vehicle at (cx, 360)."""
+    return (f'{{"camera":"front","frame":{k},"t":{k / 30:.3f},"dets":[{{"cx":{cx},"cy":360.0,'
+            f'"w":40.0,"h":30.0,"cls":"vehicle","obj":0.95,"conf":[0.05,0.9,0.05]}}]}}\n')
 
 
 def read_audit(path):
@@ -246,7 +255,7 @@ port, calls = tracking._linear_sum_assignment, []
 tracking._linear_sum_assignment = lambda costs: calls.append(1) or port(costs)
 worker = simulation._camera_worker
 def reporting_worker(rendering, camera, *args):
-    worker(rendering, camera, *args)
+    yield from worker(rendering, camera, *args)
     print("worker", camera, len(calls), "scipy.optimize" in sys.modules)
 simulation._camera_worker = reporting_worker
 code = roadwatch.cli.main(["simulate", "--scenario", sys.argv[1], "--out", sys.argv[2]])
@@ -633,17 +642,20 @@ class TestReplayEquivalence:
         assert err.endswith("error: line 2: malformed record: nested deeper than 512\n")
 
     def test_step_that_raises_stops_the_parse_helper(self, tmp_path, capsys, monkeypatch):
-        # the log passes the pre-scan, and the step of line 1001 finds an
-        # infinite distance; with the collector off, the helper is stopped
-        # only if replay closes the parse itself
+        # the log passes the pre-scan, and the step of line 1001 raises; with
+        # the collector off, the helper is stopped only if replay closes the
+        # parse itself
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        lines = []
-        for k in range(2000):
-            cx = "1.7976931348623157e308" if k == 1000 else "640.0"
-            lines.append(f'{{"camera":"front","frame":{k},"t":{k / 30:.3f},"dets":[{{"cx":{cx},"cy":360.0,'
-                         f'"w":40.0,"h":30.0,"cls":"vehicle","obj":0.95,"conf":[0.05,0.9,0.05]}}]}}\n')
-        log = tmp_path / "overflow.log"
-        log.write_text("".join(lines), encoding="utf-8")
+        step = VehicleTracker.step
+
+        def failing_step(tracker, frame):
+            if frame.frame_index == 1000:
+                raise ValidationError("step failed at frame 1000")
+            return step(tracker, frame)
+
+        monkeypatch.setattr(VehicleTracker, "step", failing_step)
+        log = tmp_path / "long.log"
+        log.write_text("".join(one_vehicle_line(k, "640.0") for k in range(2000)), encoding="utf-8")
         gc.disable()
         try:
             code = main(["replay", "--log", str(log), "--device", "stdout"])
@@ -652,7 +664,39 @@ class TestReplayEquivalence:
             gc.enable()
         assert code == 2
         assert left == []
-        assert "error: costs must be finite and non-negative" in capsys.readouterr().err
+        assert "error: step failed at frame 1000" in capsys.readouterr().err
+
+    def test_overflowing_distance_is_out_of_gate(self, tmp_path, capsys):
+        # the distance from a track at 1e308 to a detection at -1e308
+        # overflows to infinity: out of gate, as any far detection is, where
+        # replay once exited 2 after its first warning. The second vehicle
+        # meets the first one's track alone, then beside its own.
+        cxs = ["1e308"] * 5 + ["-1e308"] * 5
+        log = tmp_path / "overflow.log"
+        log.write_text("".join(one_vehicle_line(600 + k, cx) for k, cx in enumerate(cxs)), encoding="utf-8")
+        assert main(["replay", "--log", str(log), "--device", "stdout"]) == 0
+        captured = capsys.readouterr()
+        assert [line.split()[:2] for line in captured.out.splitlines() if line.startswith("WARN")] == \
+            [["WARN", "t=20.033"]]
+        assert "new_vehicle_events  2\n" in captured.out
+        assert captured.err == ""
+
+    def test_narrow_camera_replay_gives_simulate_audit(self, tmp_path, capsys):
+        # country-road on a 320 px camera with 12 px of jitter: simulate once
+        # scaled its gate to the width (18.75 px) and gave 1,003 new-vehicle
+        # events, where a replay of its dump, at the default 75 px, gave 73
+        text = (resources.files("roadwatch") / "scenarios" / "country-road.cfg").read_text(encoding="utf-8")
+        text = text.replace("image_width_px = 1280", "image_width_px = 320")
+        text = text.replace("center_jitter_px = 2.0", "center_jitter_px = 12")
+        scenario = tmp_path / "narrow.cfg"
+        scenario.write_text(text, encoding="utf-8")
+        dump = tmp_path / "d.log"
+        assert main(["simulate", "--scenario", str(scenario), "--seed", "1", "--out", str(tmp_path / "sim"),
+                     "--dump-detections", str(dump)]) == 0
+        assert main(["replay", "--log", str(dump), "--out", str(tmp_path / "rep"), "--device", "stdout"]) == 0
+        sim_rows = read_audit(tmp_path / "sim" / "audit.jsonl")
+        assert read_audit(tmp_path / "rep" / "audit.jsonl") == sim_rows
+        assert len(sim_rows) == 73
 
     def test_replay_report_artifacts_pinned(self, tmp_path, capsys):
         # digests taken before replay shared simulate's drive() and report
@@ -822,7 +866,7 @@ class TestReport:
             (
                 "audit.jsonl",
                 lambda text: re.sub(r'"delta":[^}]*', '"delta":Infinity', text, count=1),
-                "audit.jsonl line 1: malformed record: delta must be a number or null",
+                "audit.jsonl line 1: malformed record: unexpected character",
             ),
             (
                 "audit.jsonl",
@@ -835,6 +879,12 @@ class TestReport:
                 "report.json: malformed report metadata: duration_s must be a number",
             ),
             ("report.json", lambda text: "[" * 100_000 + "]" * 100_000, "report.json: "),
+            (
+                # the log parser's nesting rule: the stack does not decide
+                "audit.jsonl",
+                lambda text: text.replace('{"t"', '{"x":' + "[" * 600 + "]" * 600 + ',"t"', 1),
+                "audit.jsonl line 1: malformed record: nested deeper than 512",
+            ),
             (
                 "audit.jsonl",
                 lambda text: re.sub(r'"cam":"\w*"', '"cam":"side"', text, count=1),
@@ -853,7 +903,8 @@ class TestReport:
         ],
         ids=["truncated-audit", "audit-missing-key", "truncated-meta", "meta-missing-key",
              "audit-str-delta", "audit-infinite-delta", "audit-str-timestamp", "meta-str-duration",
-             "meta-deep-nesting", "audit-unknown-camera", "audit-unknown-class", "audit-unknown-decision"],
+             "meta-deep-nesting", "audit-deep-nesting", "audit-unknown-camera", "audit-unknown-class",
+             "audit-unknown-decision"],
     )
     def test_damaged_artifacts_exit_2(self, scenario_file, tmp_path, capsys, name, damage, message):
         out = tmp_path / "out"
@@ -924,6 +975,18 @@ class TestFlags:
         source = ["--scenario", str(scenario_file)] if mode == "simulate" else ["--log", str(log)]
         assert main([mode, *source, "--out", str(tmp_path / "o"), flag, "0"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["simulate", "replay"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_gate_exit_2(self, scenario_file, tmp_path, capsys, mode, value):
+        # a nan gate once tracked a whole log into 0 events and exited 0
+        log = tmp_path / "one.log"
+        log.write_text(one_vehicle_line(0, "640.0"), encoding="utf-8")
+        source = ["--scenario", str(scenario_file)] if mode == "simulate" else ["--log", str(log)]
+        out = tmp_path / "o"
+        assert main([mode, *source, "--out", str(out), "--device", "stdout", "--gate", value]) == 2
+        assert f"gate_distance must be > 0 and finite, got {value}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("mode, value", [("simulate", "nan"), ("replay", "inf")])
     def test_non_finite_t_duration_exit_2(self, scenario_file, tmp_path, capsys, mode, value):

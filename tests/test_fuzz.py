@@ -616,18 +616,17 @@ def test_replay_of_simulated_dump_gives_simulate_audit(tmp_path_factory, text):
     scenario_path, dump = work / "scenario.cfg", work / "dump.log"
     scenario_path.write_text(text, encoding="utf-8")
     scenario = load_scenario(scenario_path)
-    # simulate scales the gate to the image width; replay is told it
-    config = TrackerConfig.for_image_width(scenario.camera.image_width)
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         assert main(["simulate", "--scenario", str(scenario_path), "--out", str(work / "sim"),
                      "--dump-detections", str(dump)]) == 0, err.getvalue()
-        assert main(["replay", "--log", str(dump), "--out", str(work / "rep"), "--device", "stdout",
-                     "--gate", repr(config.gate_distance)]) == 0, err.getvalue()
+        assert main(["replay", "--log", str(dump), "--out", str(work / "rep"), "--device", "stdout"]) == 0, \
+            err.getvalue()
     assert audit_without_ground_truth(work / "rep" / "audit.jsonl") == \
         audit_without_ground_truth(work / "sim" / "audit.jsonl")
 
     rng = np.random.default_rng(scenario.seed)
-    frames = merge_streams(render_detections(generate_passes(scenario, rng), scenario, rng, config.max_misses)[0])
+    trail = TrackerConfig().max_misses
+    frames = merge_streams(render_detections(generate_passes(scenario, rng), scenario, rng, trail)[0])
     with open(dump, "rb") as source:
         assert list(parse_detection_log(source)) == frames
     for frame in frames:

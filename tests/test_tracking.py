@@ -408,8 +408,8 @@ class TestAssociate:
         assert self.check([], [(1.0, 2.0), (3.0, 4.0)], 75.0) == ([], [], [0, 1])
 
     def test_empty_side_calls_no_solver(self, solver_calls):
-        # the early return must give assign's triple, even for points that
-        # would fail the finiteness check if any distance were computed
+        # the early return must give assign's triple, even for points whose
+        # distances would not be finite
         points = [(1.0, 2.0), (np.nan, 0.0), (np.inf, 1e200)]
         for n in range(4):
             assert self.check(points[:n], [], 75.0) == ([], list(range(n)), [])
@@ -417,21 +417,31 @@ class TestAssociate:
         assert solver_calls == {"assign": [], "port": []}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
-    @pytest.mark.parametrize("gate", [75.0, np.inf])
+    @pytest.mark.parametrize("gate", [75.0, 600.0])
     def test_non_finite_distance_rejected(self, bad, gate):
-        cases = [
-            ([(bad, 0.0)], [(0.0, 0.0)]),
-            ([(0.0, 0.0)], [(0.0, bad)]),
-            ([(0.0, 0.0), (500.0, 0.0)], [(500.0, 0.0), (bad, bad)]),
-            ([(0.0, 0.0), (0.0, 0.0)], [(0.0, 0.0), (0.0, bad)]),
-            # a conflict comes first: the full solve must reject the frame
-            ([(0.0, 0.0), (0.0, 0.0), (bad, 0.0)], [(0.0, 0.0)]),
-        ]
-        for predicted, centers in cases:
-            assert self.check(predicted, centers, gate) == (
+        # a NaN or overflowed distance is out of gate: the frame is decided
+        # as assign decides it with that point moved far away, where assign
+        # itself rejects the frame
+        from roadwatch.tracking import _associate
+
+        def cases(x):
+            return [
+                ([(x, 0.0)], [(0.0, 0.0)]),
+                ([(0.0, 0.0)], [(0.0, x)]),
+                # in conflict at the 600 px gate
+                ([(0.0, 0.0), (500.0, 0.0)], [(500.0, 0.0), (x, x)]),
+                ([(0.0, 0.0), (0.0, 0.0)], [(0.0, 0.0), (0.0, x)]),
+                # a conflict comes first: the full solve meets the distance
+                ([(0.0, 0.0), (0.0, 0.0), (x, 0.0)], [(0.0, 0.0)]),
+            ]
+
+        for (predicted, centers), far in zip(cases(bad), cases(1e6)):
+            assert association_outcome(scipy_association, predicted, centers, gate) == (
                 "ValidationError",
                 "costs must be finite and non-negative",
             )
+            assert association_outcome(_associate, predicted, centers, gate) == \
+                association_outcome(scipy_association, *far, gate)
 
 
 def det(cx, cy, cls="vehicle", frame_index=0):
