@@ -352,6 +352,10 @@ def detection_records(
         except ValueError as exc:
             if not (line.decode("utf-8", "replace") if isinstance(line, bytes) else line).strip():
                 continue
+            try:  # orjson reports bad bytes and a raw lone surrogate alike, as surrogates
+                line.decode("utf-8") if isinstance(line, bytes) else line.encode("utf-8")
+            except UnicodeError:
+                raise LogParseError(f"line {lineno}: malformed record: not valid UTF-8", lineno) from exc
             raise LogParseError(f"line {lineno}: malformed record: {exc}", lineno) from exc
         try:
             camera = record["camera"]

@@ -71,9 +71,13 @@ MAX_EXPECTED_ARRIVALS = 1e6
 # about the square of the vehicles in view: at most MAX_VEHICLES_IN_VIEW
 # expected at once (the largest rate times the shorter of the duration and
 # the longest pass), and at most MAX_EXPECTED_DETECTIONS rendered per camera
-# (that number times the frame count). A run at both limits, with 5 px of
-# centre jitter, took 77 s on a 2-core x86-64; the parent peaked at 302 MB
-# and each camera worker near 250 MB.
+# (the frame rate times the profile's integral of rate x min(longest pass,
+# time left), each arrival seen for at most its longest pass). A run at both
+# limits, with 5 px of centre jitter, took 77 s on a 2-core x86-64; the
+# parent peaked at 302 MB and each camera worker near 250 MB. That run had a
+# constant rate, which is still the worst case: at a given number of
+# detections, a frame costs the most when the most vehicles are in view, and
+# a constant rate keeps that number at its limit all day.
 MAX_VEHICLES_IN_VIEW = 20.0
 MAX_EXPECTED_DETECTIONS = 3e6
 # at most a million expected false positives per camera (the per-frame rate
@@ -176,10 +180,18 @@ class Scenario:
                     f"road.speed_min_mps) must be <= {MAX_VEHICLES_IN_VIEW:g} expected vehicles in view, "
                     f"got {in_view:g}"
                 )
-            detections = in_view * self.duration * self.frame_rate
+            # each piece's integral of min(longest, duration - t): constant before t = duration - longest
+            duration, longest = self.duration, self.detection_range / lo
+            seen = 0.0
+            for piece, end in zip(pieces, [p.start for p in pieces[1:]] + [duration]):
+                start, end = min(piece.start, duration), min(end, duration)
+                knee = min(max(duration - longest, start), end)
+                seen += piece.rate * (longest * (knee - start) + ((duration - knee) ** 2 - (duration - end) ** 2) / 2)
+            detections = seen * self.frame_rate
             if detections > MAX_EXPECTED_DETECTIONS:
                 raise ConfigError(
-                    f"arrivals.{direction}.profile: vehicles in view x duration_s x frame_rate_hz must be "
+                    f"arrivals.{direction}.profile: frame_rate_hz x the integral over time t of rate x "
+                    f"min(road.detection_range_m / road.speed_min_mps, duration_s - t) must be "
                     f"<= {MAX_EXPECTED_DETECTIONS:g} expected detections per camera, got {detections:g}"
                 )
         for window in self.occlusion_windows:

@@ -15,8 +15,16 @@ from typing import Callable, Iterable, Iterator
 # simulate's peak RSS by 5-6 % over one process, and batches of 256
 # lowered it. The first item of a batch waits for the whole batch, so
 # under 1 % of the items wait (at least 128 a batch), and a 99th
-# percentile of per-item latency never sees the wait.
+# percentile of per-item latency never sees the wait. The batch bounds
+# this process's memory; the pipe (PIPE_BYTES) bounds how far a worker
+# runs ahead of the consumer.
 BATCH_FRAMES = 256
+# Capacity asked for each worker pipe; the kernel holds its bytes. A
+# paper-day batch with its dump lines pickles to 54 KB on average, so the
+# 64 KiB default held about one and kept the camera workers waiting on the
+# consumer; this holds about 19. 1 MiB is Linux's default
+# fs.pipe-max-size, the most an unprivileged process may ask for.
+PIPE_BYTES = 1 << 20
 
 
 def _send_items(items: Callable[..., Iterable], args: tuple, receiver, sender) -> None:
@@ -59,6 +67,12 @@ def received(name: str, items: Callable[..., Iterable], *args) -> Iterator:
 
     context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
     receiver, sender = context.Pipe(duplex=False)
+    try:  # fcntl is POSIX-only, and F_SETPIPE_SZ Linux-only
+        import fcntl
+
+        fcntl.fcntl(sender.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (ImportError, AttributeError, OSError):
+        pass  # the kernel refused (a lower fs.pipe-max-size, or the user's pipe page limit): keep the default
     process = context.Process(
         target=_send_items, args=(items, args, receiver, sender), name=f"roadwatch {name}", daemon=True
     )

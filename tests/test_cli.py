@@ -593,6 +593,16 @@ class TestReplayEquivalence:
         assert "error: line 2: " in captured.err
         assert "frames" not in captured.out
 
+    def test_invalid_utf8_line_named(self, tmp_path, capsys):
+        # orjson's own reason for these bytes speaks of surrogates
+        log = tmp_path / "bad.log"
+        log.write_bytes(b'{"camera":"front","frame":0,"t":0.000,"dets":[]}\n\xff\xfe\n')
+        code = main(["replay", "--log", str(log), "--device", "stdout"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.endswith("error: line 2: malformed record: not valid UTF-8\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("frame, code", [(2**63 - 1, 0), (2**63, 2), (2**64, 2)])
     def test_frame_index_bound(self, tmp_path, capsys, frame, code):
         # a track stores frame indices as signed 64-bit integers

@@ -541,6 +541,18 @@ def test_line_json_loads_took_is_rejected(line, message):
         assert text.startswith(f"line 1: malformed record: {message}")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [b"\xff\xfe", '{"camera":"rear\ud800","frame":0,"t":0,"dets":[]}',
+     '{"camera":"rear\ud800","frame":0,"t":0,"dets":[]}'.encode("utf-8", "surrogatepass"),
+     b'{"camera":"front","frame":0,"t":0,"dets":[],"x":"\xc3"}'],
+    ids=["bad-bytes", "raw-surrogate-str", "raw-surrogate-bytes", "truncated-sequence"],
+)
+def test_invalid_utf8_line_is_named_so(line):
+    # orjson's own reason for each of these speaks of surrogates
+    assert records_outcome([line]) == ([], (LogParseError, "line 1: malformed record: not valid UTF-8", 1))
+
+
 def test_integer_timestamps_beyond_64_bits_compare_as_floats():
     # orjson gives an integer of 2**64 or more as the nearest float: 2**70 + 1 and 2**70 + 2 are both 2**70
     big = 2**70

@@ -1,5 +1,6 @@
 """Simulator tests: arrival statistics, projection, kinematic delta oracles."""
 
+import fcntl
 import gc
 import io
 import json
@@ -14,6 +15,7 @@ import time
 from collections import Counter
 from multiprocessing.connection import Connection
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -46,7 +48,7 @@ from roadwatch.simulation import (
 from roadwatch.detection import FrameDetections
 from roadwatch.tracking import TrackerConfig, VehicleTracker
 from roadwatch.warning import AuditRecord, StdoutDevice
-from roadwatch.workers import BATCH_FRAMES
+from roadwatch.workers import BATCH_FRAMES, PIPE_BYTES
 
 
 def make_scenario(**overrides):
@@ -461,6 +463,43 @@ class TestCameraWorkers:
         # the workers were stopped, not run to the end of the day
         assert time.monotonic() - started < 30
 
+    @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="pipe capacity is a Linux fcntl")
+    def test_worker_pipe_holds_pipe_bytes(self, monkeypatch, tmp_path):
+        with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as limit:
+            if int(limit.read()) < PIPE_BYTES:
+                pytest.skip("this kernel caps a pipe below PIPE_BYTES")
+        send = Connection.send
+
+        # each camera worker writes its pipe's capacity to a file, since it runs in a process of its own
+        def reporting_send(self, obj):
+            (tmp_path / str(os.getpid())).write_text(str(fcntl.fcntl(self.fileno(), fcntl.F_GETPIPE_SZ)))
+            return send(self, obj)
+
+        monkeypatch.setattr(Connection, "send", reporting_send)
+        run_pipeline(rush_hour())
+        assert sorted(int(p.read_text()) for p in tmp_path.iterdir()) == [PIPE_BYTES, PIPE_BYTES]
+
+    def test_refused_pipe_size_changes_no_output(self, monkeypatch):
+        def run():
+            dump = io.StringIO()
+            report = run_pipeline(rush_hour(noise=NoiseModel(center_jitter_px=2.0)), dump_sink=dump)
+            assert multiprocessing.active_children() == []
+            return dump.getvalue(), audit_text(report)
+
+        expected = run()
+        asked = []
+        fcntl_call = fcntl.fcntl
+
+        def refusing_fcntl(fd, cmd, arg=0):
+            if cmd == getattr(fcntl, "F_SETPIPE_SZ", None):
+                asked.append(arg)
+                raise PermissionError(1, "Operation not permitted")
+            return fcntl_call(fd, cmd, arg)
+
+        monkeypatch.setattr(fcntl, "fcntl", refusing_fcntl)
+        assert run() == expected
+        assert asked == ([PIPE_BYTES] * 2 if hasattr(fcntl, "F_SETPIPE_SZ") else [])
+
     def test_killed_worker_named_with_its_exit_code(self, monkeypatch):
         step = VehicleTracker.step
 
@@ -771,14 +810,26 @@ class TestScenarioFiles:
           "<= 20 expected vehicles in view, got 21.6"),
          ({"arrivals.front.profile": "0:0.2666666667", "scenario.duration_s": "28800",
            "scenario.frame_rate_hz": "60", "road.speed_min_mps": "18"},
-          "<= 3e+06 expected detections per camera, got 3.07")],
-        ids=["in-view", "detections"],
+          "frame_rate_hz x the integral over time t of rate x min(road.detection_range_m / road.speed_min_mps, "
+          "duration_s - t) must be <= 3e+06 expected detections per camera, got 3.07"),
+         # 60 Hz x 1/s x 120/18 s x (28800 - 10000 - 120/36) s; a rate held all day would give 1.152e+07
+         ({"arrivals.front.profile": "0:0,10000:1", "scenario.duration_s": "28800",
+           "scenario.frame_rate_hz": "60", "road.speed_min_mps": "18"},
+          "expected detections per camera, got 7.51867e+06")],
+        ids=["in-view", "detections", "detections-late-start"],
     )
     def test_work_bound_diagnosed(self, fields, bound):
-        # every field is in bounds; the second has paper-day's largest rate at 60 Hz
+        # every field is in bounds; the second holds paper-day's largest rate all day at 60 Hz
         direction = "rear" if "arrivals.rear.profile" in fields else "front"
         with pytest.raises(ConfigError, match=rf"^arrivals\.{direction}\.profile: .*{re.escape(bound)}"):
             parse_scenario(scenario_text({**FINITE_FIELDS, **fields}))
+
+    def test_paper_day_at_60_hz_is_accepted(self):
+        # its peak lasts 1,733 s of the 28,800: about 2.75e5 expected detections
+        # per camera at 60 Hz, where the peak rate held all day gave 3.07e6
+        text = (resources.files("roadwatch") / "scenarios" / "paper-day.cfg").read_text(encoding="utf-8")
+        assert "frame_rate_hz = 30\n" in text
+        assert parse_scenario(text.replace("frame_rate_hz = 30\n", "frame_rate_hz = 60\n")).frame_rate == 60.0
 
     def test_unknown_name_lists_builtins(self):
         with pytest.raises(ConfigError, match="paper-day"):
