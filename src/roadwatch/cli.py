@@ -222,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("ROADWATCH_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a level name gives its number; anything else, such as BASIC_FORMAT, gives a string
+    level = logging.getLevelName(os.environ.get("ROADWATCH_LOG_LEVEL", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -405,10 +405,10 @@ def generate_passes(scenario: Scenario, rng: np.random.Generator) -> list[Vehicl
             t += rng.exponential(1.0 / lam_max)
             if t >= scenario.duration:
                 break
-            if rng.uniform() * lam_max >= _rate_at(pieces, t):
+            if rng.random() * lam_max >= _rate_at(pieces, t):
                 continue
             speed = rng.uniform(lo, hi)
-            vehicle_class = "truck" if rng.uniform() < scenario.truck_fraction else "vehicle"
+            vehicle_class = "truck" if rng.random() < scenario.truck_fraction else "vehicle"
             passes.append(
                 VehiclePass(
                     vehicle_id=next_id,

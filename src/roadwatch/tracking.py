@@ -23,9 +23,18 @@ If no track and no detection has more than one partner inside the gate,
 those in-gate pairs are the result. This is exact because :func:`assign`
 first maximises the number of in-gate pairs and only then minimises cost,
 and when the in-gate pairs already form a one-to-one matching no other
-answer exists. Any other frame, including every tie between co-located
-vehicles, goes to a plain-Python port of scipy's solver with
-:func:`assign`'s gating, which returns what :func:`assign` returns.
+answer exists. A conflicting frame of at most 3 tracks by 3 detections
+with every pair in gate (88 % of paper-day's conflicts) is decided in
+closed form: the sums of its matchings (at most six, from a table built at
+import) are compared, and the cheapest is the answer when it is below every
+other by more than ``1e-9 * (1 + the total of all sums)``. Every cost lies
+in some matching, so that margin is about a million times the few ulps of the
+largest cost by which the port's rounding could move a sum, and the port
+would pick the same matching. An overflowed sum makes the margin infinite,
+so such a frame, like every exact or near tie, is not decided there. Those
+frames and all others go to a plain-Python port of scipy's solver with
+:func:`assign`'s gating, which returns what :func:`assign` returns; the port
+alone decides ties.
 :func:`cost_matrix` and :func:`assign` stay as the numpy/scipy reference
 that the tests compare the tracker against. The tracker calls neither, so
 it never imports ``scipy.optimize``.
@@ -42,6 +51,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -376,9 +386,11 @@ def _solved(
     predicted: list[tuple[float, float]],
     centers: list[tuple[float, float]],
     gate_distance: float,
-) -> tuple[list[int], list[int]]:
+) -> tuple[Sequence[int], Sequence[int]]:
     """Each track's and each detection's partner (-1 for none) under
-    :func:`assign`'s gating, from the cost matrix and ``_linear_sum_assignment``."""
+    :func:`assign`'s gating. A frame of at most 3 by 3 with every pair in
+    gate takes :func:`_clear_cheapest` when it decides; any other frame goes
+    to the cost matrix and ``_linear_sum_assignment``."""
     sqrt = math.sqrt
     n_tracks, n_dets = len(predicted), len(centers)
     costs = []
@@ -394,6 +406,11 @@ def _solved(
     if len(in_gate) < n_tracks * n_dets:
         sentinel = (max(max(in_gate), 1.0) + 1.0) * (min(n_tracks, n_dets) + 1)
         work = [[c if c <= gate_distance else sentinel for c in row] for row in costs]
+    elif n_tracks <= 3 and n_dets <= 3:
+        # every pair is in gate, so in_gate holds every cost, row by row
+        partners = _clear_cheapest(in_gate, n_tracks, n_dets)
+        if partners is not None:
+            return partners
     track_partner = [-1] * n_tracks
     det_partner = [-1] * n_dets
     for i, j in _linear_sum_assignment(work):
@@ -401,6 +418,60 @@ def _solved(
             track_partner[i] = j
             det_partner[j] = i
     return track_partner, det_partner
+
+
+def _matchings(n_tracks: int, n_dets: int) -> tuple[list, list]:
+    """Every matching of min(n_tracks, n_dets) pairs, as the row-major cost
+    indices of its pairs and as each track's and each detection's partner."""
+    keys, partners = [], []
+    for chosen in permutations(range(max(n_tracks, n_dets)), min(n_tracks, n_dets)):
+        pairs = list(zip(range(n_tracks), chosen) if n_tracks <= n_dets else zip(chosen, range(n_dets)))
+        track_partner = [-1] * n_tracks
+        det_partner = [-1] * n_dets
+        for i, j in pairs:
+            track_partner[i] = j
+            det_partner[j] = i
+        keys.append(tuple(i * n_dets + j for i, j in pairs))
+        partners.append((tuple(track_partner), tuple(det_partner)))
+    return keys, partners
+
+
+_SMALL_MATCHINGS = {(t, d): _matchings(t, d) for t in range(1, 4) for d in range(1, 4)}
+
+
+def _clear_cheapest(
+    costs: list[float], n_tracks: int, n_dets: int
+) -> tuple[Sequence[int], Sequence[int]] | None:
+    """The partners of the matching of least cost sum in a frame of at most
+    3 by 3 with every pair in gate, or None for the port to decide.
+
+    The matching is returned only when its sum is below every other's by
+    more than ``1e-9 * (1 + the total of all sums)`` (module docstring). An
+    overflowed sum makes that margin infinite, and a NaN makes it NaN, so
+    such a frame gets None.
+    """
+    if n_tracks == n_dets == 2:
+        a, b, c, d = costs
+        straight, crossed = a + d, b + c
+        margin = 1e-9 * (1.0 + straight + crossed)
+        if crossed - straight > margin:
+            return (0, 1), (0, 1)
+        if straight - crossed > margin:
+            return (1, 0), (1, 0)
+        return None
+    keys, partners = _SMALL_MATCHINGS[n_tracks, n_dets]
+    # one unpacking per matching size: sum() over each key costs several times as much
+    size = len(keys[0])
+    if size == 3:
+        sums = [costs[i] + costs[j] + costs[k] for i, j, k in keys]
+    elif size == 2:
+        sums = [costs[i] + costs[j] for i, j in keys]
+    else:
+        sums = [costs[i] for (i,) in keys]
+    ordered = sorted(sums)
+    if ordered[1] - ordered[0] > 1e-9 * (1.0 + sum(sums)):
+        return partners[sums.index(ordered[0])]
+    return None
 
 
 def majority(counts: dict, recency: dict):

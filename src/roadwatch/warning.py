@@ -69,15 +69,22 @@ class StdoutDevice:
 
 
 class UdpDevice:
-    """Worker device stub sending one UDP datagram per warning."""
+    """Worker device stub sending one UDP datagram per warning.
+
+    The host is resolved to its first IPv4 address once, here, so that no
+    warning waits on a resolver; a host that does not resolve is a
+    ``ConfigError``.
+    """
 
     def __init__(self, host: str, port: int):
-        self.host = host
-        self.port = port
+        try:
+            self.address = socket.getaddrinfo(host, port, socket.AF_INET, socket.SOCK_DGRAM)[0][4]
+        except (OSError, UnicodeError) as exc:
+            raise ConfigError(f"cannot resolve device host {host!r}: {exc}") from exc
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
 
     def send(self, line: str) -> None:
-        self._sock.sendto(line.encode("utf-8"), (self.host, self.port))
+        self._sock.sendto(line.encode("utf-8"), self.address)
 
     def close(self) -> None:
         self._sock.close()

@@ -778,6 +778,33 @@ class TestDevices:
         assert len(received) == warnings
         assert all(msg.startswith("WARN t=") for msg in received)
 
+    @pytest.mark.parametrize("host", ["nonexistent.invalid", "a" * 64 + ".invalid"])
+    @pytest.mark.parametrize("mode", ["simulate", "replay"])
+    def test_unresolvable_udp_host_exit_2(self, scenario_file, tmp_path, capsys, monkeypatch, mode, host):
+        # the host is resolved once, when the device opens. The resolver is
+        # stubbed to answer as it does for a name under .invalid, so the test
+        # sends no query; a 64-letter label fails its IDNA encoding, before
+        # any query
+        real_getaddrinfo = socket.getaddrinfo
+
+        def getaddrinfo(host, *args, **kwargs):
+            if host == "nonexistent.invalid":
+                raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+            return real_getaddrinfo(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        log, dump, out = tmp_path / "one.log", tmp_path / "d.log", tmp_path / "o"
+        log.write_text(one_vehicle_line(0, "640.0"), encoding="utf-8")
+        source = (["--scenario", str(scenario_file), "--dump-detections", str(dump)]
+                  if mode == "simulate" else ["--log", str(log)])
+        code = main([mode, *source, "--out", str(out), "--device", f"udp:{host}:9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"cannot resolve device host {host!r}" in captured.err
+        assert "frames" not in captured.out and "run summary" not in captured.out
+        assert not out.exists()
+        assert not dump.exists()
+
     def test_bad_device_spec_exit_2(self, scenario_file, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(scenario_file), "--out",
                      str(tmp_path / "o"), "--device", "serial:/dev/ttyS0"])
@@ -1019,6 +1046,21 @@ class TestFlags:
         monkeypatch.setenv("ROADWATCH_LOG_LEVEL", "DEBUG")
         out = tmp_path / "o"
         assert main(["simulate", "--scenario", "empty", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("value, shown", [("info", True), ("basic_format", False), ("loud", False)])
+    def test_log_level_env_takes_only_level_names(self, tmp_path, value, shown):
+        # a fresh process, because logging is configured once per process;
+        # BASIC_FORMAT names logging's format string, and once made the run exit 1
+        proc = subprocess.run(
+            [sys.executable, "-m", "roadwatch.cli", "simulate", "--scenario", "empty", "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "ROADWATCH_LOG_LEVEL": value},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ("INFO roadwatch: simulated" in proc.stderr) == shown
+        assert "Traceback" not in proc.stderr
 
 
 class TestConsoleScript:

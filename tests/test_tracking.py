@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -324,21 +325,30 @@ class TestAssociate:
 
     @pytest.fixture
     def solver_calls(self, monkeypatch):
-        """Shapes of the matrices sent to ``assign`` and to the port."""
+        """Shapes of the matrices sent to ``assign`` and to the port, and of
+        the frames that the closed form decided."""
         import roadwatch.tracking as tracking
 
-        calls = {"assign": [], "port": []}
+        calls = {"assign": [], "closed": [], "port": []}
         port = tracking._linear_sum_assignment
+        clear_cheapest = tracking._clear_cheapest
 
         def counted_assign(costs, gate):
             calls["assign"].append(costs.shape)
             return assign(costs, gate)
+
+        def counted_clear_cheapest(costs, n_tracks, n_dets):
+            partners = clear_cheapest(costs, n_tracks, n_dets)
+            if partners is not None:
+                calls["closed"].append((n_tracks, n_dets))
+            return partners
 
         def counted_port(costs):
             calls["port"].append((len(costs), len(costs[0])))
             return port(costs)
 
         monkeypatch.setattr(tracking, "assign", counted_assign)
+        monkeypatch.setattr(tracking, "_clear_cheapest", counted_clear_cheapest)
         monkeypatch.setattr(tracking, "_linear_sum_assignment", counted_port)
         return calls
 
@@ -350,25 +360,92 @@ class TestAssociate:
         assert got == expected, (predicted, centers, gate)
         return got
 
+    def path(self, solver_calls, predicted, centers, gate):
+        """Check one frame; return the path that decided it, "greedy" (no
+        conflict), "closed" (the closed form) or "port", and the result."""
+        before = len(solver_calls["closed"]), len(solver_calls["port"])
+        got = self.check(predicted, centers, gate)
+        closed, port = len(solver_calls["closed"]) - before[0], len(solver_calls["port"]) - before[1]
+        assert closed + port <= 1
+        return "closed" if closed else "port" if port else "greedy", got
+
     def test_random_small_frames(self, solver_calls):
         # points on a 3 x 4 px lattice: many exact ties and many distances
         # of exactly 3, 4 or 5 px, equal to the gates below
         rng = np.random.default_rng(59)
-        fast_matches = 0
+        paths, greedy_matches = Counter(), 0
         for _ in range(3000):
             n, m = rng.integers(0, 5, 2)
             predicted = [(3.0 * rng.integers(0, 4), 4.0 * rng.integers(0, 3)) for _ in range(n)]
             centers = [(3.0 * rng.integers(0, 4), 4.0 * rng.integers(0, 3)) for _ in range(m)]
             gate = float(rng.choice([2.0, 3.0, 4.0, 5.0, 9.0, np.inf]))
-            calls_before = len(solver_calls["port"])
-            matches, _, _ = self.check(predicted, centers, gate)
-            if len(solver_calls["port"]) == calls_before and matches:
-                fast_matches += 1
-        # both paths ran many times, the fast one on frames with matches;
-        # no frame reaches assign
-        assert fast_matches > 300
-        assert len(solver_calls["port"]) > 300
+            path, (matches, _, _) = self.path(solver_calls, predicted, centers, gate)
+            paths[path] += 1
+            greedy_matches += path == "greedy" and bool(matches)
+        # all three paths ran many times, the greedy one on frames with
+        # matches and the port on the tie frames the closed form leaves to
+        # it; no frame reaches assign
+        assert greedy_matches > 300
+        assert paths["closed"] > 100
+        assert paths["port"] > 300
         assert solver_calls["assign"] == []
+
+    def test_small_in_gate_frames(self, solver_calls):
+        # frames of up to 3 x 3 with every pair in gate, the closed form's
+        # domain: exact ties go to the port, near ties go to the port or
+        # agree with it, and huge distances change neither
+        rng = np.random.default_rng(73)
+
+        def lattice(k):
+            return [(3.0 * rng.integers(0, 4), 4.0 * rng.integers(0, 3)) for _ in range(k)]
+
+        def nudged(points):
+            # each coordinate moved by 0 or by +-1e-12 to +-1e-6
+            return [tuple(c + rng.choice([0.0, -1.0, 1.0]) * 10.0 ** rng.uniform(-12, -6) for c in p)
+                    for p in points]
+
+        def huge(k):
+            # distances near 1e154, the largest a center distance gets before
+            # its square overflows and puts the pair out of gate
+            return [tuple(rng.uniform(-4e153, 4e153, 2).tolist()) for _ in range(k)]
+
+        draws = {
+            "co-located": (lambda k: [(640.0, 360.0)] * k, 75.0),
+            "lattice": (lattice, 75.0),
+            "near ties": (lambda k: nudged(lattice(k)), 75.0),
+            "huge gate": (huge, 1e308),
+        }
+        paths = {kind: Counter() for kind in draws}
+        for kind, (draw, gate) in draws.items():
+            for _ in range(1500):
+                n, m = rng.integers(1, 4, 2)
+                paths[kind][self.path(solver_calls, draw(n), draw(m), gate)[0]] += 1
+        # every co-located conflict is an exact tie, left to the port
+        assert paths["co-located"]["closed"] == 0
+        assert paths["co-located"]["port"] > 1000
+        for kind in ("lattice", "near ties", "huge gate"):
+            assert paths[kind]["closed"] > 300, (kind, paths[kind])
+        for kind in ("lattice", "near ties"):
+            assert paths[kind]["port"] > 100, (kind, paths[kind])
+        assert solver_calls["assign"] == []
+
+    def test_closed_form_leaves_overflow_and_nan_to_the_port(self):
+        # in-gate distances cannot reach these sums (see huge above), so the
+        # rule is held on the cost lists themselves
+        from roadwatch.tracking import _clear_cheapest
+
+        big = 1e308
+        assert _clear_cheapest([0.0, 1.0, 1.0, 0.0], 2, 2) == ((0, 1), (0, 1))
+        assert _clear_cheapest([1.0, 0.0, 0.0, 1.0], 2, 2) == ((1, 0), (1, 0))
+        assert _clear_cheapest([big, big, big, 0.0], 2, 2) is None  # one sum is infinite
+        assert _clear_cheapest([0.0, big, big, 0.0, big, big, big, big, big], 3, 3) is None
+        assert _clear_cheapest([2.0, 0.0, 5.0], 1, 3) == ((1,), (-1, 0, -1))
+        assert _clear_cheapest([0.0, 1.0, np.inf], 1, 3) is None
+        assert _clear_cheapest([np.nan, 1.0, 1.0, 0.0], 2, 2) is None
+        assert _clear_cheapest([0.0, np.nan, 1.0, 1.0, 1.0, 0.0], 2, 3) is None
+        # a clear minimum by more than the margin, and one within it
+        assert _clear_cheapest([0.0, 1.0, 1.0, 2.0 - 1e-6], 2, 2) == ((0, 1), (0, 1))
+        assert _clear_cheapest([0.0, 1.0, 1.0, 2.0 - 1e-12], 2, 2) is None
 
     def test_large_frames(self, solver_calls):
         # criterion 7's lattice: 50 tracks, 20 detections, each in the gate
@@ -388,7 +465,7 @@ class TestAssociate:
             centers = [tuple(p) for p in rng.uniform(0, 100, (m, 2)).tolist()]
             matches, _, _ = self.check(predicted, centers, 200.0)
             assert len(matches) == min(n, m)
-        assert solver_calls == {"assign": [], "port": [(100, 40), (20, 50), (50, 20), (50, 50)]}
+        assert solver_calls == {"assign": [], "closed": [], "port": [(100, 40), (20, 50), (50, 20), (50, 50)]}
 
     def test_co_located_tracks_and_detections(self):
         point = (640.0, 360.0)
@@ -414,7 +491,7 @@ class TestAssociate:
         for n in range(4):
             assert self.check(points[:n], [], 75.0) == ([], list(range(n)), [])
             assert self.check([], points[:n], 75.0) == ([], [], list(range(n)))
-        assert solver_calls == {"assign": [], "port": []}
+        assert solver_calls == {"assign": [], "closed": [], "port": []}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
     @pytest.mark.parametrize("gate", [75.0, 600.0])
