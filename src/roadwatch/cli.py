@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -68,17 +68,6 @@ def _tracker_config(args) -> TrackerConfig:
     return TrackerConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
-@contextmanager
-def _device(spec: str | None):
-    """The device named by ``spec`` (None for none), closed on the way out."""
-    device = open_device(spec) if spec else None
-    try:
-        yield device
-    finally:
-        if device is not None:
-            device.close()
-
-
 class _DumpFile:
     """The ``--dump-detections`` file, opened for writing (so emptied) at its first write.
 
@@ -113,9 +102,12 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scenario.seed = args.seed
     config = _tracker_config(args)
-    with _device(args.device) as device, (
-        _DumpFile(args.dump_detections) if args.dump_detections else nullcontext()
-    ) as dump_sink:
+    with (
+        closing(open_device(args.device)) if args.device else nullcontext() as device,
+        _DumpFile(args.dump_detections) if args.dump_detections else nullcontext() as dump_sink,
+    ):
+        # made before the first frame, so that an unusable --out loses no run
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         report = run_pipeline(
             scenario,
             tracker_config=config,
@@ -150,7 +142,10 @@ def _paced(frames: Iterable[FrameDetections]) -> Iterator[FrameDetections]:
 def cmd_replay(args) -> int:
     config = _tracker_config(args)
     trackers = {d: VehicleTracker(d, config) for d in DIRECTIONS}
-    with _device(args.device) as device, open(args.log, "rb") as source:
+    with (
+        closing(open_device(args.device)) if args.device else nullcontext() as device,
+        open(args.log, "rb") as source,
+    ):
         monitor = FlowCheckMonitor(t_duration=args.t_duration, start_time=0.0, device=device)
         if source.seekable():
             # a bad line anywhere exits 2 before the first warning goes out;
@@ -158,20 +153,20 @@ def cmd_replay(args) -> int:
             for _ in detection_records(source):
                 pass
             source.seek(0)
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         # closed here, so that a step that raises stops the parse helper at once: the
         # exception and its traceback form a cycle that keeps the parse alive until a collection
         with closing(parse_detection_log(source)) as frames:
             frame_count, last_t = drive(_paced(frames) if args.pace_realtime else frames, trackers, monitor)
+    report = SimulationReport(last_t, args.t_duration, 0, monitor.audit, monitor.emit_failures, ground_truth=False)
     if args.out:
-        report = SimulationReport(
-            last_t, args.t_duration, 0, monitor.audit, monitor.emit_failures, ground_truth=False
-        )
         write_report(report, args.out)
     sys.stdout.write(
         f"frames              {frame_count}\n"
-        f"new_vehicle_events  {monitor.events_checked}\n"
-        f"warnings            {len(monitor.warnings)}\n"
-        f"emit_failures       {monitor.emit_failures}\n"
+        f"new_vehicle_events  {report.warnings_without_filter}\n"
+        f"warnings            {report.warnings_with_filter}\n"
+        f"emit_failures       {report.emit_failures}\n"
     )
     return EXIT_OK
 

@@ -333,10 +333,11 @@ def detection_records(
     A record is (frame index, timestamp, camera, each detection's fields as
     :func:`_detection_fields` gives them), with no :class:`Detection` built.
 
-    Timestamps must strictly increase per camera stream and never decrease
-    across streams; a line that breaks either rule raises
-    :class:`StreamOrderError` before it is yielded. Malformed lines raise
-    :class:`LogParseError`. Both name the offending line number.
+    Timestamps must be at least 0, strictly increase per camera stream and
+    never decrease across streams; a line that breaks either order rule
+    raises :class:`StreamOrderError` before it is yielded. Malformed lines,
+    and a timestamp below 0, raise :class:`LogParseError`. Both name the
+    offending line number.
 
     Each line is decoded by :func:`decode_json`, which decides what is
     JSON: a line nested deeper than :data:`DEEPEST` is rejected, only JSON
@@ -345,7 +346,7 @@ def detection_records(
     ``str.strip``.
     """
     last_t: dict[str, float] = {}
-    latest = -_INF
+    latest = 0.0  # so that a timestamp below 0 fails the order check below
     for lineno, line in enumerate(source, start=1):
         try:
             record = decode_json(line)
@@ -378,6 +379,10 @@ def detection_records(
                 f"not after previous {previous:.3f}"
             )
         if timestamp < latest:
+            if timestamp < 0:
+                raise LogParseError(
+                    f"line {lineno}: camera {camera} timestamp {timestamp:.3f} must be at least 0", lineno
+                )
             raise StreamOrderError(
                 f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
                 f"is before {latest:.3f}, the latest on any camera"

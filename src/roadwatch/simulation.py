@@ -289,8 +289,9 @@ _UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
 SCENARIO_KEYS = [
     ("scenario", "duration_s", "duration", float,
      (lambda v: 0 < v <= MAX_DURATION_S, f"finite, > 0 and <= {MAX_DURATION_S:g}")),
-    # numpy's generators take no negative seed
-    ("scenario", "seed", "seed", int, (lambda v: v >= 0, ">= 0")),
+    # numpy's generators take no negative seed, and report.json reads an
+    # integer of 2**64 or more back as a float
+    ("scenario", "seed", "seed", int, (lambda v: 0 <= v < 2**64, ">= 0 and < 2**64")),
     ("scenario", "frame_rate_hz", "frame_rate", float,
      (lambda v: 0 < v <= MAX_FRAME_RATE_HZ, f"finite, > 0 and <= {MAX_FRAME_RATE_HZ:g}")),
     ("scenario", "truck_fraction", "truck_fraction", float, _UNIT),
@@ -438,8 +439,6 @@ _CONFIDENCES = {
 }
 _SCORES = {cls: NOMINAL_OBJECTNESS * max(confs) for cls, confs in _CONFIDENCES.items()}
 
-
-DetectionLabels = dict[tuple[str, int, float, float], int]
 
 # entries whose times and box sizes _Rendering.frames computes at a time
 _BLOCK_ENTRIES = 1024
@@ -619,7 +618,7 @@ def render_detections(
     scenario: Scenario,
     rng: np.random.Generator,
     trail_frames: int = 3,
-) -> tuple[dict[str, list[FrameDetections]], DetectionLabels]:
+) -> dict[str, list[FrameDetections]]:
     """Render passes into per-camera detection streams, held in full.
 
     A vehicle yields a detection at every frame tick while its distance d is
@@ -634,22 +633,12 @@ def render_detections(
     downstream tracker sees the same miss sequence as on a continuous
     stream; set it to at least the tracker's miss limit.
 
-    Returns the frame lists and a label map (camera, frame index, cx, cy) ->
-    vehicle id for ground-truth matching; false positives are absent from
-    the map. :func:`run_passes` does not call this: its camera workers build
-    the same frames one at a time from the same draws, so their memory
-    follows the live tracks and the archive, not the length of the day.
+    :func:`run_passes` does not call this: its camera workers build the same
+    frames one at a time from the same draws, so their memory follows the
+    live tracks and the archive, not the length of the day.
     """
     rendering = _Rendering(passes, scenario, rng, trail_frames)
-    frames = {d: list(rendering.frames(d)) for d in DIRECTIONS}
-    labels: DetectionLabels = {}
-    for camera in DIRECTIONS:
-        # a tick's entries are in passes order, so the first vehicle there keeps the key
-        for k, cx, cy, position in zip(
-            rendering.ticks[camera], rendering.cx[camera], rendering.cy[camera], rendering.positions[camera]
-        ):
-            labels.setdefault((camera, k, cx, cy), rendering.passes[position].vehicle_id)
-    return frames, labels
+    return {d: list(rendering.frames(d)) for d in DIRECTIONS}
 
 
 def merge_streams(frames: dict[str, list[FrameDetections]]) -> list[FrameDetections]:
@@ -793,10 +782,8 @@ def drive(
     return _flow_check(_track(frames, trackers), monitor)
 
 
-def _majority_vehicle(
-    track: Track, hits: int, camera: str, label: Callable[..., int | None]
-) -> int | None:
-    """Majority ground-truth label over the first ``hits`` hits of ``track``.
+def _majority_vehicle(track: Track, camera: str, label: Callable[..., int | None]) -> int | None:
+    """Majority ground-truth label over the hits of ``track``.
 
     ``label(camera, frame index, cx, cy)`` gives the vehicle rendered there.
     Ties prefer the most recently seen label.
@@ -804,26 +791,24 @@ def _majority_vehicle(
     counts: Counter = Counter()
     recency: dict[int | None, int] = {}
     centers = track.centers
-    for i, frame_index in enumerate(track.ticks[:hits]):
+    for i, frame_index in enumerate(track.ticks):
         vehicle_id = label(camera, frame_index, centers[2 * i], centers[2 * i + 1])
         counts[vehicle_id] += 1
         recency[vehicle_id] = i
-    return majority(counts, recency) if counts else None
+    return majority(counts, recency)
 
 
 def _camera_worker(rendering: _Rendering, camera: str, config: TrackerConfig, dump: bool) -> Iterator[Record]:
     """One camera's half of simulate: its records, made in a process of its own.
 
     Builds the camera's frames, formats their dump lines when ``dump`` is
-    set, tracks them and labels each new vehicle with its ground truth. A
-    step's exception is a record at its frame (see ``_track``).
+    set, tracks them and labels each new vehicle, in the step that confirms
+    it, with the majority ground truth of its hits. A step's exception is a
+    record at its frame (see ``_track``).
     """
-    hits = config.confirm_hits
 
     def label(track: Track) -> int | None:
-        # A tentative track dies on its first miss, so at confirmation its
-        # hits are its first confirm_hits ones (one when confirm_hits <= 1).
-        return _majority_vehicle(track, hits, camera, rendering.label)
+        return _majority_vehicle(track, camera, rendering.label)
 
     return _track(rendering.frames(camera), {camera: VehicleTracker(camera, config)}, dump, label)
 

@@ -498,7 +498,6 @@ class Track:
     vy: float = 0.0
     p_cross: float = 0.0
     status: str = TENTATIVE
-    consecutive_hits: int = 1
     consecutive_misses: int = 0
     confirmed_at: float | None = None
     ticks: array = field(default_factory=lambda: array("q"))
@@ -613,9 +612,9 @@ class VehicleTracker:
             object_class = det.best_class
             track.class_counts[object_class] += 1
             track.class_recency[object_class] = len(ticks)
-            track.consecutive_hits += 1
             track.consecutive_misses = 0
-            if track.status == TENTATIVE and track.consecutive_hits >= cfg.confirm_hits:
+            # a tentative track dies on its first miss, so all its hits are consecutive
+            if track.status == TENTATIVE and len(ticks) >= cfg.confirm_hits:
                 track.status = ACTIVE
                 track.confirmed_at = timestamp
                 events.append(self._event(NEW_VEHICLE, track, timestamp))
@@ -624,7 +623,6 @@ class VehicleTracker:
         for track_idx in unmatched_tracks:
             track = tracks[track_idx]
             track.consecutive_misses += 1
-            track.consecutive_hits = 0
             if track.status == TENTATIVE:
                 # an unconfirmed track does not survive a single miss
                 track.status = TERMINATED

@@ -121,9 +121,12 @@ class FlowCheckMonitor:
         self.t_duration = t_duration
         self.device = device
         self.audit: list[AuditRecord] = []
-        self.warnings: list[AuditRecord] = []
-        self.events_checked = 0
         self.emit_failures = 0
+
+    @property
+    def warnings(self) -> list[AuditRecord]:
+        """The warn records of ``audit``, in order; a new list on each read."""
+        return [record for record in self.audit if record.decision == DECISION_WARN]
 
     def observe(self, event: TrackerEvent) -> AuditRecord | None:
         """Feed one tracker event; returns the warn record if a warning fired."""
@@ -137,7 +140,6 @@ class FlowCheckMonitor:
                 raise StreamOrderError(
                     f"event at {event.timestamp:.3f} is older than timer start {self.t_start:.3f}"
                 )
-            self.events_checked += 1
             gap = event.timestamp - self.t_start
             self.t_start = event.timestamp
             decision = DECISION_WARN if gap > self.t_duration else DECISION_SUPPRESS
@@ -145,7 +147,6 @@ class FlowCheckMonitor:
         self.audit.append(record)
         if decision != DECISION_WARN:
             return None
-        self.warnings.append(record)
         if self.device is not None and not emit_warning(record, self.device):
             self.emit_failures += 1
         return record

@@ -396,6 +396,40 @@ print(*loaded)
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_unusable_out_exit_2_before_the_first_frame(self, tmp_path, capsys):
+        # --out was once made after the run, so its warnings had gone out and its dump was written
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        dump = tmp_path / "d.log"
+        dump.write_text("kept\n", encoding="utf-8")
+        assert main(["simulate", "--scenario", "country-road", "--seed", "1", "--device", "stdout",
+                     "--dump-detections", str(dump), "--out", str(blocker / "sub")]) == 2
+        captured = capsys.readouterr()
+        assert "Not a directory" in captured.err
+        assert captured.out == ""
+        assert dump.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_seed_of_2_to_the_64_exit_2(self, scenario_file, tmp_path, capsys, source):
+        # such a seed once simulated, and report then read it back as a float and exited 2
+        out = tmp_path / "o"
+        if source == "flag":
+            args = ["--scenario", "empty", "--seed", str(2**64)]
+        else:
+            scenario_file.write_text(SCENARIO.replace("seed = 5", f"seed = {2**64}"), encoding="utf-8")
+            args = ["--scenario", str(scenario_file)]
+        assert main(["simulate", *args, "--out", str(out)]) == 2
+        assert f"scenario.seed must be >= 0 and < 2**64, got {2**64}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_largest_seed_read_back_by_report(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", "empty", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        simulated = capsys.readouterr().out
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["seed"] == 2**64 - 1
+        assert main(["report", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == simulated
+
 
 def nested(depth: int) -> bytes:
     return b"[" * depth + b"]" * depth
@@ -746,6 +780,38 @@ class TestReplayEquivalence:
         assert main(["report", "--out", str(out)]) == 0
         assert capsys.readouterr().out == summary
         assert '"spurious_warnings":0,' in (tmp_path / "sim" / "report.json").read_text(encoding="utf-8")
+
+    def test_unusable_out_exit_2_before_the_first_frame(self, tmp_path, capsys, monkeypatch):
+        # --out was once made after the replay, so its warnings had gone out
+        dump = tmp_path / "d.log"
+        assert main(["simulate", "--scenario", "country-road", "--seed", "1", "--out", str(tmp_path / "s"),
+                     "--dump-detections", str(dump)]) == 0
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        steps = []
+        step = VehicleTracker.step
+
+        def counting_step(self, frame):
+            steps.append(frame.frame_index)
+            return step(self, frame)
+
+        monkeypatch.setattr(VehicleTracker, "step", counting_step)
+        capsys.readouterr()
+        assert main(["replay", "--log", str(dump), "--device", "stdout", "--out", str(blocker / "sub")]) == 2
+        captured = capsys.readouterr()
+        assert "Not a directory" in captured.err
+        assert captured.out == ""
+        assert steps == []
+
+    def test_timestamp_below_0_exit_2_with_its_line(self, tmp_path, capsys):
+        # the monitor's timer starts at 0, so this log once exited 2 naming no line
+        log = tmp_path / "early.log"
+        log.write_text("".join(one_vehicle_line(k, "640.0").replace(f'"t":{k / 30:.3f}', f'"t":{k / 10 - 3:.3f}')
+                               for k in range(6)), encoding="utf-8")
+        assert main(["replay", "--log", str(log), "--device", "stdout"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 1: camera front timestamp -3.000 must be at least 0\n"
+        assert captured.out == ""
 
     def test_missing_log_exit_2(self, tmp_path):
         assert main(["replay", "--log", str(tmp_path / "none.log")]) == 2

@@ -239,9 +239,9 @@ class TestGridPayloadIO:
 
 def random_canonical_frames(rng, n_frames):
     """Frames whose values are exactly representable in the log's precision,
-    on both cameras, with times that increase across the cameras."""
+    on both cameras, with times from 0 on that increase across the cameras."""
     frames = []
-    last_t = -1.0
+    last_t = 0.0
     for i in range(n_frames):
         camera = "front" if rng.uniform() < 0.5 else "rear"
         t = last_t = round(last_t + 0.001 + float(rng.uniform(0, 2.0)), 3)
@@ -380,6 +380,24 @@ class TestDetectionLog:
             for frame in parse_detection_log(io.StringIO(lines)):
                 frames.append(frame)
         assert [(f.camera, f.timestamp) for f in frames] == [("front", 5.0), ("rear", 5.0), ("rear", 6.0)]
+
+    @pytest.mark.parametrize(
+        "times, bad",
+        [(["-3.0"], 1), (["-1e-3"], 1), (["-1"], 1), (["0.0", "-1e300"], 2), (["-0.0", "-5e-324"], 2)],
+    )
+    def test_timestamp_below_0_rejected_with_its_line(self, times, bad):
+        # the flow check's timer starts at 0, so such a line once passed here
+        # and failed in the monitor, naming no line
+        lines = "".join(f'{{"camera":"{camera}","frame":0,"t":{t},"dets":[]}}\n'
+                        for camera, t in zip(("front", "rear"), times))
+        with pytest.raises(LogParseError, match=f"^line {bad}: camera \\w+ timestamp -.* must be at least 0$") as info:
+            list(parse_detection_log(io.StringIO(lines)))
+        assert info.value.line_number == bad
+
+    def test_minus_zero_timestamp_accepted(self):
+        lines = ('{"camera":"front","frame":0,"t":-0.0,"dets":[]}\n'
+                 '{"camera":"rear","frame":0,"t":-0.0,"dets":[]}\n')
+        assert [f.timestamp for f in parse_detection_log(io.StringIO(lines))] == [0.0, 0.0]
 
     def test_unknown_class_rejected(self):
         line = (

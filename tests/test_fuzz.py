@@ -234,7 +234,7 @@ def legal_records(draw) -> list[str]:
     for frame in range(draw(st.integers(min_value=1, max_value=6))):
         camera = draw(st.sampled_from(CAMERAS))
         if latest is None:
-            t = draw(st.sampled_from([0, -0.0, 0.0, 1e-3, -1e9]))
+            t = draw(st.sampled_from([0, -0.0, 0.0, 1e-3, 1e9]))
         elif last_t.get(camera) != latest and draw(st.booleans()):
             t = latest  # a tie with the other camera
         else:
@@ -638,7 +638,7 @@ def test_replay_of_simulated_dump_gives_simulate_audit(tmp_path_factory, text):
 
     rng = np.random.default_rng(scenario.seed)
     trail = TrackerConfig().max_misses
-    frames = merge_streams(render_detections(generate_passes(scenario, rng), scenario, rng, trail)[0])
+    frames = merge_streams(render_detections(generate_passes(scenario, rng), scenario, rng, trail))
     with open(dump, "rb") as source:
         assert list(parse_detection_log(source)) == frames
     for frame in frames:

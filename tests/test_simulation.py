@@ -44,6 +44,7 @@ from roadwatch.simulation import (
     run_pipeline,
     summary_text,
     write_report,
+    _Rendering,
 )
 from roadwatch.detection import FrameDetections
 from roadwatch.tracking import TrackerConfig, VehicleTracker
@@ -129,6 +130,19 @@ class TestGeneratePasses:
         assert all(p.spawn_time >= 1000.0 for p in passes)
 
 
+def brute_force_labels(rendering) -> dict:
+    """(camera, frame index, cx, cy) -> the id of the first vehicle in passes
+    order rendered there, from every rendered entry, in no assumed order."""
+    first = {}
+    for camera in DIRECTIONS:
+        for k, cx, cy, position in zip(
+            rendering.ticks[camera], rendering.cx[camera], rendering.cy[camera], rendering.positions[camera]
+        ):
+            key = (camera, k, cx, cy)
+            first[key] = min(first.get(key, position), position)
+    return {key: rendering.passes[position].vehicle_id for key, position in first.items()}
+
+
 class TestRenderDetections:
     def test_pinhole_height_at_exact_tick(self):
         scenario = make_scenario(
@@ -136,13 +150,15 @@ class TestRenderDetections:
             camera=CameraModel(focal_length_px=1000.0, vehicle_height_m=1.5),
         )
         vehicle = single_pass(spawn=2.0, speed=20.0, d_vis=100.0)
-        frames, labels = render_detections([vehicle], scenario, np.random.default_rng(5))
+        frames = render_detections([vehicle], scenario, np.random.default_rng(5))
         first = frames["front"][0]
         assert first.timestamp == pytest.approx(2.0)
         det = first.detections[0]
         assert det.height == pytest.approx(15.0)  # 1000 * 1.5 / 100
         assert det.width == pytest.approx(22.5)
-        assert (("front", first.frame_index, det.cx, det.cy) in labels)
+        rendering = _Rendering([vehicle], scenario, np.random.default_rng(5), trail_frames=3)
+        key = ("front", first.frame_index, det.cx, det.cy)
+        assert rendering.label(*key) == brute_force_labels(rendering)[key] == vehicle.vehicle_id
 
     def test_occlusion_window_blanks_frames(self):
         from roadwatch.simulation import OcclusionWindow
@@ -150,7 +166,7 @@ class TestRenderDetections:
         vehicle = single_pass(spawn=0.0, speed=20.0, d_vis=120.0)
         # visible only below 30 m: detections start once d < 30
         scenario = make_scenario(occlusion_windows=[OcclusionWindow("front", 30.0, 120.0)])
-        frames, _ = render_detections([vehicle], scenario, np.random.default_rng(6))
+        frames = render_detections([vehicle], scenario, np.random.default_rng(6))
         det_frames = [f for f in frames["front"] if f.detections]
         assert det_frames
         first_visible_t = det_frames[0].timestamp
@@ -168,14 +184,14 @@ class TestRenderDetections:
         )
         vehicle = single_pass(spawn=0.0, speed=0.36, d_vis=120.0)
         n_visible = math.floor(333.3 * 30)
-        frames, _ = render_detections([vehicle], scenario, np.random.default_rng(7))
+        frames = render_detections([vehicle], scenario, np.random.default_rng(7))
         kept = sum(len(f.detections) for f in frames["front"])
         assert abs(kept - n_visible / 2) <= 3 * math.sqrt(n_visible * 0.25)
 
     def test_trailing_empty_frames(self):
         scenario = make_scenario()
         vehicle = single_pass(spawn=1.0, speed=30.0, d_vis=120.0)
-        frames, _ = render_detections([vehicle], scenario, np.random.default_rng(8), trail_frames=3)
+        frames = render_detections([vehicle], scenario, np.random.default_rng(8), trail_frames=3)
         stream = frames["front"]
         tail = stream[-3:]
         assert all(not f.detections for f in tail)
@@ -191,11 +207,15 @@ class TestRenderDetections:
             arrival_profile={"front": [RatePiece(0.0, 0.0)], "rear": [RatePiece(0.0, 0.0)]},
             noise=NoiseModel(false_positive_rate=0.2),
         )
-        frames, labels = render_detections([], scenario, np.random.default_rng(9))
+        frames = render_detections([], scenario, np.random.default_rng(9))
         count = sum(len(f.detections) for f in frames["front"])
         # Poisson(0.2 * 3000) per direction
         assert abs(count - 600) <= 3 * math.sqrt(600)
-        assert labels == {}  # false positives carry no ground-truth label
+        # false positives carry no ground-truth label
+        rendering = _Rendering([], scenario, np.random.default_rng(9), trail_frames=3)
+        assert brute_force_labels(rendering) == {}
+        assert all(rendering.label(f.camera, f.frame_index, d.cx, d.cy) is None
+                   for stream in frames.values() for f in stream for d in f.detections)
 
     @pytest.mark.parametrize("fps", [30.0, 29.97, 7.0, 1000.0])
     def test_kept_ticks_match_the_scalar_loop(self, fps):
@@ -226,7 +246,7 @@ class TestRenderDetections:
     def test_canonical_precision(self):
         scenario = make_scenario(noise=NoiseModel(center_jitter_px=2.0))
         vehicle = single_pass()
-        frames, _ = render_detections([vehicle], scenario, np.random.default_rng(10))
+        frames = render_detections([vehicle], scenario, np.random.default_rng(10))
         for f in frames["front"]:
             assert round(f.timestamp, 3) == f.timestamp
             for d in f.detections:
@@ -297,7 +317,7 @@ class TestMergeStreams:
             single_pass(spawn=1.0, direction="front"),
             VehiclePass(2, "rear", 1.0, 20.0, 7.0, "vehicle"),
         ]
-        frames, _ = render_detections(vehicles, scenario, np.random.default_rng(11))
+        frames = render_detections(vehicles, scenario, np.random.default_rng(11))
         merged = merge_streams(frames)
         for a, b in zip(merged, merged[1:]):
             assert (a.timestamp, 0 if a.camera == "front" else 1) <= (
@@ -356,17 +376,16 @@ class TestOnePass:
     def test_label_lookup_matches_label_map(self, reverse):
         # no jitter: vehicles visible together share (camera, tick, cx, cy),
         # and the first of them in passes order owns the key
-        from roadwatch.simulation import _Rendering
-
         scenario = rush_hour(noise=NoiseModel(dropout_prob=0.02, false_positive_rate=0.01))
         rng = np.random.default_rng(scenario.seed)
         passes = generate_passes(scenario, rng)
         if reverse:
             passes.reverse()
         state = rng.bit_generator.state
-        frames, labels = render_detections(passes, scenario, rng)
+        frames = render_detections(passes, scenario, rng)
         rng.bit_generator.state = state
         rendering = _Rendering(passes, scenario, rng, trail_frames=3)
+        labels = brute_force_labels(rendering)
         keys = [
             (camera, frame.frame_index, det.cx, det.cy)
             for camera, stream in frames.items()
@@ -390,7 +409,7 @@ class TestOnePass:
             VehiclePass(2, "front", 1.0, 20.0, 7.0, "vehicle"),
             VehiclePass(3, "front", 2.0, 24.0, 7.0, "vehicle"),
         ]
-        frames, _ = render_detections(vehicles, scenario, np.random.default_rng(12))
+        frames = render_detections(vehicles, scenario, np.random.default_rng(12))
         stream = frames["front"]
         assert [f.frame_index for f in stream] == sorted({f.frame_index for f in stream})
         # a tick shared by two vehicles lists them in passes order
@@ -684,7 +703,7 @@ class TestRunPipeline:
         run_pipeline(scenario, dump_sink=sink)
         rng = np.random.default_rng(scenario.seed)
         passes = generate_passes(scenario, rng)
-        frames, _ = render_detections(passes, scenario, rng, trail_frames=3)
+        frames = render_detections(passes, scenario, rng, trail_frames=3)
         from roadwatch.detection import write_detection_log
 
         expected = io.StringIO()

@@ -596,9 +596,9 @@ class TestTrackerLifecycle:
         tracker.step(frame(1, [(100, 100)]))
         tracker.step(frame(2, []))
         track = tracker.tracks[0]
-        assert track.consecutive_misses == 1 and track.consecutive_hits == 0
+        assert track.consecutive_misses == 1 and list(track.ticks) == [0, 1]
         tracker.step(frame(3, [(100, 100)]))
-        assert track.consecutive_misses == 0 and track.consecutive_hits == 1
+        assert track.consecutive_misses == 0 and list(track.ticks) == [0, 1, 3]
 
     def test_hits_misses_never_both_positive(self):
         rng = np.random.default_rng(59)
@@ -607,7 +607,11 @@ class TestTrackerLifecycle:
             centers = [(100 + rng.uniform(-3, 3), 100 + rng.uniform(-3, 3))] if rng.uniform() < 0.7 else []
             tracker.step(frame(k, centers))
             for track in tracker.tracks:
-                assert not (track.consecutive_hits > 0 and track.consecutive_misses > 0)
+                # the misses are the frames since the last hit, and a live
+                # tentative track has hit every frame since its first
+                assert track.consecutive_misses == k - track.ticks[-1]
+                if track.status == TENTATIVE:
+                    assert list(track.ticks) == list(range(k + 1 - len(track.ticks), k + 1))
 
     def test_two_lanes_no_identity_switch(self):
         rng = np.random.default_rng(61)
@@ -758,8 +762,8 @@ class TestHitStorage:
 
         def state():
             return tracker._last_timestamp, tracker._next_id, [
-                (t.track_id, t.status, t.x, t.vx, t.p_pos, t.consecutive_hits, t.consecutive_misses,
-                 t.history, dict(t.class_counts))
+                (t.track_id, t.status, t.x, t.vx, t.p_pos, t.consecutive_misses, t.history,
+                 dict(t.class_counts))
                 for t in tracker.tracks
             ]
 
@@ -826,7 +830,7 @@ class TestFusedStep:
             obs = predicted.mean[:2] + rng.normal(0, 5, 2)
             expected = update(predicted, obs, r)
             got = track_state(stepped_once(track, dt, tuple(obs), gate=1e9))
-            assert track.consecutive_hits == 2 and track.history[-1] == (1, (obs[0], obs[1]))
+            assert track.consecutive_misses == 0 and track.history == [(1, (obs[0], obs[1]))]
             np.testing.assert_allclose(got.mean, expected.mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got.covariance, expected.covariance, rtol=1e-12, atol=1e-12)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from roadwatch.errors import ConfigError, StreamOrderError
+from roadwatch.simulation import SimulationReport
 from roadwatch.tracking import NEW_VEHICLE, TRACK_TERMINATED, TrackerEvent
 from roadwatch.warning import (
     DECISION_SKIP_CLASS,
@@ -138,7 +139,7 @@ class TestOnNewVehicle:
         # only new-vehicle events enter the flow check; others leave no trace
         monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
         assert monitor.observe(event(15.0, kind=TRACK_TERMINATED)) is None
-        assert monitor.audit == [] and monitor.events_checked == 0
+        assert monitor.audit == [] and monitor.warnings == []
         assert monitor.t_start == 0.0
 
     def test_pedestrian_rejected_at_op_level(self):
@@ -147,7 +148,7 @@ class TestOnNewVehicle:
         assert monitor.observe(event(50.0, cls="pedestrian")) is None
         assert [r.decision for r in monitor.audit] == [DECISION_SKIP_CLASS]
         assert monitor.audit[0].gap is None
-        assert monitor.events_checked == 0 and monitor.t_start == 100.0
+        assert monitor.warnings == [] and monitor.t_start == 100.0
 
     def test_poisson_suppression_fraction(self):
         lam, t_dur, n = 0.05, 10.0, 20000
@@ -202,7 +203,8 @@ class TestMonitor:
         monitor.observe(event(12.0, track_id=2))            # suppress
         monitor.observe(event(13.0, track_id=3, cls="pedestrian"))  # skipped
         monitor.observe(event(14.0, track_id=4, kind=TRACK_TERMINATED))  # ignored
-        assert monitor.events_checked == 2
+        # the events checked, as replay prints them
+        assert SimulationReport(14.0, 10.0, 0, monitor.audit, ground_truth=False).warnings_without_filter == 2
         assert [r.decision for r in monitor.audit] == [
             DECISION_WARN,
             DECISION_SUPPRESS,
@@ -213,6 +215,9 @@ class TestMonitor:
         assert len(monitor.warnings) == len(warn_records) == 1
         assert all(w is r for w, r in zip(monitor.warnings, warn_records))
         assert warning is monitor.warnings[0]
+        # read from the audit, so there is no second list to set
+        with pytest.raises(AttributeError):
+            monitor.warnings = []
 
     def test_pedestrian_does_not_touch_timer(self):
         monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
