@@ -19,7 +19,9 @@ import sys
 import time
 from contextlib import closing, nullcontext
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .detection import FrameDetections, detection_records, parse_detection_log
 from .errors import ConfigError, RoadwatchError
@@ -27,10 +29,11 @@ from .simulation import (
     DIRECTIONS,
     SimulationReport,
     drive,
+    generate_passes,
     histogram_csv,
     load_report,
     load_scenario,
-    run_pipeline,
+    run_passes,
     summary_text,
     write_report,
 )
@@ -68,53 +71,23 @@ def _tracker_config(args) -> TrackerConfig:
     return TrackerConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
-class _DumpFile:
-    """The ``--dump-detections`` file, opened for writing (so emptied) at its first write.
-
-    ``run_pipeline`` checks ``--t-duration`` before it renders a frame, so a
-    run that exits 2 there leaves an existing dump as it was. A run that
-    ends without a frame still leaves an empty dump.
-    """
-
-    encoding = "utf-8"
-
-    def __init__(self, path: str):
-        self.path = path
-        self.file: IO[str] | None = None
-
-    def write(self, text: str) -> int:
-        if self.file is None:
-            self.file = open(self.path, "w", encoding="utf-8", newline="")
-        return self.file.write(text)
-
-    def __enter__(self) -> "_DumpFile":
-        return self
-
-    def __exit__(self, exc_type, *_) -> None:
-        if exc_type is None:
-            self.write("")  # opens the file if no frame did; if that fails, there is nothing to close
-        if self.file is not None:
-            self.file.close()
-
-
 def cmd_simulate(args) -> int:
+    # every flag is checked, and the device opened, before --out or the dump is touched
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
+        scenario.validate()
     config = _tracker_config(args)
-    with (
-        closing(open_device(args.device)) if args.device else nullcontext() as device,
-        _DumpFile(args.dump_detections) if args.dump_detections else nullcontext() as dump_sink,
-    ):
+    with closing(open_device(args.device)) if args.device else nullcontext() as device:
+        monitor = FlowCheckMonitor(t_duration=args.t_duration, start_time=0.0, device=device)
         # made before the first frame, so that an unusable --out loses no run
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        report = run_pipeline(
-            scenario,
-            tracker_config=config,
-            t_duration=args.t_duration,
-            device=device,
-            dump_sink=dump_sink,
-        )
+        with (
+            open(args.dump_detections, "w", encoding="utf-8", newline="")
+            if args.dump_detections else nullcontext() as dump_sink
+        ):
+            rng = np.random.default_rng(scenario.seed)
+            report = run_passes(generate_passes(scenario, rng), scenario, rng, monitor, config, dump_sink)
     write_report(report, args.out)
     log.info(
         "simulated %.0f s: %d events, %d warnings",

@@ -817,12 +817,11 @@ def run_passes(
     passes: list[VehiclePass],
     scenario: Scenario,
     rng: np.random.Generator,
+    monitor: FlowCheckMonitor,
     tracker_config: TrackerConfig | None = None,
-    t_duration: float = 10.0,
-    device=None,
     dump_sink: IO[str] | IO[bytes] | None = None,
 ) -> SimulationReport:
-    """Render the given passes and run tracking + flow check over them.
+    """Render the given passes and run tracking + ``monitor``'s flow check over them.
 
     Every random draw is made here. Then each camera's frames are built,
     formatted and tracked in a worker process of its own
@@ -834,8 +833,6 @@ def run_passes(
     exception here stops both workers, and a worker that dies raises
     RuntimeError naming its camera and exit code.
     """
-    # built first, so that a bad t_duration fails before any draw
-    monitor = FlowCheckMonitor(t_duration=t_duration, start_time=0.0, device=device)
     config = tracker_config or TrackerConfig()
     rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)
     pass_times = {p.vehicle_id: p.pass_time for p in rendering.passes}
@@ -849,7 +846,7 @@ def run_passes(
     finally:
         for stream in streams:
             stream.close()
-    return SimulationReport(scenario.duration, t_duration, scenario.seed, monitor.audit, monitor.emit_failures)
+    return SimulationReport(scenario.duration, monitor.t_duration, scenario.seed, monitor.audit, monitor.emit_failures)
 
 
 def run_pipeline(
@@ -859,19 +856,14 @@ def run_pipeline(
     device=None,
     dump_sink: IO[str] | IO[bytes] | None = None,
 ) -> SimulationReport:
-    """Simulate one scenario end to end; fully determined by scenario.seed."""
+    """Simulate one scenario end to end; fully determined by scenario.seed.
+
+    The scenario and ``t_duration`` are checked before any draw.
+    """
     scenario.validate()
+    monitor = FlowCheckMonitor(t_duration=t_duration, start_time=0.0, device=device)
     rng = np.random.default_rng(scenario.seed)
-    passes = generate_passes(scenario, rng)
-    return run_passes(
-        passes,
-        scenario,
-        rng,
-        tracker_config=tracker_config,
-        t_duration=t_duration,
-        device=device,
-        dump_sink=dump_sink,
-    )
+    return run_passes(generate_passes(scenario, rng), scenario, rng, monitor, tracker_config, dump_sink)
 
 
 # --- report serialization ------------------------------------------------------

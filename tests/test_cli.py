@@ -332,6 +332,23 @@ print(frames, *loaded)
         assert lines[-1].split() == [str(len(dump.read_bytes().splitlines())), "False", "False", "False", "False"]
         assert f"frames              {lines[-1].split()[0]}" in lines
 
+    def test_directory_as_dump_exit_2_before_any_draw(self, tmp_path):
+        # a fresh process, since pytest loads multiprocessing into this one; the
+        # dump was once opened at the first frame's write, after both camera workers had started
+        script = """\
+import sys
+import roadwatch.cli
+code = roadwatch.cli.main(["simulate", "--scenario", "country-road", "--device", "stdout",
+                           "--out", sys.argv[1], "--dump-detections", sys.argv[2]])
+print(code, "multiprocessing" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "o"), str(tmp_path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Is a directory" in proc.stderr
+        assert "WARN" not in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "2 False"
+
     def test_only_a_log_parse_loads_orjson(self, scenario_file, tmp_path):
         # a fresh process, since the parses of this one have loaded orjson;
         # the parser imports it at its first record, so simulate never does
@@ -376,15 +393,6 @@ print(*loaded)
             "oc.log": "b3add3b1ffc799f2959edd927fd9c56aece665924eeff73de4cd588831667d08",
         }
 
-    def test_exit_2_leaves_existing_dump(self, tmp_path, capsys):
-        # the dump was once opened, so emptied, before --t-duration was checked
-        dump = tmp_path / "d.log"
-        dump.write_text("kept\n", encoding="utf-8")
-        assert main(["simulate", "--scenario", "country-road", "--t-duration", "nan", "--out", str(tmp_path / "o"),
-                     "--dump-detections", str(dump)]) == 2
-        assert "t_duration must be finite" in capsys.readouterr().err
-        assert dump.read_text(encoding="utf-8") == "kept\n"
-
     def test_run_without_frames_empties_dump(self, tmp_path, capsys):
         dump = tmp_path / "d.log"
         dump.write_text("old\n", encoding="utf-8")
@@ -420,7 +428,7 @@ print(*loaded)
             args = ["--scenario", str(scenario_file)]
         assert main(["simulate", *args, "--out", str(out)]) == 2
         assert f"scenario.seed must be >= 0 and < 2**64, got {2**64}" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_largest_seed_read_back_by_report(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -1079,6 +1087,38 @@ class TestFlags:
         assert main([mode, *source, "--out", str(tmp_path / "o"), flag, "0"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, flags, message", [
+        pytest.param(mode, flags, message, id=f"{mode} {flags[0]}={flags[1]}") for mode, flags, message in [
+            ("simulate", ["--seed", str(2**64)], f"scenario.seed must be >= 0 and < 2**64, got {2**64}"),
+            ("simulate", ["--scenario", "nope"], "scenario 'nope' is neither a file nor a builtin"),
+            ("replay", ["--log", "none.log"], "No such file or directory"),
+            *((mode, *case) for mode in ("simulate", "replay") for case in [
+                (["--t-duration", "nan"], "t_duration must be finite and > 0, got nan"),
+                (["--t-duration", "0"], "t_duration must be finite and > 0, got 0.0"),
+                (["--gate", "0"], "gate_distance must be > 0 and finite, got 0.0"),
+                (["--confirm-hits", "0"], "confirm_hits must be >= 1, got 0"),
+                (["--max-misses", "0"], "max_misses must be >= 1, got 0"),
+                (["--device", "bogus"], "unknown device 'bogus'"),
+            ]),
+        ]
+    ])
+    def test_bad_flag_exit_2_before_the_run_acts(self, tmp_path, capsys, monkeypatch, mode, flags, message):
+        # a bad --seed or --t-duration once exited 2 after --out was made, and a
+        # bad --t-duration once after the dump was handed to the run. The log
+        # warns at its first vehicle; simulate's dump is that log, kept as it was
+        monkeypatch.chdir(tmp_path)
+        log = tmp_path / "d.log"
+        log.write_text("".join(one_vehicle_line(k, "640.0") for k in range(600, 606)), encoding="utf-8")
+        kept = log.read_bytes()
+        source = ["--scenario", "country-road", "--dump-detections"] if mode == "simulate" else ["--log"]
+        # a later flag overrides an earlier one, so a case can replace the source or the device
+        assert main([mode, *source, "d.log", "--device", "stdout", "--out", "o", *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "WARN" not in captured.out
+        assert not (tmp_path / "o").exists()
+        assert log.read_bytes() == kept
+
     @pytest.mark.parametrize("mode", ["simulate", "replay"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_gate_exit_2(self, scenario_file, tmp_path, capsys, mode, value):
@@ -1089,7 +1129,7 @@ class TestFlags:
         out = tmp_path / "o"
         assert main([mode, *source, "--out", str(out), "--device", "stdout", "--gate", value]) == 2
         assert f"gate_distance must be > 0 and finite, got {value}" in capsys.readouterr().err
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("mode, value", [("simulate", "nan"), ("replay", "inf")])
     def test_non_finite_t_duration_exit_2(self, scenario_file, tmp_path, capsys, mode, value):
@@ -1104,9 +1144,8 @@ class TestFlags:
         captured = capsys.readouterr()
         assert f"t_duration must be finite and > 0, got {value}" in captured.err
         assert "WARN" not in captured.out
-        assert not (out / "report.json").exists()
-        # simulate fails before it renders or tracks a frame
-        assert not dump.exists() or dump.read_text() == ""
+        assert not out.exists()
+        assert not dump.exists()
 
     def test_log_level_env_accepted(self, scenario_file, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ROADWATCH_LOG_LEVEL", "DEBUG")

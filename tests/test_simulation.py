@@ -48,7 +48,7 @@ from roadwatch.simulation import (
 )
 from roadwatch.detection import FrameDetections
 from roadwatch.tracking import TrackerConfig, VehicleTracker
-from roadwatch.warning import AuditRecord, StdoutDevice
+from roadwatch.warning import AuditRecord, FlowCheckMonitor, StdoutDevice
 from roadwatch.workers import BATCH_FRAMES, PIPE_BYTES
 
 
@@ -632,7 +632,7 @@ class TestRunPipeline:
     def test_single_vehicle_delta_kinematics(self):
         scenario = make_scenario(noise=NoiseModel())
         vehicle = single_pass(spawn=12.0, speed=20.0, d_vis=120.0)
-        report = run_passes([vehicle], scenario, np.random.default_rng(0), t_duration=10.0)
+        report = run_passes([vehicle], scenario, np.random.default_rng(0), FlowCheckMonitor(t_duration=10.0))
         assert report.warnings_with_filter == 1
         delta = report.entries[0].delta
         expected = 120.0 / 20.0 - 1.0 / 30.0  # confirmation one frame after first sight
@@ -643,7 +643,7 @@ class TestRunPipeline:
 
         scenario = make_scenario(occlusion_windows=[OcclusionWindow("front", 30.0, 120.0)])
         vehicle = single_pass(spawn=12.0, speed=20.0, d_vis=120.0)
-        report = run_passes([vehicle], scenario, np.random.default_rng(0), t_duration=10.0)
+        report = run_passes([vehicle], scenario, np.random.default_rng(0), FlowCheckMonitor(t_duration=10.0))
         assert report.warnings_with_filter == 1
         expected = 30.0 / 20.0 - 1.0 / 30.0
         assert report.entries[0].delta == pytest.approx(expected, abs=1.0 / 30.0 + 2e-3)
@@ -652,7 +652,7 @@ class TestRunPipeline:
         scenario = make_scenario(duration=2000.0, seed=31)
         rng = np.random.default_rng(scenario.seed)
         passes = generate_passes(scenario, rng)
-        report = run_passes(passes, scenario, rng)
+        report = run_passes(passes, scenario, rng, FlowCheckMonitor())
         assert report.warnings_without_filter == len(passes)
         assert report.spurious_warnings == 0
         config = TrackerConfig()
@@ -876,9 +876,10 @@ class TestReportArtifacts:
         # audit.jsonl writes a delta of 5.9997 s as 6.000, so simulate must
         # bin it at 6 as a loaded report does, not at 5
         scenario = make_scenario(noise=NoiseModel())
-        warned_at = run_passes([single_pass()], scenario, np.random.default_rng(0)).entries[0].timestamp
+        first = run_passes([single_pass()], scenario, np.random.default_rng(0), FlowCheckMonitor())
+        warned_at = first.entries[0].timestamp
         vehicle = replace(single_pass(), pass_time=warned_at + 5.9997)
-        report = run_passes([vehicle], scenario, np.random.default_rng(0))
+        report = run_passes([vehicle], scenario, np.random.default_rng(0), FlowCheckMonitor())
         assert report.entries[0].delta == pytest.approx(5.9997)
         write_report(report, tmp_path)
         assert report.histogram() == load_report(tmp_path).histogram() == {6: 1}
