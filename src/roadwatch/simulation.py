@@ -32,6 +32,7 @@ import numpy as np
 # write_detection_log stays importable from here: perfbench/tracer.py wraps
 # it under this module's name
 from .detection import (  # noqa: F401
+    CAMERAS,
     CLASSES,
     Detection,
     FrameDetections,
@@ -51,7 +52,7 @@ from .warning import (
 )
 from .workers import received
 
-DIRECTIONS = ("front", "rear")
+DIRECTIONS = CAMERAS
 
 # fixed world/projection constants of the 1-D road model
 VEHICLE_ASPECT = 1.5        # rendered box width / height

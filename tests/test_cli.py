@@ -400,10 +400,6 @@ print(*loaded)
                      "--dump-detections", str(dump)]) == 0
         assert dump.read_text(encoding="utf-8") == ""
 
-    def test_unknown_scenario_exit_2(self, tmp_path, capsys):
-        code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path / "o")])
-        assert code == 2
-
     def test_unusable_out_exit_2_before_the_first_frame(self, tmp_path, capsys):
         # --out was once made after the run, so its warnings had gone out and its dump was written
         blocker = tmp_path / "file"
@@ -821,9 +817,6 @@ class TestReplayEquivalence:
         assert captured.err == "error: line 1: camera front timestamp -3.000 must be at least 0\n"
         assert captured.out == ""
 
-    def test_missing_log_exit_2(self, tmp_path):
-        assert main(["replay", "--log", str(tmp_path / "none.log")]) == 2
-
     def test_directory_as_log_exit_2(self, tmp_path, capsys):
         assert main(["replay", "--log", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -878,11 +871,6 @@ class TestDevices:
         assert "frames" not in captured.out and "run summary" not in captured.out
         assert not out.exists()
         assert not dump.exists()
-
-    def test_bad_device_spec_exit_2(self, scenario_file, tmp_path, capsys):
-        code = main(["simulate", "--scenario", str(scenario_file), "--out",
-                     str(tmp_path / "o"), "--device", "serial:/dev/ttyS0"])
-        assert code == 2
 
     @pytest.mark.parametrize("port", ["0", "99999", "-1"])
     def test_udp_port_out_of_range_exit_2(self, tmp_path, capsys, port):
@@ -1073,19 +1061,6 @@ class TestFlags:
         assert events("--gate", "0.001") < default
         # a track that never dies takes in the next vehicle inside the gate
         assert events("--max-misses", "1000000") < default
-
-    @pytest.mark.parametrize("mode", ["simulate", "replay"])
-    @pytest.mark.parametrize(
-        "flag, message",
-        [("--gate", "gate_distance must be > 0"), ("--confirm-hits", "confirm_hits must be >= 1"),
-         ("--max-misses", "max_misses must be >= 1")],
-    )
-    def test_bad_tracker_flag_exit_2(self, scenario_file, tmp_path, capsys, mode, flag, message):
-        log = tmp_path / "one.log"
-        log.write_text('{"camera":"front","frame":0,"t":0.000,"dets":[]}\n', encoding="utf-8")
-        source = ["--scenario", str(scenario_file)] if mode == "simulate" else ["--log", str(log)]
-        assert main([mode, *source, "--out", str(tmp_path / "o"), flag, "0"]) == 2
-        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, flags, message", [
         pytest.param(mode, flags, message, id=f"{mode} {flags[0]}={flags[1]}") for mode, flags, message in [

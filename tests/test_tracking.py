@@ -391,7 +391,7 @@ class TestAssociate:
         assert solver_calls["assign"] == []
 
     def test_small_in_gate_frames(self, solver_calls):
-        # frames of up to 3 x 3 with every pair in gate, the closed form's
+        # frames of up to 4 x 4 with every pair in gate, the closed form's
         # domain: exact ties go to the port, near ties go to the port or
         # agree with it, and huge distances change neither
         rng = np.random.default_rng(73)
@@ -418,7 +418,7 @@ class TestAssociate:
         paths = {kind: Counter() for kind in draws}
         for kind, (draw, gate) in draws.items():
             for _ in range(1500):
-                n, m = rng.integers(1, 4, 2)
+                n, m = rng.integers(1, 5, 2)
                 paths[kind][self.path(solver_calls, draw(n), draw(m), gate)[0]] += 1
         # every co-located conflict is an exact tie, left to the port
         assert paths["co-located"]["closed"] == 0
@@ -427,6 +427,8 @@ class TestAssociate:
             assert paths[kind]["closed"] > 300, (kind, paths[kind])
         for kind in ("lattice", "near ties"):
             assert paths[kind]["port"] > 100, (kind, paths[kind])
+        # every shape that can conflict was decided in closed form; 1 x 1 cannot
+        assert set(solver_calls["closed"]) == {(n, m) for n in range(1, 5) for m in range(1, 5)} - {(1, 1)}
         assert solver_calls["assign"] == []
 
     def test_closed_form_leaves_overflow_and_nan_to_the_port(self):
@@ -446,6 +448,21 @@ class TestAssociate:
         # a clear minimum by more than the margin, and one within it
         assert _clear_cheapest([0.0, 1.0, 1.0, 2.0 - 1e-6], 2, 2) == ((0, 1), (0, 1))
         assert _clear_cheapest([0.0, 1.0, 1.0, 2.0 - 1e-12], 2, 2) is None
+
+        def frame(n_tracks, n_dets, cheap, fill=1.0):
+            """Row-major costs: ``cheap`` maps (track, detection) to a cost, every other pair costs ``fill``."""
+            return [cheap.get((i, j), fill) for i in range(n_tracks) for j in range(n_dets)]
+
+        # 4 x 4 and 4 x 3, each with one matching of cost 0 and every other pair at cost 1
+        for n_dets, best in [(4, ((2, 0, 3, 1), (1, 3, 0, 2))), (3, ((2, 0, -1, 1), (1, 3, 0)))]:
+            cheap = {(i, j): 0.0 for i, j in enumerate(best[0]) if j >= 0}
+            assert _clear_cheapest(frame(4, n_dets, cheap), 4, n_dets) == best
+            assert _clear_cheapest(frame(4, n_dets, cheap, big), 4, n_dets) is None  # some sums are infinite
+            assert _clear_cheapest(frame(4, n_dets, {**cheap, (3, 0): np.nan}), 4, n_dets) is None
+            # swapping the partners of tracks 0 and 1 costs 1e-6, or 1e-12, more
+            for extra, partners in [(1e-6, best), (1e-12, None)]:
+                close = {**cheap, (0, 0): extra / 2, (1, 2): extra / 2}
+                assert _clear_cheapest(frame(4, n_dets, close), 4, n_dets) == partners, extra
 
     def test_large_frames(self, solver_calls):
         # criterion 7's lattice: 50 tracks, 20 detections, each in the gate
