@@ -156,7 +156,7 @@ def _add_tracker_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t-duration", type=float, default=10.0, help="flow-check quiet gap, seconds")
     parser.add_argument("--gate", type=float, default=None, help="assignment gate, pixels")
     parser.add_argument("--confirm-hits", type=int, default=None, help="hits to confirm a track")
-    parser.add_argument("--max-misses", type=int, default=None, help="misses to drop an active track")
+    parser.add_argument("--max-misses", type=int, default=None, help="misses to drop a confirmed track")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,7 +42,7 @@ from .detection import (  # noqa: F401
     write_detection_log,
 )
 from .errors import ConfigError
-from .tracking import NEW_VEHICLE, Track, TrackerConfig, TrackerEvent, VehicleTracker, majority
+from .tracking import Track, TrackerConfig, TrackerEvent, VehicleTracker, majority
 from .warning import (
     DECISION_SKIP_CLASS,
     DECISION_SUPPRESS,
@@ -708,8 +708,9 @@ class SimulationReport:
 
 
 # One frame's record between the two halves of the pipeline: (timestamp,
-# dump line or None, events), each event paired with its vehicle id or None.
-# A frame whose step raised carries the exception in place of its events.
+# dump line or None, new-vehicle events), each event paired with its
+# vehicle id or None. A frame whose step raised carries the exception in
+# place of its events.
 Record = tuple[float, str | None, list[tuple[TrackerEvent, int | None]] | Exception]
 
 
@@ -721,9 +722,9 @@ def _track(
 ) -> Iterator[Record]:
     """The first half of the pipeline: each frame's record, after its tracker's step.
 
-    The dump line is formatted when ``dump`` is set. A new-vehicle event is
-    paired with ``label(track)`` when ``label`` is given; every other event
-    with None. A frame whose step raises is the last record.
+    The dump line is formatted when ``dump`` is set. Each new-vehicle event
+    is paired with ``label(track)`` when ``label`` is given, and with None
+    when it is not. A frame whose step raises is the last record.
     """
     for frame in frames:
         line = format_detection_line(frame) if dump else None
@@ -734,7 +735,7 @@ def _track(
             yield frame.timestamp, line, exc
             return
         yield frame.timestamp, line, [
-            (e, label(tracker.archive[e.track_id]) if label and e.kind == NEW_VEHICLE else None) for e in events
+            (e, label(tracker.archive[e.track_id]) if label else None) for e in events
         ]
 
 

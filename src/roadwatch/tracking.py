@@ -3,9 +3,11 @@
 Each camera stream runs one :class:`VehicleTracker`. Per frame it predicts
 every live track with a constant-velocity Kalman filter, assigns detections
 to tracks by minimizing total Euclidean center distance (Hungarian method,
-gated), and manages the tentative/active/terminated lifecycle. Confirming a
-tentative track emits exactly one ``new_vehicle`` event, which is what the
-downstream warning stage consumes.
+gated), and spawns and deletes tracks. A track is tentative until
+``confirm_hits`` hits confirm it; confirming emits its one ``new_vehicle``
+event, the only event the tracker emits and the one the downstream warning
+stage consumes. A tentative track dies on its first miss, a confirmed one
+after ``max_misses`` misses in a row.
 
 The tracker runs the filter per axis on plain floats, inline in
 :meth:`VehicleTracker.step`. F, Q, R and the spawn covariance are
@@ -60,12 +62,7 @@ import scipy
 from .detection import MAX_FRAME_INDEX, FrameDetections
 from .errors import StreamOrderError, ValidationError
 
-TENTATIVE = "tentative"
-ACTIVE = "active"
-TERMINATED = "terminated"
-
 NEW_VEHICLE = "new_vehicle"
-TRACK_TERMINATED = "track_terminated"
 
 # Kalman noise levels, the same on x and y: white-acceleration variance
 # scale, position measurement variance, and a new track's velocity variance
@@ -87,8 +84,8 @@ class TrackerConfig:
     """Tracking knobs left open by the motion model.
 
     ``gate_distance`` is the maximum assignable center distance in pixels;
-    ``confirm_hits`` consecutive assignments promote a tentative track;
-    ``max_misses`` consecutive misses terminate an active one. Defaults are
+    ``confirm_hits`` consecutive assignments confirm a tentative track;
+    ``max_misses`` consecutive misses delete a confirmed one. Defaults are
     tuned for 1280-px-wide frames at 30 FPS. The filter's noise levels are
     the module constants above.
     """
@@ -115,7 +112,7 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class TrackerEvent:
-    """Lifecycle notification emitted by the tracker."""
+    """A confirmation: ``kind`` is always ``NEW_VEHICLE``."""
 
     kind: str
     track_id: int
@@ -346,8 +343,9 @@ def _associate(
     predicted: list[tuple[float, float]],
     centers: list[tuple[float, float]],
     gate_distance: float,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """``assign(cost_matrix(predicted, centers), gate_distance)`` in plain
+) -> tuple[Sequence[int], Sequence[int]]:
+    """Each track's and each detection's partner (-1 for none) under
+    ``assign(cost_matrix(predicted, centers), gate_distance)``, in plain
     Python, for frames of any size. While no track and no detection has two
     in-gate partners, the in-gate pairs are the result (the module docstring
     says why that is exact). At the first conflict the whole frame goes to
@@ -370,16 +368,8 @@ def _associate(
         else:
             continue
         # the inner loop stopped at the first conflict
-        track_partner, det_partner = _solved(predicted, centers, gate_distance)
-        break
-    matches = []
-    unmatched_tracks = []
-    for i, j in enumerate(track_partner):
-        if j >= 0:
-            matches.append((i, j))
-        else:
-            unmatched_tracks.append(i)
-    return matches, unmatched_tracks, [j for j, i in enumerate(det_partner) if i < 0]
+        return _solved(predicted, centers, gate_distance)
+    return track_partner, det_partner
 
 
 def _solved(
@@ -479,7 +469,9 @@ class Track:
     ``x, y, vx, vy`` is the mean; ``p_pos``, ``p_cross`` and ``p_vel`` are
     the 2x2 (position, velocity) covariance block that both axes share.
     Hit ``i`` is frame ``ticks[i]`` at center ``centers[2 * i]``,
-    ``centers[2 * i + 1]``.
+    ``centers[2 * i + 1]``. The track is tentative while ``confirmed_at``
+    is None; ``class_counts`` and ``class_recency`` hold the classes of its
+    tentative hits, the confirming one included.
     """
 
     track_id: int
@@ -490,7 +482,6 @@ class Track:
     vx: float = 0.0
     vy: float = 0.0
     p_cross: float = 0.0
-    status: str = TENTATIVE
     consecutive_misses: int = 0
     confirmed_at: float | None = None
     ticks: array = field(default_factory=lambda: array("q"))
@@ -505,7 +496,7 @@ class Track:
         return list(zip(self.ticks, zip(centers[0::2], centers[1::2])))
 
     def majority_class(self) -> str:
-        """Majority class over assigned detections; ties go to the most recent."""
+        """Majority class over the hits up to confirmation; ties go to the most recent."""
         return majority(self.class_counts, self.class_recency)
 
 
@@ -513,8 +504,10 @@ class VehicleTracker:
     """Online tracker for one camera stream.
 
     Mutated only by its own stream loop; run one instance per camera.
-    Terminated tracks are kept in ``archive`` so that offline evaluation can
-    inspect full histories; each hit a track keeps costs 24 bytes.
+    ``tracks`` holds the live tracks, tentative and confirmed. A track
+    leaves it in the step where it dies, but stays in ``archive``, with
+    every track ever spawned, so that offline evaluation can inspect full
+    histories; each hit a track keeps costs 24 bytes.
     """
 
     def __init__(self, camera: str, config: TrackerConfig | None = None):
@@ -526,7 +519,7 @@ class VehicleTracker:
         self._last_timestamp: float | None = None
 
     def step(self, frame: FrameDetections) -> list[TrackerEvent]:
-        """Advance the tracker by one frame, returning lifecycle events."""
+        """Advance the tracker by one frame, returning its ``new_vehicle`` events."""
         if frame.camera != self.camera:
             raise ValidationError(f"frame camera {frame.camera!r} != tracker camera {self.camera!r}")
         frame_index = frame.frame_index
@@ -561,25 +554,28 @@ class VehicleTracker:
                 track.p_vel = p_vel + q_vel
 
         if not tracks or not dets:
-            matches, unmatched_tracks, unmatched_dets = (), range(len(tracks)), range(len(dets))
+            track_partner, det_partner = [-1] * len(tracks), [-1] * len(dets)
         elif len(tracks) == 1 and len(dets) == 1:
             # one by one: the pair is the result if it is in gate
             dx = tracks[0].x - dets[0].cx
             dy = tracks[0].y - dets[0].cy
-            if math.sqrt(dx * dx + dy * dy) <= cfg.gate_distance:
-                matches, unmatched_tracks, unmatched_dets = ((0, 0),), (), ()
-            else:
-                matches, unmatched_tracks, unmatched_dets = (), (0,), (0,)
+            track_partner = det_partner = (0,) if math.sqrt(dx * dx + dy * dy) <= cfg.gate_distance else (-1,)
         else:
-            matches, unmatched_tracks, unmatched_dets = _associate(
+            track_partner, det_partner = _associate(
                 [(t.x, t.y) for t in tracks],
                 [(d.cx, d.cy) for d in dets],
                 cfg.gate_distance,
             )
 
         r = MEASUREMENT_NOISE
-        for track_idx, det_idx in matches:
-            track = tracks[track_idx]
+        live = []
+        for track, det_idx in zip(tracks, track_partner):
+            if det_idx < 0:
+                track.consecutive_misses += 1
+                # a tentative track does not survive a single miss
+                if track.confirmed_at is not None and track.consecutive_misses < cfg.max_misses:
+                    live.append(track)
+                continue
             det = dets[det_idx]
             zx, zy = det.cx, det.cy
             # Kalman update, with the Joseph-form covariance
@@ -602,51 +598,38 @@ class VehicleTracker:
             centers = track.centers
             centers.append(zx)
             centers.append(zy)
-            object_class = det.best_class
-            track.class_counts[object_class] += 1
-            track.class_recency[object_class] = len(ticks)
             track.consecutive_misses = 0
-            # a tentative track dies on its first miss, so all its hits are consecutive
-            if track.status == TENTATIVE and len(ticks) >= cfg.confirm_hits:
-                track.status = ACTIVE
-                track.confirmed_at = timestamp
-                events.append(self._event(NEW_VEHICLE, track, timestamp))
+            live.append(track)
+            if track.confirmed_at is None:
+                object_class = det.best_class
+                track.class_counts[object_class] += 1
+                track.class_recency[object_class] = len(ticks)
+                # a tentative track dies on its first miss, so all its hits are consecutive
+                if len(ticks) >= cfg.confirm_hits:
+                    track.confirmed_at = timestamp
+                    events.append(self._event(track, timestamp))
 
-        terminated = False
-        for track_idx in unmatched_tracks:
-            track = tracks[track_idx]
-            track.consecutive_misses += 1
-            if track.status == TENTATIVE:
-                # an unconfirmed track does not survive a single miss
-                track.status = TERMINATED
-                terminated = True
-            elif track.consecutive_misses >= cfg.max_misses:
-                track.status = TERMINATED
-                terminated = True
-                events.append(self._event(TRACK_TERMINATED, track, timestamp))
-
-        for det_idx in unmatched_dets:
-            det = dets[det_idx]
+        for det, partner in zip(dets, det_partner):
+            if partner >= 0:
+                continue
             cx, cy, object_class = det.cx, det.cy, det.best_class
             track = Track(self._next_id, cx, cy, p_pos=MEASUREMENT_NOISE, p_vel=INITIAL_VELOCITY_VARIANCE,
                           ticks=array("q", (frame_index,)), centers=array("d", (cx, cy)),
                           class_counts=Counter((object_class,)), class_recency={object_class: 1})
             self._next_id += 1
-            tracks.append(track)
+            live.append(track)
             self.archive[track.track_id] = track
             if cfg.confirm_hits <= 1:
-                track.status = ACTIVE
                 track.confirmed_at = timestamp
-                events.append(self._event(NEW_VEHICLE, track, timestamp))
+                events.append(self._event(track, timestamp))
 
-        if terminated:
-            self.tracks = [t for t in self.tracks if t.status != TERMINATED]
+        self.tracks = live
         self._last_timestamp = timestamp
         return events
 
-    def _event(self, kind: str, track: Track, timestamp: float) -> TrackerEvent:
+    def _event(self, track: Track, timestamp: float) -> TrackerEvent:
         return TrackerEvent(
-            kind=kind,
+            kind=NEW_VEHICLE,
             track_id=track.track_id,
             timestamp=timestamp,
             camera=self.camera,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from .errors import ConfigError, StreamOrderError
-from .tracking import NEW_VEHICLE, TrackerEvent
+from .tracking import TrackerEvent
 
 WARNING_CLASSES = frozenset({"truck", "vehicle"})
 
@@ -129,9 +129,7 @@ class FlowCheckMonitor:
         return [record for record in self.audit if record.decision == DECISION_WARN]
 
     def observe(self, event: TrackerEvent) -> AuditRecord | None:
-        """Feed one tracker event; returns the warn record if a warning fired."""
-        if event.kind != NEW_VEHICLE:
-            return None
+        """Feed one new-vehicle event; returns the warn record if a warning fired."""
         gap = None
         if event.object_class not in WARNING_CLASSES:
             decision = DECISION_SKIP_CLASS

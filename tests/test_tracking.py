@@ -11,13 +11,10 @@ import pytest
 from roadwatch.detection import CLASSES, Detection, FrameDetections
 from roadwatch.errors import StreamOrderError, ValidationError
 from roadwatch.tracking import (
-    ACTIVE,
     INITIAL_VELOCITY_VARIANCE,
     MEASUREMENT_NOISE,
     NEW_VEHICLE,
     PROCESS_NOISE,
-    TENTATIVE,
-    TRACK_TERMINATED,
     KalmanState,
     Track,
     TrackerConfig,
@@ -263,6 +260,22 @@ def scipy_association(predicted, centers, gate):
     return assign(cost_matrix(predicted, centers), gate)
 
 
+def tracker_association(predicted, centers, gate):
+    """``_associate``'s partner lists as ``assign``'s triple."""
+    from roadwatch.tracking import _associate
+
+    track_partner, det_partner = _associate(predicted, centers, gate)
+    assert len(track_partner) == len(predicted) and len(det_partner) == len(centers)
+    matches = [(i, j) for i, j in enumerate(track_partner) if j >= 0]
+    # the two lists name the same pairs
+    assert sorted((i, j) for j, i in enumerate(det_partner) if i >= 0) == matches
+    return (
+        matches,
+        [i for i, j in enumerate(track_partner) if j < 0],
+        [j for j, i in enumerate(det_partner) if i < 0],
+    )
+
+
 def with_sentinel(costs, gate):
     """``costs`` with its out-of-gate entries masked as ``assign`` masks them."""
     gated = costs > gate
@@ -353,9 +366,7 @@ class TestAssociate:
         return calls
 
     def check(self, predicted, centers, gate):
-        from roadwatch.tracking import _associate
-
-        got = association_outcome(_associate, predicted, centers, gate)
+        got = association_outcome(tracker_association, predicted, centers, gate)
         expected = association_outcome(scipy_association, predicted, centers, gate)
         assert got == expected, (predicted, centers, gate)
         return got
@@ -516,8 +527,6 @@ class TestAssociate:
         # a NaN or overflowed distance is out of gate: the frame is decided
         # as assign decides it with that point moved far away, where assign
         # itself rejects the frame
-        from roadwatch.tracking import _associate
-
         def cases(x):
             return [
                 ([(x, 0.0)], [(0.0, 0.0)]),
@@ -534,7 +543,7 @@ class TestAssociate:
                 "ValidationError",
                 "costs must be finite and non-negative",
             )
-            assert association_outcome(_associate, predicted, centers, gate) == \
+            assert association_outcome(tracker_association, predicted, centers, gate) == \
                 association_outcome(scipy_association, *far, gate)
 
 
@@ -573,12 +582,12 @@ class TestTrackerLifecycle:
         tracker = VehicleTracker("front", TrackerConfig(confirm_hits=2))
         events = tracker.step(frame(0, [(100, 100)]))
         assert events == []
-        assert tracker.tracks[0].status == TENTATIVE
+        assert tracker.tracks[0].confirmed_at is None
         events = tracker.step(frame(1, [(100, 100)]))
         assert [e.kind for e in events] == [NEW_VEHICLE]
         assert events[0].track_id == 1
         assert events[0].camera == "front"
-        assert tracker.tracks[0].status == ACTIVE
+        assert tracker.tracks[0].confirmed_at == events[0].timestamp
         for k in range(2, 6):
             assert tracker.step(frame(k, [(100, 100)])) == []
 
@@ -593,7 +602,8 @@ class TestTrackerLifecycle:
         events = tracker.step(frame(1, []))
         assert events == []
         assert tracker.tracks == []
-        assert tracker.archive[1].status == "terminated"
+        assert tracker.archive[1].confirmed_at is None
+        assert tracker.archive[1].consecutive_misses == 1
 
     def test_active_track_survives_then_terminates(self):
         config = TrackerConfig(confirm_hits=2, max_misses=3)
@@ -602,9 +612,11 @@ class TestTrackerLifecycle:
         tracker.step(frame(1, [(100, 100)]))
         assert tracker.step(frame(2, [])) == []
         assert tracker.step(frame(3, [])) == []
-        events = tracker.step(frame(4, []))
-        assert [e.kind for e in events] == [TRACK_TERMINATED]
+        assert [t.track_id for t in tracker.tracks] == [1]
+        # the third miss deletes the track silently
+        assert tracker.step(frame(4, [])) == []
         assert tracker.tracks == []
+        assert tracker.archive[1].consecutive_misses == 3
 
     def test_miss_then_reacquire_resets_counters(self):
         config = TrackerConfig(confirm_hits=2, max_misses=3)
@@ -627,7 +639,7 @@ class TestTrackerLifecycle:
                 # the misses are the frames since the last hit, and a live
                 # tentative track has hit every frame since its first
                 assert track.consecutive_misses == k - track.ticks[-1]
-                if track.status == TENTATIVE:
+                if track.confirmed_at is None:
                     assert list(track.ticks) == list(range(k + 1 - len(track.ticks), k + 1))
 
     def test_two_lanes_no_identity_switch(self):
@@ -704,6 +716,41 @@ class TestTrackerLifecycle:
         assert first == second
         assert first  # the stream actually produced events
 
+    def test_step_emits_only_new_vehicle_events(self):
+        # two lanes with dropouts and clutter: confirmed tracks die at
+        # their third miss in a row, tentative ones at their first, and
+        # neither death is an event
+        rng = np.random.default_rng(89)
+        tracker = VehicleTracker("front", TrackerConfig(confirm_hits=2, max_misses=3))
+        kinds, confirmed_deaths = Counter(), 0
+        for k in range(600):
+            centers = [(x + rng.normal(0, 2), y + rng.normal(0, 2))
+                       for x, y in [(300.0, 150.0), (700.0, 500.0)] if rng.uniform() < 0.5]
+            if rng.uniform() < 0.2:
+                centers.append((rng.uniform(0, 1280), rng.uniform(0, 720)))
+            confirmed = {t.track_id for t in tracker.tracks if t.confirmed_at is not None}
+            kinds.update(e.kind for e in tracker.step(frame(k, centers)))
+            confirmed_deaths += len(confirmed - {t.track_id for t in tracker.tracks})
+        live = {t.track_id for t in tracker.tracks}
+        tentative_deaths = sum(t.confirmed_at is None and t.track_id not in live for t in tracker.archive.values())
+        assert kinds.keys() == {NEW_VEHICLE}
+        assert kinds[NEW_VEHICLE] > 20 and confirmed_deaths > 20 and tentative_deaths > 20, (
+            kinds, confirmed_deaths, tentative_deaths)
+
+    def test_class_votes_stop_at_confirmation(self):
+        tracker = VehicleTracker("front", TrackerConfig(confirm_hits=2))
+        classes = ["truck", "vehicle", "vehicle", "vehicle", "pedestrian"]
+        for k, cls in enumerate(classes):
+            events = tracker.step(frame(k, [(100.0, 100.0)], classes=[cls]))
+            if k == 1:
+                # a 1-1 tie goes to the confirming hit
+                assert [(e.kind, e.object_class) for e in events] == [(NEW_VEHICLE, "vehicle")]
+        (track,) = tracker.tracks
+        assert len(track.ticks) == len(classes)
+        assert track.class_counts == {"truck": 1, "vehicle": 1}
+        assert track.class_recency == {"truck": 1, "vehicle": 2}
+        assert track.majority_class() == "vehicle"
+
     def test_new_vehicle_fires_at_most_once_per_track(self):
         rng = np.random.default_rng(73)
         tracker = VehicleTracker("front", TrackerConfig(confirm_hits=2, max_misses=2))
@@ -779,7 +826,7 @@ class TestHitStorage:
 
         def state():
             return tracker._last_timestamp, tracker._next_id, [
-                (t.track_id, t.status, t.x, t.vx, t.p_pos, t.consecutive_misses, t.history,
+                (t.track_id, t.confirmed_at, t.x, t.vx, t.p_pos, t.consecutive_misses, t.history,
                  dict(t.class_counts))
                 for t in tracker.tracks
             ]
@@ -814,7 +861,7 @@ def track_state(track):
 def stepped_once(track, dt, center, gate=75.0):
     """``track``, alone in a tracker at t = 0, after a step to ``dt`` with one detection at ``center``."""
     tracker = VehicleTracker("front", TrackerConfig(gate_distance=gate))
-    track.status = ACTIVE
+    track.confirmed_at = 0.0
     tracker.tracks = [track]
     tracker._last_timestamp = 0.0
     tracker.step(FrameDetections(frame_index=1, timestamp=dt, camera="front", detections=[det(*center)]))

@@ -7,7 +7,7 @@ import pytest
 
 from roadwatch.errors import ConfigError, StreamOrderError
 from roadwatch.simulation import SimulationReport
-from roadwatch.tracking import NEW_VEHICLE, TRACK_TERMINATED, TrackerEvent
+from roadwatch.tracking import NEW_VEHICLE, TrackerEvent
 from roadwatch.warning import (
     DECISION_SKIP_CLASS,
     DECISION_SUPPRESS,
@@ -32,8 +32,8 @@ def literal_flow_check(timestamps, t_duration=10.0, start=0.0):
     return warned
 
 
-def event(t, track_id=1, camera="front", cls="vehicle", kind=NEW_VEHICLE):
-    return TrackerEvent(kind=kind, track_id=track_id, timestamp=t, camera=camera, object_class=cls)
+def event(t, track_id=1, camera="front", cls="vehicle"):
+    return TrackerEvent(kind=NEW_VEHICLE, track_id=track_id, timestamp=t, camera=camera, object_class=cls)
 
 
 def run_chain(timestamps, t_duration=10.0, start=0.0):
@@ -135,13 +135,6 @@ class TestOnNewVehicle:
             with pytest.raises(StreamOrderError, match="event at 99.000 is older than timer start 100.000"):
                 monitor.observe(event(99.0, cls=cls))
 
-    def test_wrong_kind_rejected(self):
-        # only new-vehicle events enter the flow check; others leave no trace
-        monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
-        assert monitor.observe(event(15.0, kind=TRACK_TERMINATED)) is None
-        assert monitor.audit == [] and monitor.warnings == []
-        assert monitor.t_start == 0.0
-
     def test_pedestrian_rejected_at_op_level(self):
         # a pedestrian is logged but never checked, so an old one is no error
         monitor = FlowCheckMonitor(t_duration=10.0, start_time=100.0)
@@ -202,7 +195,6 @@ class TestMonitor:
         warning = monitor.observe(event(11.0, track_id=1))  # warn
         monitor.observe(event(12.0, track_id=2))            # suppress
         monitor.observe(event(13.0, track_id=3, cls="pedestrian"))  # skipped
-        monitor.observe(event(14.0, track_id=4, kind=TRACK_TERMINATED))  # ignored
         # the events checked, as replay prints them
         assert SimulationReport(14.0, 10.0, 0, monitor.audit, ground_truth=False).warnings_without_filter == 2
         assert [r.decision for r in monitor.audit] == [
