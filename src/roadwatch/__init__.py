@@ -19,15 +19,12 @@ from .errors import (
 )
 from .simulation import Scenario, SimulationReport, load_scenario, run_pipeline
 from .tracking import (
-    KalmanState,
     Track,
     TrackerConfig,
     TrackerEvent,
     VehicleTracker,
     assign,
     cost_matrix,
-    predict,
-    update,
 )
 from .warning import FlowCheckMonitor, emit_warning
 

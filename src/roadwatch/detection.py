@@ -73,9 +73,10 @@ class GridSpec:
 class Detection:
     """One decoded bounding box with its score breakdown.
 
-    ``combined_score`` is always objectness times the best class confidence;
-    ``best_class`` is the argmax over ``class_confidences`` (first index on
-    exact ties).
+    ``combined_score`` is always objectness times the largest class
+    confidence. ``best_class`` is the class its source names: for a decoded
+    anchor the argmax over ``class_confidences`` (first index on exact ties),
+    for a parsed log line its ``cls`` as written, which need not be the argmax.
     """
 
     frame_index: int

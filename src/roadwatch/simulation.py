@@ -790,14 +790,8 @@ def _majority_vehicle(track: Track, camera: str, label: Callable[..., int | None
     ``label(camera, frame index, cx, cy)`` gives the vehicle rendered there.
     Ties prefer the most recently seen label.
     """
-    counts: Counter = Counter()
-    recency: dict[int | None, int] = {}
     centers = track.centers
-    for i, frame_index in enumerate(track.ticks):
-        vehicle_id = label(camera, frame_index, centers[2 * i], centers[2 * i + 1])
-        counts[vehicle_id] += 1
-        recency[vehicle_id] = i
-    return majority(counts, recency)
+    return majority([label(camera, k, centers[2 * i], centers[2 * i + 1]) for i, k in enumerate(track.ticks)])
 
 
 def _camera_worker(rendering: _Rendering, camera: str, config: TrackerConfig, dump: bool) -> Iterator[Record]:

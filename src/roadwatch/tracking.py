@@ -10,12 +10,11 @@ stage consumes. A tentative track dies on its first miss, a confirmed one
 after ``max_misses`` misses in a row.
 
 The tracker runs the filter per axis on plain floats, inline in
-:meth:`VehicleTracker.step`. F, Q, R and the spawn covariance are
-axis-separable and identical on x and y, so every covariance a track can
-reach is two copies of one 2x2 (position, velocity) block, and three
-scalars per track carry it exactly. The general 4x4 :func:`predict` and
-:func:`update` stay as the public reference that the tests compare the
-tracker against.
+:meth:`VehicleTracker.step`; it is the package's one Kalman filter. F, Q, R
+and the spawn covariance are axis-separable and identical on x and y, so
+every covariance a track can reach is two copies of one 2x2 (position,
+velocity) block, and three scalars per track carry it exactly. The tests
+check it against a general 4x4 reference filter of their own.
 
 Association runs in plain Python for frames of every size. The tracker
 computes each distance rounded exactly as :func:`cost_matrix` rounds it. A
@@ -37,9 +36,10 @@ so such a frame, like every exact or near tie, is not decided there. Those
 frames and all others go to a plain-Python port of scipy's solver with
 :func:`assign`'s gating, which returns what :func:`assign` returns; the port
 alone decides ties.
-:func:`cost_matrix` and :func:`assign` stay as the numpy/scipy reference
-that the tests compare the tracker against. The tracker calls neither, so
-it never imports ``scipy.optimize``.
+:func:`cost_matrix` and :func:`assign` stay here as the numpy/scipy reference
+that the tests compare the tracker against, because the benchmark's tracer
+wraps them by name. The tracker calls neither, so it never imports
+``scipy.optimize``.
 
 A track keeps its hits in two typed arrays, the frame indices as signed
 64-bit integers and the centers as interleaved doubles, so each hit costs
@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Sequence
 
+# module-level, not inside assign: perfbench/worker.py reads sys.modules["numpy"] and ["scipy"]
 import numpy as np
 import scipy
 
@@ -69,14 +69,6 @@ NEW_VEHICLE = "new_vehicle"
 PROCESS_NOISE = 10.0
 MEASUREMENT_NOISE = 4.0
 INITIAL_VELOCITY_VARIANCE = 100.0
-
-
-@dataclass
-class KalmanState:
-    """Gaussian state estimate: mean (x, y, vx, vy) and 4x4 covariance."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -119,83 +111,6 @@ class TrackerEvent:
     timestamp: float
     camera: str
     object_class: str
-
-
-def transition_matrix(dt: float) -> np.ndarray:
-    """Constant-velocity transition for state order (x, y, vx, vy)."""
-    return np.array(
-        [
-            [1.0, 0.0, dt, 0.0],
-            [0.0, 1.0, 0.0, dt],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def process_noise(dt: float, q: float) -> np.ndarray:
-    """Discrete white-acceleration noise, variance scale ``q`` per axis."""
-    dt2 = dt * dt
-    a = q * dt2 * dt2 / 4.0
-    b = q * dt2 * dt / 2.0
-    c = q * dt2
-    return np.array(
-        [
-            [a, 0.0, b, 0.0],
-            [0.0, a, 0.0, b],
-            [b, 0.0, c, 0.0],
-            [0.0, b, 0.0, c],
-        ]
-    )
-
-
-def _transition(state: KalmanState, F: np.ndarray, Q: np.ndarray) -> KalmanState:
-    mean = F @ state.mean
-    cov = F @ state.covariance @ F.T + Q
-    cov = (cov + cov.T) * 0.5
-    return KalmanState(mean=mean, covariance=cov)
-
-
-def predict(state: KalmanState, dt: float, q: float) -> KalmanState:
-    """Propagate the state ``dt`` seconds ahead under constant velocity.
-
-    Position integrates velocity; velocity is unchanged; covariance picks up
-    the white-acceleration process noise.
-    """
-    if dt <= 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    return _transition(state, transition_matrix(dt), process_noise(dt, q))
-
-
-def update(state: KalmanState, observation: Sequence[float], r: float) -> KalmanState:
-    """Fold a position observation (x, y) into the state.
-
-    Standard linear Kalman update with the measurement picking (x, y) and
-    isotropic noise ``r`` per axis; the covariance uses the Joseph form to
-    stay symmetric PSD.
-    """
-    if r <= 0:
-        raise ValidationError(f"measurement noise r must be > 0, got {r}")
-    z = np.asarray(observation, dtype=float).reshape(2)
-    if not np.isfinite(z).all():
-        raise ValidationError(f"observation must be finite, got {observation}")
-
-    P = state.covariance
-    # S = H P H^T + R is the top-left 2x2 block plus r on the diagonal
-    s00 = P[0, 0] + r
-    s01 = P[0, 1]
-    s11 = P[1, 1] + r
-    det = s00 * s11 - s01 * s01
-    s_inv = np.array([[s11, -s01], [-s01, s00]]) / det
-    gain = P[:, :2] @ s_inv
-
-    innovation = z - state.mean[:2]
-    mean = state.mean + gain @ innovation
-    a = np.eye(4)
-    a[:, :2] -= gain
-    cov = a @ P @ a.T + r * (gain @ gain.T)
-    cov = (cov + cov.T) * 0.5
-    return KalmanState(mean=mean, covariance=cov)
 
 
 def cost_matrix(
@@ -457,9 +372,9 @@ def _clear_cheapest(
     return None
 
 
-def majority(counts: dict, recency: dict):
-    """The key with the highest count; ties go to the highest recency."""
-    return max(counts, key=lambda key: (counts[key], recency[key]))
+def majority(values: list):
+    """The most common of ``values``; a tie goes to the one seen last."""
+    return max(reversed(values), key=values.count)
 
 
 @dataclass(slots=True)
@@ -470,8 +385,10 @@ class Track:
     the 2x2 (position, velocity) covariance block that both axes share.
     Hit ``i`` is frame ``ticks[i]`` at center ``centers[2 * i]``,
     ``centers[2 * i + 1]``. The track is tentative while ``confirmed_at``
-    is None; ``class_counts`` and ``class_recency`` hold the classes of its
-    tentative hits, the confirming one included.
+    is None; ``classes`` holds the classes of its tentative hits in order,
+    the confirming one included, and their :func:`majority` is the class of
+    its ``new_vehicle`` event. The tracker updates ``x, y, vx, vy`` and the
+    covariance block inline in :meth:`VehicleTracker.step`.
     """
 
     track_id: int
@@ -486,18 +403,13 @@ class Track:
     confirmed_at: float | None = None
     ticks: array = field(default_factory=lambda: array("q"))
     centers: array = field(default_factory=lambda: array("d"))
-    class_counts: Counter = field(default_factory=Counter)
-    class_recency: dict[str, int] = field(default_factory=dict)
+    classes: list[str] = field(default_factory=list)
 
     @property
     def history(self) -> list[tuple[int, tuple[float, float]]]:
         """Every hit as (frame index, (cx, cy)), oldest first; a new list on each read."""
         centers = self.centers
         return list(zip(self.ticks, zip(centers[0::2], centers[1::2])))
-
-    def majority_class(self) -> str:
-        """Majority class over the hits up to confirmation; ties go to the most recent."""
-        return majority(self.class_counts, self.class_recency)
 
 
 class VehicleTracker:
@@ -601,9 +513,7 @@ class VehicleTracker:
             track.consecutive_misses = 0
             live.append(track)
             if track.confirmed_at is None:
-                object_class = det.best_class
-                track.class_counts[object_class] += 1
-                track.class_recency[object_class] = len(ticks)
+                track.classes.append(det.best_class)
                 # a tentative track dies on its first miss, so all its hits are consecutive
                 if len(ticks) >= cfg.confirm_hits:
                     track.confirmed_at = timestamp
@@ -612,10 +522,10 @@ class VehicleTracker:
         for det, partner in zip(dets, det_partner):
             if partner >= 0:
                 continue
-            cx, cy, object_class = det.cx, det.cy, det.best_class
+            cx, cy = det.cx, det.cy
             track = Track(self._next_id, cx, cy, p_pos=MEASUREMENT_NOISE, p_vel=INITIAL_VELOCITY_VARIANCE,
                           ticks=array("q", (frame_index,)), centers=array("d", (cx, cy)),
-                          class_counts=Counter((object_class,)), class_recency={object_class: 1})
+                          classes=[det.best_class])
             self._next_id += 1
             live.append(track)
             self.archive[track.track_id] = track
@@ -633,5 +543,5 @@ class VehicleTracker:
             track_id=track.track_id,
             timestamp=timestamp,
             camera=self.camera,
-            object_class=track.majority_class(),
+            object_class=majority(track.classes),
         )

@@ -7,7 +7,6 @@ print. Every tolerance is pinned here; nothing is calibrated at run time.
 import io
 import math
 import time
-from itertools import permutations
 
 import numpy as np
 from scipy.stats import chi2
@@ -25,18 +24,19 @@ from roadwatch.simulation import (
     run_pipeline,
     summary_text,
 )
-from roadwatch.tracking import (
-    NEW_VEHICLE,
+from roadwatch.tracking import NEW_VEHICLE, TrackerConfig, TrackerEvent, VehicleTracker, assign
+from roadwatch.warning import FlowCheckMonitor
+
+from reference import (
     KalmanState,
-    TrackerConfig,
-    TrackerEvent,
-    VehicleTracker,
-    assign,
+    brute_force_total,
+    literal_flow_check,
     predict,
+    reference_predict,
+    reference_update,
     transition_matrix,
     update,
 )
-from roadwatch.warning import FlowCheckMonitor
 
 
 def check(num, name, ok, detail=""):
@@ -47,18 +47,6 @@ def check(num, name, ok, detail=""):
 
 
 # --- 1. assignment optimality -------------------------------------------------
-
-
-def brute_force_total(costs):
-    n, m = costs.shape
-    best = float("inf")
-    if n <= m:
-        for perm in permutations(range(m), n):
-            best = min(best, math.fsum(costs[i, perm[i]] for i in range(n)))
-    else:
-        for perm in permutations(range(n), m):
-            best = min(best, math.fsum(costs[perm[j], j] for j in range(m)))
-    return best
 
 
 def test_criterion_1_assignment_optimality():
@@ -85,27 +73,6 @@ def test_criterion_1_assignment_optimality():
 
 
 # --- 2. Kalman oracle equivalence + innovation consistency ---------------------
-
-
-def reference_predict(mean, cov, dt, q):
-    pos, vel = mean[:2], mean[2:]
-    pxx, pxv, pvv = cov[:2, :2], cov[:2, 2:], cov[2:, 2:]
-    mean_out = np.concatenate([pos + dt * vel, vel])
-    out = np.empty((4, 4))
-    out[:2, :2] = pxx + dt * (pxv + pxv.T) + dt * dt * pvv + q * dt**4 / 4.0 * np.eye(2)
-    out[:2, 2:] = pxv + dt * pvv + q * dt**3 / 2.0 * np.eye(2)
-    out[2:, :2] = out[:2, 2:].T
-    out[2:, 2:] = pvv + q * dt**2 * np.eye(2)
-    return mean_out, out
-
-
-def reference_update(mean, cov, z, r):
-    s = cov[:2, :2] + r * np.eye(2)
-    k = cov[:, :2] @ np.linalg.inv(s)
-    mean_out = mean + k @ (np.asarray(z, dtype=float) - mean[:2])
-    h = np.zeros((2, 4))
-    h[0, 0] = h[1, 1] = 1.0
-    return mean_out, (np.eye(4) - k @ h) @ cov
 
 
 def test_criterion_2_kalman_oracle_and_consistency():
@@ -173,17 +140,6 @@ def test_criterion_2_kalman_oracle_and_consistency():
 
 
 # --- 3. flow-check trace equivalence -------------------------------------------
-
-
-def literal_flow_check(timestamps, t_duration=10.0, start=0.0):
-    warned = []
-    t_start = start
-    for t_end in timestamps:
-        t_diff = t_end - t_start
-        if t_diff > t_duration:
-            warned.append(t_end)
-        t_start = t_end
-    return warned
 
 
 def test_criterion_3_flow_check_trace_equivalence():

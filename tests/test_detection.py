@@ -306,6 +306,16 @@ class TestDetectionLog:
         assert second.frame_index == 4
         assert second.combined_score == pytest.approx(0.8 * 0.7)
 
+    def test_class_is_kept_as_written(self):
+        # conf ranks vehicle first but the line names truck: the class stays
+        # truck, and the score is objectness times the largest confidence
+        line = log_line(0, cls='"truck"', obj="0.9", conf="[0.05,0.9,0.05]")
+        for source in (io.StringIO(line), io.BytesIO(line.encode())):
+            ((det,),) = [frame.detections for frame in parse_detection_log(source)]
+            assert det.best_class == "truck"
+            assert det.class_confidences == (0.05, 0.9, 0.05)
+            assert det.combined_score == 0.9 * 0.9
+
     def test_write_then_parse_is_identity(self):
         rng = np.random.default_rng(5)
         frames = random_canonical_frames(rng, 1000)

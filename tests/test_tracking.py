@@ -3,7 +3,7 @@
 import gc
 import tracemalloc
 from collections import Counter
-from itertools import permutations
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,15 +15,15 @@ from roadwatch.tracking import (
     MEASUREMENT_NOISE,
     NEW_VEHICLE,
     PROCESS_NOISE,
-    KalmanState,
     Track,
     TrackerConfig,
     VehicleTracker,
     assign,
     cost_matrix,
-    predict,
-    update,
+    majority,
 )
+
+from reference import KalmanState, brute_force_total, predict, reference_predict, reference_update, update
 
 
 def make_state(mean, cov):
@@ -35,36 +35,6 @@ def random_state(rng, scale=100.0):
     a = rng.normal(size=(4, 4))
     cov = a @ a.T + 1e-3 * np.eye(4)
     return make_state(mean, cov)
-
-
-# independent closed-form reference, written in 2x2 block algebra rather than
-# full-matrix products
-
-
-def reference_predict(mean, cov, dt, q):
-    pos, vel = mean[:2], mean[2:]
-    pxx, pxv, pvv = cov[:2, :2], cov[:2, 2:], cov[2:, 2:]
-    mean_out = np.concatenate([pos + dt * vel, vel])
-    qxx = q * dt**4 / 4.0 * np.eye(2)
-    qxv = q * dt**3 / 2.0 * np.eye(2)
-    qvv = q * dt**2 * np.eye(2)
-    out = np.empty((4, 4))
-    out[:2, :2] = pxx + dt * (pxv + pxv.T) + dt * dt * pvv + qxx
-    out[:2, 2:] = pxv + dt * pvv + qxv
-    out[2:, :2] = out[:2, 2:].T
-    out[2:, 2:] = pvv + qvv
-    return mean_out, out
-
-
-def reference_update(mean, cov, z, r):
-    pxx = cov[:2, :2]
-    s = pxx + r * np.eye(2)
-    k = cov[:, :2] @ np.linalg.inv(s)
-    mean_out = mean + k @ (np.asarray(z, dtype=float) - mean[:2])
-    h = np.zeros((2, 4))
-    h[0, 0] = h[1, 1] = 1.0
-    cov_out = (np.eye(4) - k @ h) @ cov
-    return mean_out, cov_out
 
 
 class TestPredict:
@@ -196,18 +166,6 @@ class TestCostMatrix:
     def test_empty_inputs(self):
         assert cost_matrix([], [(1.0, 2.0)]).shape == (0, 1)
         assert cost_matrix([(1.0, 2.0)], []).shape == (1, 0)
-
-
-def brute_force_total(costs):
-    n, m = costs.shape
-    best = float("inf")
-    if n <= m:
-        for perm in permutations(range(m), n):
-            best = min(best, sum(costs[i, perm[i]] for i in range(n)))
-    else:
-        for perm in permutations(range(n), m):
-            best = min(best, sum(costs[perm[j], j] for j in range(m)))
-    return best
 
 
 class TestAssign:
@@ -572,6 +530,31 @@ def frame(k, centers, camera="front", fps=30.0, classes=None):
     )
 
 
+class TestMajority:
+    """``majority`` keeps the rule of the Counter and recency dict it replaced."""
+
+    @staticmethod
+    def counted(values):
+        # the old rule: the highest count, a tie to the latest last sighting
+        counts, recency = Counter(), {}
+        for i, value in enumerate(values):
+            counts[value] += 1
+            recency[value] = i
+        return max(counts, key=lambda key: (counts[key], recency[key]))
+
+    def test_every_short_sequence_of_classes(self):
+        sequences = [list(seq) for n in range(1, 5) for seq in product(CLASSES, repeat=n)]
+        assert len(sequences) == 120
+        for values in sequences:
+            assert majority(values) == self.counted(values), values
+
+    def test_tie_with_an_unlabelled_hit(self):
+        # _majority_vehicle labels a hit on no rendered vehicle None
+        cases = [([7, None], None), ([None, 7], 7), ([None, 7, 7, None], None), ([7, None, None, 7], 7)]
+        for values, expected in cases:
+            assert majority(values) == expected == self.counted(values), values
+
+
 class TestTrackerLifecycle:
     def test_empty_frame_empty_tracker(self):
         tracker = VehicleTracker("front")
@@ -675,9 +658,11 @@ class TestTrackerLifecycle:
         tracker.step(frame(0, [(100, 100)], classes=["truck"]))
         tracker.step(frame(1, [(100, 100)], classes=["vehicle"]))
         track = tracker.tracks[0]
-        assert track.majority_class() == "vehicle"
+        assert track.classes == ["truck", "vehicle"]
+        assert majority(track.classes) == "vehicle"
         tracker.step(frame(2, [(100, 100)], classes=["truck"]))
-        assert track.majority_class() == "truck"
+        assert track.classes == ["truck", "vehicle", "truck"]
+        assert majority(track.classes) == "truck"
 
     def test_new_vehicle_event_class_is_majority(self):
         tracker = VehicleTracker("front", TrackerConfig(confirm_hits=3))
@@ -747,9 +732,8 @@ class TestTrackerLifecycle:
                 assert [(e.kind, e.object_class) for e in events] == [(NEW_VEHICLE, "vehicle")]
         (track,) = tracker.tracks
         assert len(track.ticks) == len(classes)
-        assert track.class_counts == {"truck": 1, "vehicle": 1}
-        assert track.class_recency == {"truck": 1, "vehicle": 2}
-        assert track.majority_class() == "vehicle"
+        assert track.classes == ["truck", "vehicle"]
+        assert majority(track.classes) == "vehicle"
 
     def test_new_vehicle_fires_at_most_once_per_track(self):
         rng = np.random.default_rng(73)
@@ -795,8 +779,7 @@ class TestHitStorage:
             tracker.step(frame(k, [(100.0 + k, 100.0)], classes=[cls]))
         (track,) = tracker.tracks
         assert track.history == [(k, (100.0 + k, 100.0)) for k in range(len(classes))]
-        assert track.class_counts == {"truck": 2, "vehicle": 3}
-        assert track.class_recency == {"truck": 4, "vehicle": 5}
+        assert track.classes == classes
 
     def test_archive_keeps_at_most_32_bytes_a_hit(self):
         # 8 bytes of frame index and 16 of center; a list of
@@ -827,7 +810,7 @@ class TestHitStorage:
         def state():
             return tracker._last_timestamp, tracker._next_id, [
                 (t.track_id, t.confirmed_at, t.x, t.vx, t.p_pos, t.consecutive_misses, t.history,
-                 dict(t.class_counts))
+                 list(t.classes))
                 for t in tracker.tracks
             ]
 
@@ -871,7 +854,7 @@ def stepped_once(track, dt, center, gate=75.0):
 class TestFusedStep:
     """``VehicleTracker.step`` runs the filter inline on each track's scalars
     (it replaced ``Track.predict``/``Track.update``, and before them a
-    batched numpy filter); one step must agree with the public ops."""
+    batched numpy filter); one step must agree with the reference ops."""
 
     def test_step_without_a_match_predicts(self):
         rng = np.random.default_rng(79)
@@ -900,7 +883,7 @@ class TestFusedStep:
 
 
 class TestScalarFilter:
-    """The tracker's per-axis scalar filter must agree with the public ops."""
+    """The tracker's per-axis scalar filter must agree with the reference ops."""
 
     def test_live_tracks_match_predict_update(self):
         cfg = TrackerConfig(confirm_hits=2, max_misses=3)

@@ -19,17 +19,7 @@ from roadwatch.warning import (
     format_warning_line,
 )
 
-
-def literal_flow_check(timestamps, t_duration=10.0, start=0.0):
-    """Ten-line transcription of the debounce rule, used as the trace oracle."""
-    warned = []
-    t_start = start
-    for t_end in timestamps:
-        t_diff = t_end - t_start
-        if t_diff > t_duration:
-            warned.append(t_end)
-        t_start = t_end
-    return warned
+from reference import literal_flow_check
 
 
 def event(t, track_id=1, camera="front", cls="vehicle"):
