@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import io
 import math
-import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -403,24 +402,14 @@ def detection_records(
 
 
 def _in_helper(source) -> bool:
-    """Whether to parse ``source`` in a helper process.
-
-    Only when it is a seekable file, so its lines are all there to read
-    ahead (an in-memory stream has no file descriptor, and too few lines to
-    pay for the fork); ``fork`` is available; and this process may use two
-    CPUs, since on one the helper only takes turns with the consumer.
-    """
+    """Whether ``source`` is a seekable file, whose lines are all there for a helper process to read ahead."""
     try:
         if not source.seekable():
             return False
         source.fileno()
-    except (AttributeError, ValueError, OSError):  # not a stream, a closed one, or one in memory
+    except (AttributeError, ValueError, OSError):  # not a stream, a closed one, or in memory (too small to fork for)
         return False
-    if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2:
-        return False
-    import multiprocessing  # at the first next(), as the helper starts
-
-    return "fork" in multiprocessing.get_all_start_methods()
+    return True
 
 
 def parse_detection_log(
@@ -429,11 +418,11 @@ def parse_detection_log(
     """Parse a line-delimited detection log, yielding frames in file order.
 
     The lines are validated as :func:`detection_records` does, and raise
-    its errors after the frames before them. Where :func:`_in_helper`
-    allows, a helper process forked at the first ``next`` validates them
-    and reads the source to its end; the frames are built here. Any other
-    source (a pipe, an in-memory stream, a list) is validated here, one
-    line per frame, as it streams.
+    its errors after the frames before them. A seekable file
+    (:func:`_in_helper`) is validated through ``workers.received``, so in a
+    helper process where one starts: it reads the source to its end while
+    the frames are built here. Any other source (a pipe, an in-memory
+    stream, a list) is validated here, one line per frame, as it streams.
     """
     if _in_helper(source):
         records = received("log parse helper", detection_records, source)

@@ -795,7 +795,7 @@ def _majority_vehicle(track: Track, camera: str, label: Callable[..., int | None
 
 
 def _camera_worker(rendering: _Rendering, camera: str, config: TrackerConfig, dump: bool) -> Iterator[Record]:
-    """One camera's half of simulate: its records, made in a process of its own.
+    """One camera's half of simulate: its records, made in a worker process where ``workers.received`` starts one.
 
     Builds the camera's frames, formats their dump lines when ``dump`` is
     set, tracks them and labels each new vehicle, in the step that confirms
@@ -820,14 +820,14 @@ def run_passes(
     """Render the given passes and run tracking + ``monitor``'s flow check over them.
 
     Every random draw is made here. Then each camera's frames are built,
-    formatted and tracked in a worker process of its own
-    (``_camera_worker``), while this process merges the two record streams
-    by timestamp, front first on ties, writes each dump line to
-    ``dump_sink`` and runs the one flow check. So no output depends on how
-    the workers are scheduled. A worker's exception is raised here at its
-    frame's place in the merged stream, after that frame's dump line. An
-    exception here stops both workers, and a worker that dies raises
-    RuntimeError naming its camera and exit code.
+    formatted and tracked by ``_camera_worker``, in a worker process where
+    ``workers.received`` starts one and here otherwise, while this process
+    merges the two record streams by timestamp, front first on ties, writes
+    each dump line to ``dump_sink`` and runs the one flow check. So no
+    output depends on where the streams run. A stream's exception is raised
+    here at its frame's place in the merged stream, after that frame's dump
+    line. An exception here stops both streams, and a worker that dies
+    raises RuntimeError naming its camera and exit code.
     """
     config = tracker_config or TrackerConfig()
     rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)

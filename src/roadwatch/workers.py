@@ -1,12 +1,14 @@
 """Worker processes that make a stream's items while this process consumes them.
 
 Simulate's camera workers (``simulation._camera_worker``) and the log parse
-helper (``detection.detection_records``) share this lifecycle. A worker
-runs a plain function that returns the items, typically a generator.
+helper (``detection.detection_records``) share this lifecycle, and one rule
+for where their items are made (:func:`received`). A worker runs a plain
+function that returns the items, typically a generator.
 """
 
 from __future__ import annotations
 
+import os
 import signal
 from typing import Callable, Iterable, Iterator
 
@@ -53,25 +55,31 @@ def _send_items(items: Callable[..., Iterable], args: tuple, receiver, sender) -
 
 
 def received(name: str, items: Callable[..., Iterable], *args) -> Iterator:
-    """The items of ``items(*args)``, built in a worker process, one batch in hand at a time.
+    """The items of ``items(*args)``, made in a worker process where one starts, one batch in hand at a time.
 
-    The worker starts at the first ``next``, with the ``fork`` start method
-    where the platform has it: fork shares ``args`` without pickling them,
-    and any other start method works, only slower. An exception that ends
-    the items is raised here after the last of them. A worker that dies
-    raises RuntimeError naming it (``name``) and its exit code. Closing the
-    generator, or an exception in it, stops the worker.
+    At the first ``next``, where ``fork`` exists and this process may use
+    two CPUs, a worker forks: fork shares ``args`` without pickling them.
+    Anywhere else the items are made here, as they are asked for. An
+    exception that ends the items is raised here after the last of them. A
+    worker that dies raises RuntimeError naming it (``name``) and its exit
+    code. Closing the generator, or an exception in it, stops the items.
     """
-    # imported at the first next(), so that a run that starts no worker never loads it
+    # checked first, so that a run on one CPU, where a worker only takes turns, never loads multiprocessing
+    if (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2:
+        yield from items(*args)
+        return
     import multiprocessing
 
-    context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield from items(*args)
+        return
+    context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    try:  # fcntl is POSIX-only, and F_SETPIPE_SZ Linux-only
+    try:  # F_SETPIPE_SZ is Linux-only
         import fcntl
 
         fcntl.fcntl(sender.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-    except (ImportError, AttributeError, OSError):
+    except (AttributeError, OSError):
         pass  # the kernel refused (a lower fs.pipe-max-size, or the user's pipe page limit): keep the default
     process = context.Process(
         target=_send_items, args=(items, args, receiver, sender), name=f"roadwatch {name}", daemon=True

@@ -244,11 +244,13 @@ class TestSimulate:
     def test_tie_heavy_run_leaves_scipy_optimize_unloaded(self, tmp_path):
         # a fresh process, because test_acceptance's scipy.stats import
         # loads scipy.optimize into this one. The camera workers solve the
-        # frames, so each reports its own count when it is done.
+        # frames, so each reports its own count when it is done; they start
+        # where the child may use two CPUs, also on a machine with one.
         scenario = tmp_path / "ties.cfg"
         scenario.write_text(TIES_SCENARIO, encoding="utf-8")
         script = """\
-import sys
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
 import roadwatch.cli
 from roadwatch import simulation, tracking
 port, calls = tracking._linear_sum_assignment, []
@@ -300,6 +302,7 @@ print(len(tracker.tracks), calls, "scipy.optimize" in sys.modules)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "70 [2000] False"
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the child pins itself to one CPU")
     def test_runs_without_a_worker_leave_multiprocessing_unloaded(self, scenario_file, tmp_path, capsys):
         # a fresh process, since pytest loads multiprocessing into this one;
         # only a run that starts a worker imports it, at the worker's start
@@ -307,7 +310,7 @@ print(len(tracker.tracks), calls, "scipy.optimize" in sys.modules)
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out),
                      "--dump-detections", str(dump)]) == 0
         script = """\
-import sys
+import os, sys
 import roadwatch.cli
 from roadwatch.detection import parse_detection_log
 from roadwatch.simulation import DIRECTIONS, drive
@@ -323,14 +326,40 @@ frames, _ = drive(parse_detection_log(lines), trackers, FlowCheckMonitor(t_durat
 loaded.append("multiprocessing" in sys.modules)
 assert roadwatch.cli.main(["replay", "--log", "/dev/stdin", "--device", "stdout"]) == 0
 loaded.append("multiprocessing" in sys.modules)
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert roadwatch.cli.main(["simulate", "--scenario", sys.argv[3], "--out", sys.argv[4],
+                           "--dump-detections", sys.argv[5]]) == 0
+loaded.append("multiprocessing" in sys.modules)
 print(frames, *loaded)
 """
-        proc = subprocess.run([sys.executable, "-c", script, str(dump), str(out)], input=dump.read_bytes(),
+        proc = subprocess.run([sys.executable, "-c", script, str(dump), str(out), str(scenario_file),
+                               str(tmp_path / "one-cpu"), str(tmp_path / "one-cpu.log")], input=dump.read_bytes(),
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.decode("utf-8").splitlines()
-        assert lines[-1].split() == [str(len(dump.read_bytes().splitlines())), "False", "False", "False", "False"]
+        assert lines[-1].split() == [str(len(dump.read_bytes().splitlines())), *["False"] * 5]
         assert f"frames              {lines[-1].split()[0]}" in lines
+        assert (tmp_path / "one-cpu.log").read_bytes() == dump.read_bytes()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the workers need fork")
+    @pytest.mark.parametrize("rule", ["one CPU", "no fork"])
+    def test_one_process_run_gives_the_workers_outputs(self, rule, scenario_file, tmp_path, capsys, monkeypatch,
+                                                        two_cpus, workers_started):
+        def run(name):
+            dump, out = tmp_path / f"{name}.log", tmp_path / name
+            assert main(["simulate", "--scenario", str(scenario_file), "--dump-detections", str(dump),
+                         "--device", "stdout", "--out", str(out)]) == 0
+            return dump.read_bytes(), {p.name: p.read_bytes() for p in out.iterdir()}, capsys.readouterr()
+
+        in_workers = run("workers")
+        assert len(workers_started) == 2
+        assert "WARN t=" in in_workers[2].out
+        if rule == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert run("here") == in_workers
+        assert len(workers_started) == 2
 
     def test_directory_as_dump_exit_2_before_any_draw(self, tmp_path):
         # a fresh process, since pytest loads multiprocessing into this one; the
@@ -689,11 +718,10 @@ class TestReplayEquivalence:
         assert code == 2, err
         assert err.endswith("error: line 2: malformed record: nested deeper than 512\n")
 
-    def test_step_that_raises_stops_the_parse_helper(self, tmp_path, capsys, monkeypatch):
+    def test_step_that_raises_stops_the_parse_helper(self, tmp_path, capsys, monkeypatch, two_cpus):
         # the log passes the pre-scan, and the step of line 1001 raises; with
         # the collector off, the helper is stopped only if replay closes the
         # parse itself
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         step = VehicleTracker.step
 
         def failing_step(tracker, frame):

@@ -559,6 +559,7 @@ def parsed_until_error(frames):
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper needs fork")
+@pytest.mark.usefixtures("two_cpus")
 class TestParseHelper:
     """A seekable log file is validated in a helper process; anything else is parsed in this one."""
 
@@ -575,42 +576,18 @@ class TestParseHelper:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        # the helper runs only where this process may use two CPUs
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-    @pytest.fixture
-    def helpers(self, monkeypatch):
-        """The names of the worker processes that parses start, in order.
-
-        Counted as each parse asks for one, not by finding it alive: a
-        helper whose whole log fits in its pipe may have sent it all and
-        exited before the first frame is taken.
-        """
-        import roadwatch.detection as detection
-
-        names, received = [], detection.received
-
-        def counted(name, items, *args):
-            names.append(name)
-            return received(name, items, *args)
-
-        monkeypatch.setattr(detection, "received", counted)
-        return names
-
     @pytest.mark.parametrize(
         "bad_line",
         ["not json at all", '{"camera":"front","frame":1,"t":-1.0,"dets":[]}'],
         ids=["malformed", "out-of-order"],
     )
-    def test_bad_line_raised_after_the_frames_before_it(self, bad_line, tmp_path, helpers):
+    def test_bad_line_raised_after_the_frames_before_it(self, bad_line, tmp_path, workers_started):
         lines = canonical_log(3000).splitlines(keepends=True)
         lines[1500] = bad_line.encode("utf-8") + b"\n"
         with log_file(tmp_path, b"".join(lines)) as source:
             frames = parse_detection_log(source)
             first = next(frames)
-            assert helpers == ["log parse helper"]
+            assert workers_started == ["roadwatch log parse helper"]
             got = parsed_until_error(itertools.chain([first], frames))
         # an iterator is not seekable, so it is parsed in this process
         expected = parsed_until_error(parse_detection_log(iter(lines)))
@@ -619,11 +596,11 @@ class TestParseHelper:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("how", ["close", "drop"])
-    def test_parse_ended_early_stops_the_helper(self, how, tmp_path, helpers):
+    def test_parse_ended_early_stops_the_helper(self, how, tmp_path, workers_started):
         with log_file(tmp_path, canonical_log(5000)) as source:
             frames = parse_detection_log(source)
             next(frames)
-            assert helpers == ["log parse helper"]
+            assert workers_started == ["roadwatch log parse helper"]
             if how == "close":
                 frames.close()
             else:
@@ -641,27 +618,14 @@ class TestParseHelper:
                 list(frames)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("rule", ["one CPU", "no fork"])
-    def test_parsed_here_without_a_spare_cpu_or_fork(self, monkeypatch, rule, tmp_path, helpers):
-        if rule == "one CPU":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        else:
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        data = canonical_log(300)
-        with log_file(tmp_path, data) as source:
-            frames = parse_detection_log(source)
-            first = next(frames)
-            assert helpers == []
-            assert [first, *frames] == list(parse_detection_log(iter(data.splitlines())))
-
     @pytest.mark.parametrize("stream", [io.BytesIO, lambda data: io.StringIO(data.decode("utf-8"))],
                              ids=["bytes", "text"])
-    def test_in_memory_log_parsed_here(self, stream, helpers):
+    def test_in_memory_log_parsed_here(self, stream, workers_started):
         # seekable, but with no file descriptor: too few lines to pay for a fork
         data = canonical_log(300)
         frames = parse_detection_log(stream(data))
         first = next(frames)
-        assert helpers == []
+        assert workers_started == []
         assert [first, *frames] == list(parse_detection_log(iter(data.splitlines())))
 
     def test_fifo_frame_arrives_before_the_writer_closes(self, tmp_path):

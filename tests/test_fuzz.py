@@ -12,11 +12,9 @@ derandomized, so every run tests the same inputs.
 import io
 import json
 import multiprocessing
-import os
 import sys
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from datetime import timedelta
-from unittest import mock
 
 import pytest
 
@@ -378,6 +376,7 @@ DEPTHS = [4, DEEPEST, DEEPEST + 1, 960, 975, 990, 1000]
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper needs fork")
+@pytest.mark.usefixtures("two_cpus")
 @FUZZ
 @given(legal_records() | broken_record().map(lambda case: case[0]) | any_lines
        | st.sampled_from(DEPTHS).map(nested_lines))
@@ -385,10 +384,10 @@ def test_helper_parses_as_this_process_does(tmp_path_factory, lines):
     data = b"".join((line if isinstance(line, bytes) else line.encode("utf-8")) + b"\n" for line in lines)
     # a generator is not seekable, so it is parsed in this process
     here = parse_outcome(parse_detection_log(line for line in io.BytesIO(data)))
-    # and a seekable file in the helper, where this process may use two CPUs
+    # and a seekable file in the helper
     log = tmp_path_factory.getbasetemp() / "helper.log"
     log.write_bytes(data)
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), open(log, "rb") as source:
+    with open(log, "rb") as source:
         assert parse_outcome(parse_detection_log(source)) == here
 
 
@@ -410,7 +409,7 @@ def recursion_headroom(frames: int):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="the helper needs fork")
 @pytest.mark.parametrize("depth", DEPTHS)
-def test_nesting_outcome_does_not_depend_on_the_stack(depth, tmp_path, capsys, monkeypatch):
+def test_nesting_outcome_does_not_depend_on_the_stack(depth, tmp_path, capsys, two_cpus):
     # in this process under a tight and a raised recursion limit, in the
     # helper, which runs a few frames deeper, and in replay
     lines = nested_lines(depth)
@@ -420,7 +419,6 @@ def test_nesting_outcome_does_not_depend_on_the_stack(depth, tmp_path, capsys, m
             outcomes.append(parse_outcome(parse_detection_log(iter(lines))))
     log = tmp_path / "nested.log"
     log.write_bytes(b"\n".join(lines) + b"\n")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with open(log, "rb") as source:
         outcomes.append(parse_outcome(parse_detection_log(source)))
     assert outcomes[0] == outcomes[1] == outcomes[2]

@@ -52,6 +52,13 @@ from roadwatch.warning import AuditRecord, FlowCheckMonitor, StdoutDevice
 from roadwatch.workers import BATCH_FRAMES, PIPE_BYTES
 
 
+# a child process reads the real affinity, which no fixture patches
+children_start_workers = pytest.mark.skipif(
+    (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) < 2,
+    reason="a child starts workers only where it may use two CPUs",
+)
+
+
 def make_scenario(**overrides):
     base = dict(
         duration=600.0,
@@ -327,7 +334,7 @@ class TestMergeStreams:
 
 
 class TestOnePass:
-    def test_simulate_builds_frames_one_at_a_time(self, monkeypatch, tmp_path):
+    def test_simulate_builds_frames_one_at_a_time(self, monkeypatch, tmp_path, two_cpus):
         # each camera worker counts the frames alive at its first step and
         # writes the count to a file, since it runs in a process of its own
         stepped = set()
@@ -418,6 +425,7 @@ class TestOnePass:
         assert all(f.detections[0].height > f.detections[1].height for f in shared)
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestCameraWorkers:
     """Simulate runs each camera in a worker process; failures end the run cleanly."""
 
@@ -532,6 +540,7 @@ class TestCameraWorkers:
             run_pipeline(rush_hour())
         assert multiprocessing.active_children() == []
 
+    @children_start_workers
     def test_buffered_output_written_once(self, tmp_path):
         # text buffered before the workers start is flushed once, by this process
         script = """\
@@ -551,6 +560,7 @@ sys.stdout.write("stdout after\\n")
         assert text.startswith("dump before\n") and text.count("dump before") == 1
         assert text.count("\n") > 1000
 
+    @children_start_workers
     def test_workers_end_when_the_parent_is_killed(self):
         # no handler runs in a killed parent: each worker's next send fails
         script = """\
@@ -585,6 +595,7 @@ simulation.run_pipeline(simulation.load_scenario("paper-day"))
             time.sleep(0.1)
         assert not any(running(pid) for pid in workers)
 
+    @children_start_workers
     def test_ctrl_c_prints_one_traceback(self):
         # Ctrl-C goes to the whole process group; only the parent reacts to it.
         # The script says when both workers have sent their first records, and
