@@ -333,11 +333,11 @@ def detection_records(
     A record is (frame index, timestamp, camera, each detection's fields as
     :func:`_detection_fields` gives them), with no :class:`Detection` built.
 
-    Timestamps must be at least 0, strictly increase per camera stream and
-    never decrease across streams; a line that breaks either order rule
-    raises :class:`StreamOrderError` before it is yielded. Malformed lines,
-    and a timestamp below 0, raise :class:`LogParseError`. Both name the
-    offending line number.
+    Frame indices and timestamps must strictly increase per camera stream,
+    and timestamps must be at least 0 and never decrease across streams; a
+    line that breaks an order rule raises :class:`StreamOrderError` before
+    it is yielded. Malformed lines, and a timestamp below 0, raise
+    :class:`LogParseError`. Both name the offending line number.
 
     Each line is decoded by :func:`decode_json`, which decides what is
     JSON: a line nested deeper than :data:`DEEPEST` is rejected, only JSON
@@ -345,7 +345,7 @@ def detection_records(
     line that it rejects is skipped when its text is blank to
     ``str.strip``.
     """
-    last_t: dict[str, float] = {}
+    last: dict[str, tuple[float, int]] = {}  # each camera's last timestamp and frame index
     latest = 0.0  # so that a timestamp below 0 fails the order check below
     for lineno, line in enumerate(source, start=1):
         try:
@@ -372,7 +372,7 @@ def detection_records(
         # orjson gives no NaN, no infinity and no int beyond 2**64
         if type(timestamp) not in _NUMBER:
             raise LogParseError(f"line {lineno}: bad timestamp {timestamp!r}", lineno)
-        previous = last_t.get(camera)
+        previous, previous_index = last.get(camera, (None, -1))
         if previous is not None and timestamp <= previous:
             raise StreamOrderError(
                 f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
@@ -387,6 +387,10 @@ def detection_records(
                 f"line {lineno}: camera {camera} timestamp {timestamp:.3f} "
                 f"is before {latest:.3f}, the latest on any camera"
             )
+        if frame_index <= previous_index:
+            raise StreamOrderError(
+                f"line {lineno}: camera {camera} frame index {frame_index} not after previous {previous_index}"
+            )
         detections = []
         try:
             for d in raw_dets:
@@ -395,7 +399,8 @@ def detection_records(
         except _MALFORMED as exc:
             raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
         # stored as decoded: an int compares exactly with the next lines' timestamps
-        last_t[camera] = latest = timestamp
+        latest = timestamp
+        last[camera] = timestamp, frame_index
         if type(timestamp) is not float:
             timestamp = float(timestamp)
         yield frame_index, timestamp, camera, detections

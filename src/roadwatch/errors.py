@@ -22,7 +22,7 @@ class LogParseError(RoadwatchError):
 
 
 class StreamOrderError(RoadwatchError):
-    """Timestamps arrived out of order within a stream."""
+    """Timestamps or frame indices arrived out of order within a stream."""
 
 
 class ConfigError(RoadwatchError):

@@ -479,10 +479,8 @@ class _Rendering:
         passes: Iterable[VehiclePass],
         scenario: Scenario,
         rng: np.random.Generator,
-        trail_frames: int,
     ):
         self.scenario = scenario
-        self.trail_frames = trail_frames
         self.passes = passes = list(passes)
         self.speeds = np.array([vehicle.speed for vehicle in passes], dtype=float)
         self.spawn_times = np.array([vehicle.spawn_time for vehicle in passes], dtype=float)
@@ -556,9 +554,8 @@ class _Rendering:
         """One camera's frames in tick order, each built when it is asked for.
 
         A tick holds its vehicles' detections in ``passes`` order, then its
-        false positives in draw order. After each tick with detections, up to
-        ``trail_frames`` empty frames follow, stopping before the next such
-        tick and at the end of the run.
+        false positives in draw order. A tick without detections has no
+        frame: a tracker counts the frame indices it skips as misses.
         """
         fps = self.scenario.frame_rate
         cam = self.scenario.camera
@@ -573,8 +570,7 @@ class _Rendering:
         fp_tick = end if fp is None else fp.frame_index
 
         i = lo = hi = 0  # entries [lo, hi) are the block in hand
-        k = min(ticks[0] if n else end, fp_tick)
-        while k < end:
+        while (k := min(ticks[i] if i < n else end, fp_tick)) < end:
             dets = []
             if i < n and ticks[i] == k:
                 if i == hi:
@@ -599,10 +595,6 @@ class _Rendering:
                 fp = next(false_positives, None)
                 fp_tick = end if fp is None else fp.frame_index
             yield FrameDetections(k, t, camera, dets)
-            busy = min(ticks[i] if i < n else end, fp_tick)
-            for j in range(k + 1, min(k + 1 + self.trail_frames, busy)):
-                yield FrameDetections(j, _tick_time(j, fps), camera)
-            k = busy
 
     def label(self, camera: str, k: int, cx: float, cy: float) -> int | None:
         """Id of the first vehicle in ``passes`` order rendered at (camera, k, cx, cy), or None."""
@@ -618,7 +610,6 @@ def render_detections(
     passes: Iterable[VehiclePass],
     scenario: Scenario,
     rng: np.random.Generator,
-    trail_frames: int = 3,
 ) -> dict[str, list[FrameDetections]]:
     """Render passes into per-camera detection streams, held in full.
 
@@ -629,16 +620,14 @@ def render_detections(
     detection dropped according to the noise model. One-frame false positive
     boxes are injected at the configured per-frame rate.
 
-    Idle stretches of the camera are compressed: after a tick with
-    detections, up to ``trail_frames`` empty frames are materialized so a
-    downstream tracker sees the same miss sequence as on a continuous
-    stream; set it to at least the tracker's miss limit.
+    Only ticks with detections become frames; a tracker counts the frame
+    indices between them as misses.
 
     :func:`run_passes` does not call this: its camera workers build the same
     frames one at a time from the same draws, so their memory follows the
     live tracks and the archive, not the length of the day.
     """
-    rendering = _Rendering(passes, scenario, rng, trail_frames)
+    rendering = _Rendering(passes, scenario, rng)
     return {d: list(rendering.frames(d)) for d in DIRECTIONS}
 
 
@@ -830,7 +819,7 @@ def run_passes(
     raises RuntimeError naming its camera and exit code.
     """
     config = tracker_config or TrackerConfig()
-    rendering = _Rendering(passes, scenario, rng, trail_frames=config.max_misses)
+    rendering = _Rendering(passes, scenario, rng)
     pass_times = {p.vehicle_id: p.pass_time for p in rendering.passes}
     streams = [
         received(f"{camera} camera worker", _camera_worker, rendering, camera, config, dump_sink is not None)

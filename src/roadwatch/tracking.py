@@ -6,8 +6,9 @@ to tracks by minimizing total Euclidean center distance (Hungarian method,
 gated), and spawns and deletes tracks. A track is tentative until
 ``confirm_hits`` hits confirm it; confirming emits its one ``new_vehicle``
 event, the only event the tracker emits and the one the downstream warning
-stage consumes. A tentative track dies on its first miss, a confirmed one
-after ``max_misses`` misses in a row.
+stage consumes. A track misses every frame index after its last hit, in the
+stream or skipped by it: a tentative track dies on its first miss, a
+confirmed one on its ``max_misses``-th.
 
 The tracker runs the filter per axis on plain floats, inline in
 :meth:`VehicleTracker.step`; it is the package's one Kalman filter. F, Q, R
@@ -76,10 +77,10 @@ class TrackerConfig:
     """Tracking knobs left open by the motion model.
 
     ``gate_distance`` is the maximum assignable center distance in pixels;
-    ``confirm_hits`` consecutive assignments confirm a tentative track;
-    ``max_misses`` consecutive misses delete a confirmed one. Defaults are
-    tuned for 1280-px-wide frames at 30 FPS. The filter's noise levels are
-    the module constants above.
+    ``confirm_hits`` consecutive assignments confirm a tentative track; a
+    confirmed one dies ``max_misses`` frame indices after its last hit.
+    Defaults are tuned for 1280-px-wide frames at 30 FPS. The filter's
+    noise levels are the module constants above.
     """
 
     gate_distance: float = 75.0
@@ -399,7 +400,6 @@ class Track:
     vx: float = 0.0
     vy: float = 0.0
     p_cross: float = 0.0
-    consecutive_misses: int = 0
     confirmed_at: float | None = None
     ticks: array = field(default_factory=lambda: array("q"))
     centers: array = field(default_factory=lambda: array("d"))
@@ -429,6 +429,7 @@ class VehicleTracker:
         self.archive: dict[int, Track] = {}
         self._next_id = 1
         self._last_timestamp: float | None = None
+        self._last_index = -1
 
     def step(self, frame: FrameDetections) -> list[TrackerEvent]:
         """Advance the tracker by one frame, returning its ``new_vehicle`` events."""
@@ -441,13 +442,18 @@ class VehicleTracker:
             )
         timestamp = frame.timestamp
         last = self._last_timestamp
-        if last is not None and timestamp <= last:
+        if last is not None and (timestamp <= last or frame_index <= self._last_index):
             raise StreamOrderError(
-                f"camera {self.camera}: frame timestamp {timestamp:.3f} not after previous {last:.3f}"
+                f"camera {self.camera}: frame {frame_index} at {timestamp:.3f} "
+                f"not after frame {self._last_index} at {last:.3f}"
             )
 
         cfg = self.config
         tracks = self.tracks
+        if frame_index > self._last_index + 1:
+            # the skipped frames held no detections: drop the tracks that died in them
+            tracks = [t for t in tracks
+                      if frame_index - t.ticks[-1] <= (1 if t.confirmed_at is None else cfg.max_misses)]
         dets = frame.detections
         events: list[TrackerEvent] = []
 
@@ -483,9 +489,8 @@ class VehicleTracker:
         live = []
         for track, det_idx in zip(tracks, track_partner):
             if det_idx < 0:
-                track.consecutive_misses += 1
                 # a tentative track does not survive a single miss
-                if track.confirmed_at is not None and track.consecutive_misses < cfg.max_misses:
+                if track.confirmed_at is not None and frame_index - track.ticks[-1] < cfg.max_misses:
                     live.append(track)
                 continue
             det = dets[det_idx]
@@ -510,7 +515,6 @@ class VehicleTracker:
             centers = track.centers
             centers.append(zx)
             centers.append(zy)
-            track.consecutive_misses = 0
             live.append(track)
             if track.confirmed_at is None:
                 track.classes.append(det.best_class)
@@ -535,6 +539,7 @@ class VehicleTracker:
 
         self.tracks = live
         self._last_timestamp = timestamp
+        self._last_index = frame_index
         return events
 
     def _event(self, track: Track, timestamp: float) -> TrackerEvent:

@@ -404,7 +404,8 @@ print(*loaded)
         # country-road has jitter, dropout and false positives, and
         # occluded-curve has occlusion windows; re-pinned when each
         # vehicle's draws, and each camera's false positives, became whole
-        # arrays (report.json kept its digest)
+        # arrays (report.json kept its digest), and the dumps when they lost
+        # their empty frames (each old dump without its "dets":[] lines)
         out, dump = tmp_path / "cr", tmp_path / "cr.log"
         assert main(["simulate", "--scenario", "country-road", "--seed", "1", "--out", str(out),
                      "--dump-detections", str(dump)]) == 0
@@ -416,10 +417,10 @@ print(*loaded)
             for path in (dump, out / "audit.jsonl", out / "report.json", occluded)
         }
         assert digests == {
-            "cr.log": "dc3705f1b5f9b7b0b6a3a4c44905ff61adaba6ffe1f36ad3d5727581fb0695ae",
+            "cr.log": "05557527299da0ed39ca1cb66a8aaa0448aa2c86fc1dde47a962e85e5b132cc5",
             "audit.jsonl": "11165f4c980c0ad155e3b5662069f238a2ecf56f3af42ae2fbef1224be006643",
             "report.json": "a5efd7c13b1925adb7a242d8eba41353cdc3a6cf373243f2b44303eadb9e03f2",
-            "oc.log": "b3add3b1ffc799f2959edd927fd9c56aece665924eeff73de4cd588831667d08",
+            "oc.log": "3b1072be88b9666adacb1afed0f58ed4e4e85b726df76f6f95ca83d994a90c00",
         }
 
     def test_run_without_frames_empties_dump(self, tmp_path, capsys):
@@ -513,6 +514,43 @@ class TestReplayEquivalence:
         stdout = capsys.readouterr().out
         warn_lines = [l for l in stdout.splitlines() if l.startswith("WARN ")]
         assert len(warn_lines) == sum(1 for *_, d, _ in sim_rows if d == "warn")
+
+    def test_log_without_its_empty_frames_replays_like_the_full_log(self, tmp_path, capsys):
+        # country-road seed 1 has dropout and false positives; a tracker once
+        # counted a miss per log line, and its busy frames alone replayed to
+        # 62 events and 43 warnings
+        dump = tmp_path / "d.log"
+        assert main(["simulate", "--scenario", "country-road", "--seed", "1", "--out", str(tmp_path / "sim"),
+                     "--dump-detections", str(dump)]) == 0
+        busy = [line for line in dump.read_text(encoding="utf-8").splitlines(keepends=True)
+                if '"dets":[]' not in line]
+        # the full log, as simulate once wrote it: up to three empty frames after each busy one
+        records = [json.loads(line) for line in busy]
+        keyed = [(record["t"], record["camera"], line) for record, line in zip(records, busy)]
+        for camera in ("front", "rear"):
+            ks = [record["frame"] for record in records if record["camera"] == camera]
+            for k, after in zip(ks, ks[1:] + [1800 * 30]):
+                for j in range(k + 1, min(k + 4, after)):
+                    t = round(j * 1000 / 30) / 1000
+                    keyed.append((t, camera, f'{{"camera":"{camera}","frame":{j},"t":{t:.3f},"dets":[]}}\n'))
+        full, partial = tmp_path / "full.log", tmp_path / "busy.log"
+        full.write_text("".join(line for *_, line in sorted(keyed, key=lambda r: r[:2])), encoding="utf-8")
+        partial.write_text("".join(busy), encoding="utf-8")
+        # the digest of simulate's dump before it left out empty frames
+        assert hashlib.sha256(full.read_bytes()).hexdigest() == \
+            "dc3705f1b5f9b7b0b6a3a4c44905ff61adaba6ffe1f36ad3d5727581fb0695ae"
+
+        def replay(log):
+            capsys.readouterr()
+            out = tmp_path / log.stem
+            assert main(["replay", "--log", str(log), "--device", "stdout", "--out", str(out)]) == 0
+            device = [line for line in capsys.readouterr().out.splitlines() if line.startswith("WARN ")]
+            return (out / "audit.jsonl").read_text(encoding="utf-8"), device
+
+        audit, device = replay(full)
+        assert replay(partial) == (audit, device)
+        assert len(audit.splitlines()) == 70 and len(device) == 48
+        assert read_audit(tmp_path / "full" / "audit.jsonl") == read_audit(tmp_path / "sim" / "audit.jsonl")
 
     def test_replay_counts_printed(self, scenario_file, tmp_path, capsys):
         dump = tmp_path / "d.log"
@@ -845,6 +883,17 @@ class TestReplayEquivalence:
         assert captured.err == "error: line 1: camera front timestamp -3.000 must be at least 0\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("second", [5, 3])
+    def test_frame_index_not_after_the_last_exit_2_with_its_line(self, tmp_path, capsys, second):
+        # a vehicle at frame 5, then at a later time at frame 5 or 3; both lines once passed and confirmed it
+        log = tmp_path / "index.log"
+        later = one_vehicle_line(6, "640.0").replace('"frame":6', f'"frame":{second}')
+        log.write_text(one_vehicle_line(5, "640.0") + later, encoding="utf-8")
+        assert main(["replay", "--log", str(log), "--device", "stdout"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 2: camera front frame index {second} not after previous 5\n"
+        assert captured.out == ""
+
     def test_directory_as_log_exit_2(self, tmp_path, capsys):
         assert main(["replay", "--log", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -1063,15 +1112,29 @@ class TestFlags:
             argv = ["simulate", "--scenario", str(scenario_file), "--out", str(out),
                     "--dump-detections", str(dump), *flags]
             assert main(argv) == 0
-            return json.loads((out / "report.json").read_text())["events"], dump.stat().st_size
+            return json.loads((out / "report.json").read_text())["events"], dump.read_bytes()
 
-        default, default_size = events("default")
+        default, default_dump = events("default")
         assert default > 0
         assert events("confirm", "--confirm-hits", "1000000")[0] == 0
         assert events("gate", "--gate", "0.001")[0] < default
-        # one miss ends a track, and each busy tick trails one empty frame, not three
-        short_lived, size = events("misses", "--max-misses", "1")
-        assert short_lived > default and size < default_size
+        # one miss ends a track; the dump holds the rendered frames, whatever the tracker's flags
+        short_lived, dump = events("misses", "--max-misses", "1")
+        assert short_lived > default and dump == default_dump
+
+    def test_replay_of_default_dump_gives_simulate_trace_at_its_max_misses(self, scenario_file, tmp_path, capsys):
+        # a replay once counted a miss per log line, and the dump held only
+        # as many empty frames after a busy one as simulate's --max-misses
+        def simulate(name, *flags):
+            assert main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / name),
+                         "--dump-detections", str(tmp_path / f"{name}.log"), *flags]) == 0
+            return read_audit(tmp_path / name / "audit.jsonl")
+
+        simulate("default")
+        six = simulate("six", "--max-misses", "6")
+        assert main(["replay", "--log", str(tmp_path / "default.log"), "--max-misses", "6",
+                     "--out", str(tmp_path / "rep"), "--device", "stdout"]) == 0
+        assert read_audit(tmp_path / "rep" / "audit.jsonl") == six
 
     def test_tracker_flags_reach_replay(self, scenario_file, tmp_path, capsys):
         dump = tmp_path / "d.log"

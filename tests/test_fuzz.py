@@ -27,7 +27,6 @@ from roadwatch.cli import main
 from roadwatch.detection import CAMERAS, CLASSES, DEEPEST, Detection, detection_records, parse_detection_log
 from roadwatch.errors import LogParseError, RoadwatchError, StreamOrderError
 from roadwatch.simulation import SCENARIO_KEYS, generate_passes, load_scenario, merge_streams, render_detections
-from roadwatch.tracking import TrackerConfig
 
 FUZZ = settings(
     derandomize=True,
@@ -223,9 +222,9 @@ def record_text(camera, frame, t, dets) -> str:
 
 @st.composite
 def legal_records(draw) -> list[str]:
-    """Lines of legal records: both cameras, times that increase per camera
-    and never go back across cameras, spelled as ints or floats, zero to
-    three detections each."""
+    """Lines of legal records: both cameras, frame indices and times that
+    increase per camera, times that never go back across cameras, spelled as
+    ints or floats, zero to three detections each."""
     lines = []
     last_t = {}
     latest = None
@@ -298,7 +297,7 @@ def with_broken(tokens: dict[str, str], field: str, token: str) -> str:
 def broken_record(draw):
     """Legal lines, then one whose record fields break one rule."""
     lines = draw(legal_records())
-    rule = draw(st.sampled_from(["camera", "frame", "t", "order", "cross-camera order"]))
+    rule = draw(st.sampled_from(["camera", "frame", "t", "order", "cross-camera order", "index order"]))
     camera, frame, t = '"front"', str(len(lines)), "2e9"
     if rule == "camera":
         camera, names = draw(st.sampled_from(['"side"', '"FRONT"', "null", "1", '["front"]'])), "unknown camera"
@@ -312,6 +311,11 @@ def broken_record(draw):
         previous = json.loads(lines[-1])
         camera, t, names = f'"{previous["camera"]}"', draw(st.sampled_from(
             [json.dumps(previous["t"]), json.dumps(previous["t"] - 1)])), "not after previous"
+    elif rule == "index order":
+        # at a later time, the index of the camera's last line or a lower one
+        previous = json.loads(lines[-1])
+        camera, frame = f'"{previous["camera"]}"', draw(st.sampled_from([str(previous["frame"]), "0"]))
+        names = f"frame index {frame} not after previous {previous['frame']}"
     else:
         # the other camera, after its own last time but before the latest
         previous = json.loads(lines[-1])
@@ -635,8 +639,7 @@ def test_replay_of_simulated_dump_gives_simulate_audit(tmp_path_factory, text):
         audit_without_ground_truth(work / "sim" / "audit.jsonl")
 
     rng = np.random.default_rng(scenario.seed)
-    trail = TrackerConfig().max_misses
-    frames = merge_streams(render_detections(generate_passes(scenario, rng), scenario, rng, trail))
+    frames = merge_streams(render_detections(generate_passes(scenario, rng), scenario, rng))
     with open(dump, "rb") as source:
         assert list(parse_detection_log(source)) == frames
     for frame in frames:

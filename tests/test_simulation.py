@@ -163,7 +163,7 @@ class TestRenderDetections:
         det = first.detections[0]
         assert det.height == pytest.approx(15.0)  # 1000 * 1.5 / 100
         assert det.width == pytest.approx(22.5)
-        rendering = _Rendering([vehicle], scenario, np.random.default_rng(5), trail_frames=3)
+        rendering = _Rendering([vehicle], scenario, np.random.default_rng(5))
         key = ("front", first.frame_index, det.cx, det.cy)
         assert rendering.label(*key) == brute_force_labels(rendering)[key] == vehicle.vehicle_id
 
@@ -195,18 +195,21 @@ class TestRenderDetections:
         kept = sum(len(f.detections) for f in frames["front"])
         assert abs(kept - n_visible / 2) <= 3 * math.sqrt(n_visible * 0.25)
 
-    def test_trailing_empty_frames(self):
-        scenario = make_scenario()
+    def test_every_frame_holds_a_detection(self):
+        # a tick without detections has no frame: a tracker counts the indices skipped as misses
         vehicle = single_pass(spawn=1.0, speed=30.0, d_vis=120.0)
-        frames = render_detections([vehicle], scenario, np.random.default_rng(8), trail_frames=3)
-        stream = frames["front"]
-        tail = stream[-3:]
-        assert all(not f.detections for f in tail)
-        indices = [f.frame_index for f in stream]
-        assert indices == sorted(indices)
-        # trailing empties directly follow the last detection tick
-        last_det_idx = max(f.frame_index for f in stream if f.detections)
-        assert [f.frame_index for f in tail] == [last_det_idx + 1, last_det_idx + 2, last_det_idx + 3]
+        in_range = list(range(30, 150))  # ticks from 1 s to 5 s at 30 FPS
+        for dropout in (0.0, 0.3):
+            scenario = make_scenario(noise=NoiseModel(dropout_prob=dropout))
+            frames = render_detections([vehicle], scenario, np.random.default_rng(8))
+            assert frames["rear"] == []
+            assert all(len(f.detections) == 1 for f in frames["front"])
+            indices = [f.frame_index for f in frames["front"]]
+            if dropout:
+                assert indices == sorted(set(indices)) and set(indices) < set(in_range)
+                assert len(indices) < 100
+            else:
+                assert indices == in_range
 
     def test_false_positives_injected(self):
         scenario = make_scenario(
@@ -219,7 +222,7 @@ class TestRenderDetections:
         # Poisson(0.2 * 3000) per direction
         assert abs(count - 600) <= 3 * math.sqrt(600)
         # false positives carry no ground-truth label
-        rendering = _Rendering([], scenario, np.random.default_rng(9), trail_frames=3)
+        rendering = _Rendering([], scenario, np.random.default_rng(9))
         assert brute_force_labels(rendering) == {}
         assert all(rendering.label(f.camera, f.frame_index, d.cx, d.cy) is None
                    for stream in frames.values() for f in stream for d in f.detections)
@@ -233,7 +236,7 @@ class TestRenderDetections:
         windows = [OcclusionWindow("front", 40.0, 60.0), OcclusionWindow("rear", 0.0, 10.0)]
         scenario = make_scenario(frame_rate=fps, occlusion_windows=windows)
         passes = generate_passes(scenario, np.random.default_rng(3))
-        rendering = _Rendering(passes, scenario, np.random.default_rng(4), trail_frames=3)
+        rendering = _Rendering(passes, scenario, np.random.default_rng(4))
         expected = {}
         for v in passes:
             first = max(0, math.ceil(v.spawn_time * fps - 1e-9))
@@ -285,7 +288,7 @@ class TestBlockWalk:
         if duration is not None:
             scenario.duration = duration
         rng = np.random.default_rng(scenario.seed)
-        rendering = simulation._Rendering(generate_passes(scenario, rng), scenario, rng, trail_frames=3)
+        rendering = simulation._Rendering(generate_passes(scenario, rng), scenario, rng)
         fps, cam = scenario.frame_rate, scenario.camera
         size = cam.focal_length_px * cam.vehicle_height_m
         expected = {}
@@ -391,7 +394,7 @@ class TestOnePass:
         state = rng.bit_generator.state
         frames = render_detections(passes, scenario, rng)
         rng.bit_generator.state = state
-        rendering = _Rendering(passes, scenario, rng, trail_frames=3)
+        rendering = _Rendering(passes, scenario, rng)
         labels = brute_force_labels(rendering)
         keys = [
             (camera, frame.frame_index, det.cx, det.cy)
@@ -714,7 +717,7 @@ class TestRunPipeline:
         run_pipeline(scenario, dump_sink=sink)
         rng = np.random.default_rng(scenario.seed)
         passes = generate_passes(scenario, rng)
-        frames = render_detections(passes, scenario, rng, trail_frames=3)
+        frames = render_detections(passes, scenario, rng)
         from roadwatch.detection import write_detection_log
 
         expected = io.StringIO()

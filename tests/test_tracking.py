@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from roadwatch.detection import CLASSES, Detection, FrameDetections
+from roadwatch.detection import CLASSES, Detection, FrameDetections, parse_detection_log
 from roadwatch.errors import StreamOrderError, ValidationError
 from roadwatch.tracking import (
     INITIAL_VELOCITY_VARIANCE,
@@ -586,7 +586,7 @@ class TestTrackerLifecycle:
         assert events == []
         assert tracker.tracks == []
         assert tracker.archive[1].confirmed_at is None
-        assert tracker.archive[1].consecutive_misses == 1
+        assert 1 - tracker.archive[1].ticks[-1] == 1
 
     def test_active_track_survives_then_terminates(self):
         config = TrackerConfig(confirm_hits=2, max_misses=3)
@@ -599,7 +599,7 @@ class TestTrackerLifecycle:
         # the third miss deletes the track silently
         assert tracker.step(frame(4, [])) == []
         assert tracker.tracks == []
-        assert tracker.archive[1].consecutive_misses == 3
+        assert 4 - tracker.archive[1].ticks[-1] == 3
 
     def test_miss_then_reacquire_resets_counters(self):
         config = TrackerConfig(confirm_hits=2, max_misses=3)
@@ -608,9 +608,24 @@ class TestTrackerLifecycle:
         tracker.step(frame(1, [(100, 100)]))
         tracker.step(frame(2, []))
         track = tracker.tracks[0]
-        assert track.consecutive_misses == 1 and list(track.ticks) == [0, 1]
+        assert 2 - track.ticks[-1] == 1 and list(track.ticks) == [0, 1]
         tracker.step(frame(3, [(100, 100)]))
-        assert track.consecutive_misses == 0 and list(track.ticks) == [0, 1, 3]
+        assert tracker.tracks == [track]
+        assert 3 - track.ticks[-1] == 0 and list(track.ticks) == [0, 1, 3]
+
+    def test_skipped_index_is_a_miss(self):
+        # a log need not hold its empty frames: a confirmed track survives a
+        # one-frame gap, and a tentative one dies across it
+        lines = [
+            f'{{"camera":"front","frame":{k},"t":{k / 30:.3f},"dets":[{{"cx":{cx},"cy":100.0,"w":40.0,"h":30.0,'
+            f'"cls":"vehicle","obj":0.95,"conf":[0.05,0.9,0.05]}}]}}'
+            for k, cx in [(0, 100.0), (1, 100.0), (3, 100.0), (10, 600.0), (12, 600.0), (13, 600.0)]
+        ]
+        tracker = VehicleTracker("front", TrackerConfig(confirm_hits=2, max_misses=3))
+        events = [e for f in parse_detection_log(lines) for e in tracker.step(f)]
+        assert [(e.track_id, e.timestamp) for e in events] == [(1, 0.033), (3, 0.433)]
+        assert {i: list(t.ticks) for i, t in tracker.archive.items()} == {1: [0, 1, 3], 2: [10], 3: [12, 13]}
+        assert tracker.tracks == [tracker.archive[3]]
 
     def test_hits_misses_never_both_positive(self):
         rng = np.random.default_rng(59)
@@ -619,9 +634,9 @@ class TestTrackerLifecycle:
             centers = [(100 + rng.uniform(-3, 3), 100 + rng.uniform(-3, 3))] if rng.uniform() < 0.7 else []
             tracker.step(frame(k, centers))
             for track in tracker.tracks:
-                # the misses are the frames since the last hit, and a live
-                # tentative track has hit every frame since its first
-                assert track.consecutive_misses == k - track.ticks[-1]
+                # a live track has missed fewer frames than its limit, and a
+                # live tentative track has hit every frame since its first
+                assert k - track.ticks[-1] < (1 if track.confirmed_at is None else 3)
                 if track.confirmed_at is None:
                     assert list(track.ticks) == list(range(k + 1 - len(track.ticks), k + 1))
 
@@ -801,22 +816,27 @@ class TestHitStorage:
         assert [len(t.history) for t in tracker.archive.values()] == [n]
         assert kept / n <= 32, f"{kept / n:.1f} bytes a hit"
 
-    @pytest.mark.parametrize("bad", [2**63, 2**64, -1, 2.0])
-    def test_bad_frame_index_rejected_before_any_change(self, bad):
+    @pytest.mark.parametrize("bad, error, message", [
+        *((bad, ValidationError, "frame index must be an int") for bad in (2**63, 2**64, -1, 2.0)),
+        # not after the last index, at a later time
+        (1, StreamOrderError, "frame 1 at 1.000 not after frame 1 at 0.033"),
+    ], ids=[str(2**63), str(2**64), "-1", "2.0", "1"])
+    def test_bad_frame_index_rejected_before_any_change(self, bad, error, message):
         tracker = VehicleTracker("front", TrackerConfig(confirm_hits=2))
         tracker.step(frame(0, [(100, 100)]))
         tracker.step(frame(1, [(100, 100)]))
 
         def state():
-            return tracker._last_timestamp, tracker._next_id, [
-                (t.track_id, t.confirmed_at, t.x, t.vx, t.p_pos, t.consecutive_misses, t.history,
-                 list(t.classes))
+            return tracker._last_timestamp, tracker._last_index, tracker._next_id, [
+                (t.track_id, t.confirmed_at, t.x, t.vx, t.p_pos, t.history, list(t.classes))
                 for t in tracker.tracks
             ]
 
         before = state()
-        with pytest.raises(ValidationError, match="frame index"):
-            tracker.step(frame(bad, [(100, 100), (600, 600)]))
+        bad_frame = frame(bad, [(100, 100), (600, 600)])
+        bad_frame.timestamp = 1.0
+        with pytest.raises(error, match=message):
+            tracker.step(bad_frame)
         assert state() == before
         tracker.step(frame(2, [(100, 100)]))
         assert tracker.tracks[0].history[-1] == (2, (100.0, 100.0))
@@ -842,13 +862,17 @@ def track_state(track):
 
 
 def stepped_once(track, dt, center, gate=75.0):
-    """``track``, alone in a tracker at t = 0, after a step to ``dt`` with one detection at ``center``."""
+    """The tracker that holds ``track``, confirmed and hit at frame 0 and t = 0, alone, after a
+    step to frame 1 at ``dt`` with one detection at ``center``."""
     tracker = VehicleTracker("front", TrackerConfig(gate_distance=gate))
     track.confirmed_at = 0.0
+    track.ticks.append(0)
+    track.centers.extend((track.x, track.y))
     tracker.tracks = [track]
     tracker._last_timestamp = 0.0
+    tracker._last_index = 0
     tracker.step(FrameDetections(frame_index=1, timestamp=dt, camera="front", detections=[det(*center)]))
-    return track
+    return tracker
 
 
 class TestFusedStep:
@@ -863,8 +887,10 @@ class TestFusedStep:
         for track in tracks:
             expected = predict(track_state(track), dt, q)
             # a detection far outside the gate: the track only predicts
-            got = track_state(stepped_once(track, dt, (track.x + 1e6, track.y)))
-            assert track.consecutive_misses == 1
+            tracker = stepped_once(track, dt, (track.x + 1e6, track.y))
+            got = track_state(track)
+            # one miss: no hit at frame 1, and still live
+            assert list(track.ticks) == [0] and tracker.tracks[0] is track
             np.testing.assert_allclose(got.mean, expected.mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got.covariance, expected.covariance, rtol=1e-12, atol=1e-12)
 
@@ -876,8 +902,10 @@ class TestFusedStep:
             predicted = predict(track_state(track), dt, q)
             obs = predicted.mean[:2] + rng.normal(0, 5, 2)
             expected = update(predicted, obs, r)
-            got = track_state(stepped_once(track, dt, tuple(obs), gate=1e9))
-            assert track.consecutive_misses == 0 and track.history == [(1, (obs[0], obs[1]))]
+            tracker = stepped_once(track, dt, tuple(obs), gate=1e9)
+            got = track_state(track)
+            assert tracker.tracks[0] is track and list(track.ticks) == [0, 1]
+            assert track.history[-1] == (1, (obs[0], obs[1]))
             np.testing.assert_allclose(got.mean, expected.mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(got.covariance, expected.covariance, rtol=1e-12, atol=1e-12)
 
@@ -914,7 +942,7 @@ class TestScalarFilter:
                 )
             )
             for track in tracker.tracks:
-                saw_miss = saw_miss or track.consecutive_misses > 0
+                saw_miss = saw_miss or k - track.ticks[-1] > 0
                 frame_index, (zx, zy) = track.history[-1]
                 if track.track_id not in reference:
                     reference[track.track_id] = make_state(
