@@ -42,7 +42,7 @@ from .detection import (  # noqa: F401
     write_detection_log,
 )
 from .errors import ConfigError
-from .tracking import Track, TrackerConfig, TrackerEvent, VehicleTracker, majority
+from .tracking import TrackerConfig, TrackerEvent, VehicleTracker
 from .warning import (
     DECISION_SKIP_CLASS,
     DECISION_SUPPRESS,
@@ -707,13 +707,14 @@ def _track(
     frames: Iterable[FrameDetections],
     trackers: dict[str, VehicleTracker],
     dump: bool = False,
-    label: Callable[[Track], int | None] | None = None,
+    label: Callable[[str, int, float, float], int | None] | None = None,
 ) -> Iterator[Record]:
     """The first half of the pipeline: each frame's record, after its tracker's step.
 
     The dump line is formatted when ``dump`` is set. Each new-vehicle event
-    is paired with ``label(track)`` when ``label`` is given, and with None
-    when it is not. A frame whose step raises is the last record.
+    is paired with ``label(camera, frame index, cx, cy)`` of the hit that
+    confirmed its track, the track's last, when ``label`` is given, and
+    with None when it is not. A frame whose step raises is the last record.
     """
     for frame in frames:
         line = format_detection_line(frame) if dump else None
@@ -724,7 +725,8 @@ def _track(
             yield frame.timestamp, line, exc
             return
         yield frame.timestamp, line, [
-            (e, label(tracker.archive[e.track_id]) if label else None) for e in events
+            (e, label(frame.camera, frame.frame_index, *tracker.archive[e.track_id].centers[-2:]) if label else None)
+            for e in events
         ]
 
 
@@ -773,31 +775,6 @@ def drive(
     return _flow_check(_track(frames, trackers), monitor)
 
 
-def _majority_vehicle(track: Track, camera: str, label: Callable[..., int | None]) -> int | None:
-    """Majority ground-truth label over the hits of ``track``.
-
-    ``label(camera, frame index, cx, cy)`` gives the vehicle rendered there.
-    Ties prefer the most recently seen label.
-    """
-    centers = track.centers
-    return majority([label(camera, k, centers[2 * i], centers[2 * i + 1]) for i, k in enumerate(track.ticks)])
-
-
-def _camera_worker(rendering: _Rendering, camera: str, config: TrackerConfig, dump: bool) -> Iterator[Record]:
-    """One camera's half of simulate: its records, made in a worker process where ``workers.received`` starts one.
-
-    Builds the camera's frames, formats their dump lines when ``dump`` is
-    set, tracks them and labels each new vehicle, in the step that confirms
-    it, with the majority ground truth of its hits. A step's exception is a
-    record at its frame (see ``_track``).
-    """
-
-    def label(track: Track) -> int | None:
-        return _majority_vehicle(track, camera, rendering.label)
-
-    return _track(rendering.frames(camera), {camera: VehicleTracker(camera, config)}, dump, label)
-
-
 def run_passes(
     passes: list[VehiclePass],
     scenario: Scenario,
@@ -809,8 +786,9 @@ def run_passes(
     """Render the given passes and run tracking + ``monitor``'s flow check over them.
 
     Every random draw is made here. Then each camera's frames are built,
-    formatted and tracked by ``_camera_worker``, in a worker process where
-    ``workers.received`` starts one and here otherwise, while this process
+    formatted and tracked by ``_track``, in a worker process where
+    ``workers.received`` starts one and here otherwise; each new vehicle is
+    labelled with the vehicle rendered at its confirming hit. This process
     merges the two record streams by timestamp, front first on ties, writes
     each dump line to ``dump_sink`` and runs the one flow check. So no
     output depends on where the streams run. A stream's exception is raised
@@ -822,7 +800,8 @@ def run_passes(
     rendering = _Rendering(passes, scenario, rng)
     pass_times = {p.vehicle_id: p.pass_time for p in rendering.passes}
     streams = [
-        received(f"{camera} camera worker", _camera_worker, rendering, camera, config, dump_sink is not None)
+        received(f"{camera} camera worker", _track, rendering.frames(camera),
+                 {camera: VehicleTracker(camera, config)}, dump_sink is not None, rendering.label)
         for camera in DIRECTIONS
     ]
     try:

@@ -428,7 +428,7 @@ class VehicleTracker:
         self.tracks: list[Track] = []
         self.archive: dict[int, Track] = {}
         self._next_id = 1
-        self._last_timestamp: float | None = None
+        self._last_timestamp = -math.inf
         self._last_index = -1
 
     def step(self, frame: FrameDetections) -> list[TrackerEvent]:
@@ -442,7 +442,10 @@ class VehicleTracker:
             )
         timestamp = frame.timestamp
         last = self._last_timestamp
-        if last is not None and (timestamp <= last or frame_index <= self._last_index):
+        # last is -inf before the first frame; a NaN or infinite time fails this one chained test too
+        if not last < timestamp < math.inf or frame_index <= self._last_index:
+            if not -math.inf < timestamp < math.inf:
+                raise ValidationError(f"timestamp must be finite, got {timestamp!r}")
             raise StreamOrderError(
                 f"camera {self.camera}: frame {frame_index} at {timestamp:.3f} "
                 f"not after frame {self._last_index} at {last:.3f}"
@@ -458,7 +461,7 @@ class VehicleTracker:
         events: list[TrackerEvent] = []
 
         # the filter runs per axis on each track's scalars (module docstring)
-        if tracks and last is not None:
+        if tracks:  # made by earlier steps, so last is a time
             dt = timestamp - last
             dt2 = dt * dt
             q = PROCESS_NOISE

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import IO
 
-from .errors import ConfigError, StreamOrderError
+from .errors import ConfigError, StreamOrderError, ValidationError
 from .tracking import TrackerEvent
 
 WARNING_CLASSES = frozenset({"truck", "vehicle"})
@@ -130,6 +130,9 @@ class FlowCheckMonitor:
 
     def observe(self, event: TrackerEvent) -> AuditRecord | None:
         """Feed one new-vehicle event; returns the warn record if a warning fired."""
+        # a NaN time would suppress its event and make the next gap NaN too
+        if not -math.inf < event.timestamp < math.inf:
+            raise ValidationError(f"event timestamp must be finite, got {event.timestamp!r}")
         gap = None
         if event.object_class not in WARNING_CLASSES:
             decision = DECISION_SKIP_CLASS

@@ -1,7 +1,7 @@
 """Worker processes that make a stream's items while this process consumes them.
 
-Simulate's camera workers (``simulation._camera_worker``) and the log parse
-helper (``detection.detection_records``) share this lifecycle, and one rule
+Simulate's camera streams (``simulation._track``) and the log parse helper
+(``detection.detection_records``) share this lifecycle, and one rule
 for where their items are made (:func:`received`). A worker runs a plain
 function that returns the items, typically a generator.
 """

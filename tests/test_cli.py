@@ -255,11 +255,11 @@ import roadwatch.cli
 from roadwatch import simulation, tracking
 port, calls = tracking._linear_sum_assignment, []
 tracking._linear_sum_assignment = lambda costs: calls.append(1) or port(costs)
-worker = simulation._camera_worker
-def reporting_worker(rendering, camera, *args):
-    yield from worker(rendering, camera, *args)
-    print("worker", camera, len(calls), "scipy.optimize" in sys.modules)
-simulation._camera_worker = reporting_worker
+track = simulation._track
+def reporting_track(frames, trackers, *args):
+    yield from track(frames, trackers, *args)
+    print("worker", *trackers, len(calls), "scipy.optimize" in sys.modules)
+simulation._track = reporting_track
 code = roadwatch.cli.main(["simulate", "--scenario", sys.argv[1], "--out", sys.argv[2]])
 print(code, len(calls), "scipy.optimize" in sys.modules)
 """

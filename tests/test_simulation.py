@@ -27,6 +27,7 @@ from roadwatch.simulation import (
     VEHICLE_ASPECT,
     CameraModel,
     NoiseModel,
+    OcclusionWindow,
     RatePiece,
     Scenario,
     SimulationReport,
@@ -661,6 +662,36 @@ class TestRunPipeline:
         assert report.warnings_with_filter == 1
         expected = 30.0 / 20.0 - 1.0 / 30.0
         assert report.entries[0].delta == pytest.approx(expected, abs=1.0 / 30.0 + 2e-3)
+
+    def test_warning_goes_to_the_vehicle_of_its_confirming_hit(self):
+        # vehicle 1 is seen at ticks 599 and 600 only, in its last 0.5 m;
+        # vehicle 2 at tick 601 only, at the same image point, so three hits
+        # confirm one track. A majority of those hits would name vehicle 1,
+        # which passed 33 ms before the warning.
+        scenario = make_scenario(detection_range=100.0, occlusion_windows=[OcclusionWindow("front", 0.5, 100.0)])
+        passes = [replace(single_pass(spawn=pass_time - 10.0, speed=10.0, d_vis=100.0), vehicle_id=vehicle_id)
+                  for vehicle_id, pass_time in [(1, 20.0004), (2, 20.0666)]]
+        rendering = _Rendering(passes, scenario, np.random.default_rng(0))
+        assert list(rendering.ticks["front"]) == [599, 600, 601]
+        assert list(rendering.positions["front"]) == [0, 0, 1]
+        assert len(set(rendering.cx["front"])) == len(set(rendering.cy["front"])) == 1
+        report = run_passes(passes, scenario, np.random.default_rng(0), FlowCheckMonitor(), TrackerConfig(confirm_hits=3))
+        [warning] = report.entries
+        assert (warning.decision, warning.timestamp, warning.vehicle_id) == ("warn", 20.033, 2)
+        assert f"{warning.delta:.3f}" == "0.034"
+
+    @pytest.mark.parametrize("confirm_hits", [1, 2, 3, 4])
+    def test_no_warning_comes_after_its_vehicle_passed(self, confirm_hits):
+        # vehicles seen only in their last 3 m, with dropouts, one close behind
+        # another: a majority over a track's hits once gave negative deltas
+        # here at confirm_hits = 4
+        scenario = rush_hour(
+            occlusion_windows=[OcclusionWindow(d, 3.0, 100.0) for d in DIRECTIONS],
+            noise=NoiseModel(center_jitter_px=2.0, dropout_prob=0.1),
+        )
+        report = run_pipeline(scenario, TrackerConfig(confirm_hits=confirm_hits), t_duration=1.0)
+        assert len(report.deltas) > 90
+        assert min(report.deltas) >= 0.0
 
     def test_zero_noise_one_event_per_vehicle_and_delta_formula(self):
         scenario = make_scenario(duration=2000.0, seed=31)

@@ -1,6 +1,7 @@
 """Tracking tests: Kalman oracles, assignment optimality, lifecycle rules."""
 
 import gc
+import math
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -549,7 +550,7 @@ class TestMajority:
             assert majority(values) == self.counted(values), values
 
     def test_tie_with_an_unlabelled_hit(self):
-        # _majority_vehicle labels a hit on no rendered vehicle None
+        # majority takes any values; None among them is counted like the rest
         cases = [([7, None], None), ([None, 7], 7), ([None, 7, 7, None], None), ([7, None, None, 7], 7)]
         for values, expected in cases:
             assert majority(values) == expected == self.counted(values), values
@@ -816,15 +817,18 @@ class TestHitStorage:
         assert [len(t.history) for t in tracker.archive.values()] == [n]
         assert kept / n <= 32, f"{kept / n:.1f} bytes a hit"
 
-    @pytest.mark.parametrize("bad, error, message", [
-        *((bad, ValidationError, "frame index must be an int") for bad in (2**63, 2**64, -1, 2.0)),
+    @pytest.mark.parametrize("bad, timestamp, error, message", [
+        *((bad, 1.0, ValidationError, "frame index must be an int") for bad in (2**63, 2**64, -1, 2.0)),
         # not after the last index, at a later time
-        (1, StreamOrderError, "frame 1 at 1.000 not after frame 1 at 0.033"),
-    ], ids=[str(2**63), str(2**64), "-1", "2.0", "1"])
-    def test_bad_frame_index_rejected_before_any_change(self, bad, error, message):
+        (1, 1.0, StreamOrderError, "frame 1 at 1.000 not after frame 1 at 0.033"),
+        # a NaN time once gave the confirmed track NaN state, so its vehicle
+        # confirmed a second track, and let the next frame skip the order check
+        *((2, t, ValidationError, f"timestamp must be finite, got {t}") for t in (math.nan, math.inf, -math.inf)),
+    ], ids=[str(2**63), str(2**64), "-1", "2.0", "1", "nan", "inf", "-inf"])
+    def test_bad_frame_index_rejected_before_any_change(self, bad, timestamp, error, message):
         tracker = VehicleTracker("front", TrackerConfig(confirm_hits=2))
         tracker.step(frame(0, [(100, 100)]))
-        tracker.step(frame(1, [(100, 100)]))
+        assert len(tracker.step(frame(1, [(100, 100)]))) == 1
 
         def state():
             return tracker._last_timestamp, tracker._last_index, tracker._next_id, [
@@ -834,11 +838,15 @@ class TestHitStorage:
 
         before = state()
         bad_frame = frame(bad, [(100, 100), (600, 600)])
-        bad_frame.timestamp = 1.0
+        bad_frame.timestamp = timestamp
         with pytest.raises(error, match=message):
             tracker.step(bad_frame)
         assert state() == before
-        tracker.step(frame(2, [(100, 100)]))
+        late = frame(2, [(100, 100)])
+        late.timestamp = 0.02
+        with pytest.raises(StreamOrderError, match="frame 2 at 0.020 not after frame 1 at 0.033"):
+            tracker.step(late)
+        assert tracker.step(frame(2, [(100, 100)])) == []
         assert tracker.tracks[0].history[-1] == (2, (100.0, 100.0))
 
 

@@ -1,11 +1,12 @@
 """Flow-check tests against a literal replay oracle, plus device emission."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 
-from roadwatch.errors import ConfigError, StreamOrderError
+from roadwatch.errors import ConfigError, StreamOrderError, ValidationError
 from roadwatch.simulation import SimulationReport
 from roadwatch.tracking import NEW_VEHICLE, TrackerEvent
 from roadwatch.warning import (
@@ -120,10 +121,26 @@ class TestOnNewVehicle:
             previous = t
 
     def test_stale_event_rejected(self):
-        for cls in ("vehicle", "truck"):
-            monitor = FlowCheckMonitor(t_duration=10.0, start_time=100.0)
-            with pytest.raises(StreamOrderError, match="event at 99.000 is older than timer start 100.000"):
-                monitor.observe(event(99.0, cls=cls))
+        stale = (99.0, ("vehicle", "truck"), StreamOrderError, "event at 99.000 is older than timer start 100.000")
+        # a non-finite time is rejected for every class, a pedestrian's too
+        non_finite = [(t, ("vehicle", "truck", "pedestrian"), ValidationError,
+                       f"event timestamp must be finite, got {t}") for t in (math.nan, math.inf, -math.inf)]
+        for t, classes, error, message in [stale, *non_finite]:
+            for cls in classes:
+                monitor = FlowCheckMonitor(t_duration=10.0, start_time=100.0)
+                with pytest.raises(error, match=message):
+                    monitor.observe(event(t, cls=cls))
+                assert monitor.audit == [] and monitor.t_start == 100.0
+        # a NaN event once suppressed itself and the next one: 20, nan, 40
+        # and 60 s gave warn, suppress, suppress, warn
+        monitor = FlowCheckMonitor(t_duration=10.0, start_time=0.0)
+        monitor.observe(event(20.0))
+        with pytest.raises(ValidationError):
+            monitor.observe(event(math.nan))
+        monitor.observe(event(40.0))
+        monitor.observe(event(60.0))
+        assert [(r.timestamp, r.decision) for r in monitor.audit] == [
+            (20.0, DECISION_WARN), (40.0, DECISION_WARN), (60.0, DECISION_WARN)]
 
     def test_pedestrian_rejected_at_op_level(self):
         # a pedestrian is logged but never checked, so an old one is no error
