@@ -444,7 +444,7 @@ class VehicleTracker:
         last = self._last_timestamp
         # last is -inf before the first frame; a NaN or infinite time fails this one chained test too
         if not last < timestamp < math.inf or frame_index <= self._last_index:
-            if not -math.inf < timestamp < math.inf:
+            if not math.isfinite(timestamp):
                 raise ValidationError(f"timestamp must be finite, got {timestamp!r}")
             raise StreamOrderError(
                 f"camera {self.camera}: frame {frame_index} at {timestamp:.3f} "

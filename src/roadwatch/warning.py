@@ -131,7 +131,7 @@ class FlowCheckMonitor:
     def observe(self, event: TrackerEvent) -> AuditRecord | None:
         """Feed one new-vehicle event; returns the warn record if a warning fired."""
         # a NaN time would suppress its event and make the next gap NaN too
-        if not -math.inf < event.timestamp < math.inf:
+        if not math.isfinite(event.timestamp):
             raise ValidationError(f"event timestamp must be finite, got {event.timestamp!r}")
         gap = None
         if event.object_class not in WARNING_CLASSES:

@@ -1,11 +1,11 @@
 """Paired perfbench runs of a parent checkout and a changed one, kept as one BENCH_*.json record.
 
-    python3 tests/benchpairs.py --parent DIR --change DIR --pairs 10 --out BENCH_37.json
+    python3 tests/benchpairs.py --parent DIR --change DIR --out BENCH_37.json
 
 The command, the run length, the workloads and the end-to-end metrics come
 from ``BENCHMARK.json`` in the changed checkout; each run is one perfbench
-process at ``--seed``. Pair i runs the parent first when i is even and the
-change first when it is odd. The record keeps, per workload, every run's
+process at seed ``SEED``, ``PAIRS`` pairs a workload. Pair i runs the parent
+first when i is even and the change first when it is odd. The record keeps, per workload, every run's
 ``run {...}`` line and result line (perfbench's last), parsed, and for
 each side and end-to-end metric the median and the quartiles of its runs.
 Exits 1 when a run was not correct.
@@ -21,6 +21,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SEED = 1
+PAIRS = 10
 
 
 def perfbench_run(checkout: Path, command: list[str], workload: str, seed: int, seconds: int) -> dict:
@@ -46,7 +48,7 @@ def spread(runs: list[dict], metrics: list[str]) -> dict:
     return out
 
 
-def record(parent_sha: str, benchmark: dict, seed: int, runs: dict[str, list[dict]]) -> dict:
+def record(parent_sha: str, benchmark: dict, runs: dict[str, list[dict]]) -> dict:
     """The BENCH record of ``runs``: per workload, a list of {pair, side, first, exit, run, result}."""
     metrics = [metric["name"] for metric in benchmark["end_to_end"]]
     workloads = {}
@@ -58,7 +60,7 @@ def record(parent_sha: str, benchmark: dict, seed: int, runs: dict[str, list[dic
     return {
         "parent_sha": parent_sha,
         "command": benchmark["command"],
-        "seed": seed,
+        "seed": SEED,
         "seconds": benchmark["run_seconds"],
         "workloads": workloads,
     }
@@ -68,8 +70,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     p.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -79,15 +79,15 @@ def main(argv=None) -> int:
     runs = {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         entries = runs[workload] = []
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                done = perfbench_run(checkouts[side], benchmark["command"], workload, args.seed,
+                done = perfbench_run(checkouts[side], benchmark["command"], workload, SEED,
                                      benchmark["run_seconds"])
                 entries.append({"pair": pair, "side": side, "first": side == order[0], **done})
                 print(workload, pair, side, done["result"]["correct"],
                       {k: v["value"] for k, v in done["result"]["metrics"].items()}, flush=True)
-    args.out.write_text(json.dumps(record(parent_sha, benchmark, args.seed, runs), indent=1) + "\n", encoding="utf-8")
+    args.out.write_text(json.dumps(record(parent_sha, benchmark, runs), indent=1) + "\n", encoding="utf-8")
     return 0 if all(e["result"]["correct"] for entries in runs.values() for e in entries) else 1
 
 

@@ -20,7 +20,7 @@ def fake_run(pair, side, wall_s, peak_rss_mb):
 def test_medians_and_quartiles_of_two_runs():
     runs = [fake_run(0, "parent", 2.0, 48.0), fake_run(0, "change", 1.0, 50.0),
             fake_run(1, "change", 3.0, 49.0), fake_run(1, "parent", 4.0, 48.0)]
-    bench = record("abc123", BENCHMARK, 1, {"paper-day": runs})
+    bench = record("abc123", BENCHMARK, {"paper-day": runs})
     assert (bench["parent_sha"], bench["seed"], bench["seconds"]) == ("abc123", 1, 15)
     day = bench["workloads"]["paper-day"]
     assert day["runs"] == runs
