@@ -47,6 +47,8 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_OUT_DIR = "roadwatch-out"
+# a paced replay's longest sleep: time.sleep overflows near 9.3e9 s, and a log's gap may be 1e300 s
+MAX_SLEEP_S = 86400.0
 
 
 def open_device(spec: str):
@@ -106,9 +108,8 @@ def _paced(frames: Iterable[FrameDetections]) -> Iterator[FrameDetections]:
         if data_start is None:
             data_start = frame.timestamp
         else:
-            delay = (frame.timestamp - data_start) - (time.monotonic() - wall_start)
-            if delay > 0:
-                time.sleep(delay)
+            while (delay := (frame.timestamp - data_start) - (time.monotonic() - wall_start)) > 0:
+                time.sleep(min(delay, MAX_SLEEP_S))
         yield frame
 
 

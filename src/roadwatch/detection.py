@@ -334,9 +334,10 @@ def detection_records(
     :func:`_detection_fields` gives them), with no :class:`Detection` built.
 
     Frame indices and timestamps must strictly increase per camera stream,
-    and timestamps must be at least 0 and never decrease across streams; a
-    line that breaks an order rule raises :class:`StreamOrderError` before
-    it is yielded. Malformed lines, and a timestamp below 0, raise
+    and timestamps must be at least 0 and never decrease across streams,
+    each timestamp compared as the nearest float, as the tracker compares
+    it; a line that breaks an order rule raises :class:`StreamOrderError`
+    before it is yielded. Malformed lines, and a timestamp below 0, raise
     :class:`LogParseError`. Both name the offending line number.
 
     Each line is decoded by :func:`decode_json`, which decides what is
@@ -372,6 +373,7 @@ def detection_records(
         # orjson gives no NaN, no infinity and no int beyond 2**64
         if type(timestamp) not in _NUMBER:
             raise LogParseError(f"line {lineno}: bad timestamp {timestamp!r}", lineno)
+        timestamp = float(timestamp)
         previous, previous_index = last.get(camera, (None, -1))
         if previous is not None and timestamp <= previous:
             raise StreamOrderError(
@@ -398,11 +400,8 @@ def detection_records(
                 detections.append(_detection_fields(cls, d["cx"], d["cy"], d["w"], d["h"], obj, confs))
         except _MALFORMED as exc:
             raise LogParseError(f"line {lineno}: malformed detection entry: {exc}", lineno) from exc
-        # stored as decoded: an int compares exactly with the next lines' timestamps
         latest = timestamp
         last[camera] = timestamp, frame_index
-        if type(timestamp) is not float:
-            timestamp = float(timestamp)
         yield frame_index, timestamp, camera, detections
 
 

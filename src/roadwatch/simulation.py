@@ -698,9 +698,8 @@ class SimulationReport:
 
 # One frame's record between the two halves of the pipeline: (timestamp,
 # dump line or None, new-vehicle events), each event paired with its
-# vehicle id or None. A frame whose step raised carries the exception in
-# place of its events.
-Record = tuple[float, str | None, list[tuple[TrackerEvent, int | None]] | Exception]
+# vehicle id or None.
+Record = tuple[float, str | None, list[tuple[TrackerEvent, int | None]]]
 
 
 def _track(
@@ -714,16 +713,12 @@ def _track(
     The dump line is formatted when ``dump`` is set. Each new-vehicle event
     is paired with ``label(camera, frame index, cx, cy)`` of the hit that
     confirmed its track, the track's last, when ``label`` is given, and
-    with None when it is not. A frame whose step raises is the last record.
+    with None when it is not. A step's exception ends the records.
     """
     for frame in frames:
         line = format_detection_line(frame) if dump else None
         tracker = trackers[frame.camera]
-        try:
-            events = tracker.step(frame)
-        except Exception as exc:
-            yield frame.timestamp, line, exc
-            return
+        events = tracker.step(frame)
         yield frame.timestamp, line, [
             (e, label(frame.camera, frame.frame_index, *tracker.archive[e.track_id].centers[-2:]) if label else None)
             for e in events
@@ -738,19 +733,17 @@ def _flow_check(
 ) -> tuple[int, float]:
     """The second half of the pipeline: records, in merged stream order, into the one flow check.
 
-    Each record's dump line goes to ``write`` first; then its exception is
-    raised, or its events are observed. A warning whose event carries a
-    vehicle id gets that vehicle's pass time from ``pass_times`` and its
-    pre-warning delta. Returns the frame count and the largest frame
-    timestamp (0.0 for none).
+    Each record's dump line goes to ``write`` first; then its events are
+    observed. A warning whose event carries a vehicle id gets that
+    vehicle's pass time from ``pass_times`` and its pre-warning delta. An
+    exception from ``records`` is raised after the records before it.
+    Returns the frame count and the largest frame timestamp (0.0 for none).
     """
     count = 0
     last_t = 0.0
     for timestamp, line, events in records:
         if line is not None:
             write(line)
-        if isinstance(events, Exception):
-            raise events
         count += 1
         if timestamp > last_t:
             last_t = timestamp
@@ -792,9 +785,9 @@ def run_passes(
     merges the two record streams by timestamp, front first on ties, writes
     each dump line to ``dump_sink`` and runs the one flow check. So no
     output depends on where the streams run. A stream's exception is raised
-    here at its frame's place in the merged stream, after that frame's dump
-    line. An exception here stops both streams, and a worker that dies
-    raises RuntimeError naming its camera and exit code.
+    here after its records before it, when the merge next asks it for one.
+    An exception here stops both streams, and a worker that dies raises
+    RuntimeError naming its camera and exit code.
     """
     config = tracker_config or TrackerConfig()
     rendering = _Rendering(passes, scenario, rng)

@@ -91,10 +91,13 @@ class TrackerConfig:
         # a finite gate keeps every in-gate distance, and the solver's sentinel, finite
         if not 0 < self.gate_distance < math.inf:
             raise ValidationError(f"gate_distance must be > 0 and finite, got {self.gate_distance}")
-        if self.confirm_hits < 1:
-            raise ValidationError(f"confirm_hits must be >= 1, got {self.confirm_hits}")
-        if self.max_misses < 1:
-            raise ValidationError(f"max_misses must be >= 1, got {self.max_misses}")
+        for name in ("confirm_hits", "max_misses"):
+            value = getattr(self, name)
+            # compared with hit and miss counts, 2.5 would confirm at the third hit and True at the first
+            if type(value) is not int:
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
 
     # kept only because perfbench/worker.py calls it: simulate and replay start from TrackerConfig()
     @classmethod

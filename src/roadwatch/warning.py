@@ -117,6 +117,8 @@ class FlowCheckMonitor:
         # would reach report.json as a number JSON cannot hold
         if not 0 < t_duration < math.inf:
             raise ConfigError(f"t_duration must be finite and > 0, got {t_duration}")
+        if not math.isfinite(start_time):
+            raise ConfigError(f"start_time must be finite, got {start_time}")
         self.t_start = start_time
         self.t_duration = t_duration
         self.device = device

@@ -12,10 +12,12 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from importlib import resources
 
 import pytest
 
+from roadwatch import cli
 from roadwatch.cli import main
 from roadwatch.errors import ValidationError
 from roadwatch.tracking import VehicleTracker
@@ -894,6 +896,18 @@ class TestReplayEquivalence:
         assert captured.err == f"error: line 2: camera front frame index {second} not after previous 5\n"
         assert captured.out == ""
 
+    def test_integer_times_one_double_apart_exit_2_with_their_line(self, tmp_path, capsys):
+        # 2**53 and 2**53 + 1 are one double: the check once passed them as ints, a warning
+        # went out, and then the tracker stopped the run without naming the line
+        log = tmp_path / "ints.log"
+        log.write_text(one_vehicle_line(600, "640.0") + one_vehicle_line(601, "640.0")
+                       + f'{{"camera":"front","frame":602,"t":{2**53},"dets":[]}}\n'
+                       + f'{{"camera":"front","frame":603,"t":{2**53 + 1},"dets":[]}}\n', encoding="utf-8")
+        assert main(["replay", "--log", str(log), "--device", "stdout"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 4: camera front timestamp {2**53}.000 not after previous {2**53}.000\n"
+        assert captured.out == ""
+
     def test_directory_as_log_exit_2(self, tmp_path, capsys):
         assert main(["replay", "--log", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
@@ -1105,6 +1119,24 @@ class TestFlags:
         start = time.perf_counter()
         assert main(["replay", "--log", str(log), "--pace-realtime", "--device", "stdout"]) == 0
         assert time.perf_counter() - start >= 0.15
+
+    def test_pace_realtime_sleeps_at_most_a_day_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # one sleep of a gap past 9.3e9 s once overflowed time_t, and the replay exited 3
+        clock, sleeps = [0.0], []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: clock[0], sleep=sleep))
+        log = tmp_path / "slow.log"
+        log.write_text(
+            '{"camera":"front","frame":0,"t":0.000,"dets":[]}\n'
+            '{"camera":"front","frame":6,"t":259200.500,"dets":[]}\n',
+            encoding="utf-8",
+        )
+        assert main(["replay", "--log", str(log), "--pace-realtime", "--device", "stdout"]) == 0
+        assert sleeps == [86400.0, 86400.0, 86400.0, 0.5]
 
     def test_tracker_flags_reach_simulate(self, scenario_file, tmp_path, capsys):
         def events(name, *flags):

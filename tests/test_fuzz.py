@@ -561,9 +561,13 @@ def test_integer_timestamps_beyond_64_bits_compare_as_floats():
     lines = [record_text("front", 0, big + 1, []), record_text("front", 1, big + 2, [])]
     assert records_outcome(lines) == ([[exact([0, float(big), "front"])]], (
         StreamOrderError, f"line 2: camera front timestamp {float(big):.3f} not after previous {float(big):.3f}", None))
-    # below 2**64 an integer is exact, though its float is not
+    # below 2**64 orjson gives an exact int, but the order rules compare its float, as the tracker does
     lines = [record_text("front", 0, 2**64 - 2, []), record_text("front", 1, 2**64 - 1, [])]
-    assert records_outcome(lines) == ([[exact([0, float(2**64), "front"])], [exact([1, float(2**64), "front"])]], None)
+    assert records_outcome(lines) == ([[exact([0, float(2**64), "front"])]], (
+        StreamOrderError, f"line 2: camera front timestamp {float(2**64):.3f} not after previous {float(2**64):.3f}", None))
+    # so 2**53 + 1, then 2**53 on the other camera, is a tie at 2**53, not a time going back
+    lines = [record_text("front", 0, 2**53 + 1, []), record_text("rear", 0, 2**53, [])]
+    assert records_outcome(lines) == ([[exact([0, float(2**53), "front"])], [exact([0, float(2**53), "rear"])]], None)
 
 
 # --- simulate, then replay its dump --------------------------------------------

@@ -454,12 +454,11 @@ class TestCameraWorkers:
         assert multiprocessing.active_children() == []
         return scenario, dump.getvalue().splitlines(keepends=True), device.getvalue().splitlines(keepends=True)
 
-    def test_worker_error_raised_at_its_frame(self, monkeypatch):
+    def test_worker_error_raised_at_its_frame(self, monkeypatch, workers_started):
         scenario, lines, warnings_sent = self.full_run()
         rear = [i for i, line in enumerate(lines) if line.startswith('{"camera":"rear"')]
-        failing = rear[len(rear) // 2]
-        record = json.loads(lines[failing])
-        k, t = record["frame"], record["t"]
+        failing, before = rear[len(rear) // 2], rear[len(rear) // 2 - 1]
+        k, t = json.loads(lines[failing])["frame"], json.loads(lines[before])["t"]
         step = VehicleTracker.step
 
         def failing_step(self, frame):
@@ -467,17 +466,27 @@ class TestCameraWorkers:
                 raise ValidationError(f"no step at frame {k}")
             return step(self, frame)
 
+        def failed_run():
+            dump, device = io.StringIO(), io.StringIO()
+            with pytest.raises(ValidationError, match=f"^no step at frame {k}$"):
+                run_pipeline(scenario, t_duration=1.0, dump_sink=dump, device=StdoutDevice(device))
+            assert multiprocessing.active_children() == []
+            return dump.getvalue(), device.getvalue()
+
         monkeypatch.setattr(VehicleTracker, "step", failing_step)
-        dump, device = io.StringIO(), io.StringIO()
-        with pytest.raises(ValidationError, match=f"^no step at frame {k}$"):
-            run_pipeline(scenario, t_duration=1.0, dump_sink=dump, device=StdoutDevice(device))
-        # every frame before it in the merged stream went through, and its dump line was written
-        assert dump.getvalue() == "".join(lines[:failing + 1])
-        sent = device.getvalue().splitlines(keepends=True)
-        assert sent == [w for w in warnings_sent if float(w.split()[1][2:]) < t or (
-            float(w.split()[1][2:]) == t and "cam=front" in w)]
+        workers_started.clear()
+        in_workers = failed_run()
+        assert workers_started == ["roadwatch front camera worker", "roadwatch rear camera worker"]
+        # the rear stream ends at its failing frame: the merge went through its frame before, and
+        # then asked the rear stream for the next one, so no later front frame went through
+        dump, sent = in_workers
+        assert failing - before > 1 and dump == "".join(lines[:before + 1])
+        sent = sent.splitlines(keepends=True)
+        assert sent == [w for w in warnings_sent if float(w.split()[1][2:]) <= t]
         assert 10 < len(sent) < len(warnings_sent)
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert failed_run() == in_workers
+        assert len(workers_started) == 2
 
     @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
     def test_parent_error_stops_both_workers(self, error):

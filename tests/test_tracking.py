@@ -575,6 +575,13 @@ class TestTrackerLifecycle:
         for k in range(2, 6):
             assert tracker.step(frame(k, [(100, 100)])) == []
 
+    @pytest.mark.parametrize("field", ["confirm_hits", "max_misses"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_hit_and_miss_counts_are_ints(self, field, value):
+        # confirm_hits=2.5 once confirmed a track at its third hit, and True at its first
+        with pytest.raises(ValidationError, match=f"^{field} must be an int, got {value!r}$"):
+            TrackerConfig(**{field: value})
+
     def test_confirm_hits_one_fires_at_spawn(self):
         tracker = VehicleTracker("rear", TrackerConfig(confirm_hits=1))
         events = tracker.step(frame(0, [(10, 10)], camera="rear"))

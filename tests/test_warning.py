@@ -63,6 +63,12 @@ class TestInit:
         with pytest.raises(ConfigError, match="t_duration must be finite and > 0"):
             FlowCheckMonitor(t_duration=float("inf"))
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, start):
+        # nan once suppressed an event at 20 s and warned at 40 s; -inf warned with gap=inf
+        with pytest.raises(ConfigError, match=f"^start_time must be finite, got {start}$"):
+            FlowCheckMonitor(start_time=start)
+
 
 class TestOnNewVehicle:
     def test_example_sequence(self):
