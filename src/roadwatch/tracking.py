@@ -88,8 +88,8 @@ class TrackerConfig:
     max_misses: int = 3
 
     def __post_init__(self):
-        # a finite gate keeps every in-gate distance, and the solver's sentinel, finite
-        if not 0 < self.gate_distance < math.inf:
+        # a finite gate keeps in-gate distances and the solver's sentinel finite; True is no 1 px gate
+        if isinstance(self.gate_distance, bool) or not 0 < self.gate_distance < math.inf:
             raise ValidationError(f"gate_distance must be > 0 and finite, got {self.gate_distance}")
         for name in ("confirm_hits", "max_misses"):
             value = getattr(self, name)

@@ -114,8 +114,8 @@ class FlowCheckMonitor:
 
     def __init__(self, t_duration: float = 10.0, start_time: float = 0.0, device=None):
         # False for NaN and inf too: an infinite quiet gap never warns and
-        # would reach report.json as a number JSON cannot hold
-        if not 0 < t_duration < math.inf:
+        # would reach report.json as a number JSON cannot hold; True would pass as 1 s
+        if isinstance(t_duration, bool) or not 0 < t_duration < math.inf:
             raise ConfigError(f"t_duration must be finite and > 0, got {t_duration}")
         if not math.isfinite(start_time):
             raise ConfigError(f"start_time must be finite, got {start_time}")

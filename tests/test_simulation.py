@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from multiprocessing.connection import Connection
 from dataclasses import replace
@@ -228,6 +229,21 @@ class TestRenderDetections:
         assert all(rendering.label(f.camera, f.frame_index, d.cx, d.cy) is None
                    for stream in frames.values() for f in stream for d in f.detections)
 
+    def test_false_positives_kept_as_columns(self):
+        # one Detection per false positive once held 240 bytes, about 285 at the peak
+        # of the draws, and took simulate's parent to 674 MB at the scenario's bound
+        scenario = replace(load_scenario("empty"), duration=3600.0, frame_rate=30.0,
+                           noise=NoiseModel(false_positive_rate=1.0))
+        tracemalloc.start()
+        try:
+            rendering = _Rendering([], scenario, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = sum(len(frame.detections) for camera in DIRECTIONS for frame in rendering.frames(camera))
+        assert n > 200_000
+        assert peak / n < 64, f"{peak / n:.1f} bytes a false positive"
+
     @pytest.mark.parametrize("fps", [30.0, 29.97, 7.0, 1000.0])
     def test_kept_ticks_match_the_scalar_loop(self, fps):
         # the ticks are tested as whole arrays; the per-tick loop they
@@ -406,9 +422,9 @@ class TestOnePass:
         assert len(keys) - len(set(keys)) > 1000
         assert [rendering.label(*key) for key in keys] == [labels.get(key) for key in keys]
         false_positives = [
-            (camera, det.frame_index, det.cx, det.cy)
-            for camera, dets in rendering.false_positives.items()
-            for det in dets
+            (camera, *key)
+            for camera, (ticks, xs, ys, *_) in rendering.false_positives.items()
+            for key in zip(ticks, xs, ys)
         ]
         assert len(false_positives) > 100
         assert all(key not in labels and rendering.label(*key) is None for key in false_positives)

@@ -575,11 +575,16 @@ class TestTrackerLifecycle:
         for k in range(2, 6):
             assert tracker.step(frame(k, [(100, 100)])) == []
 
-    @pytest.mark.parametrize("field", ["confirm_hits", "max_misses"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
-    def test_hit_and_miss_counts_are_ints(self, field, value):
-        # confirm_hits=2.5 once confirmed a track at its third hit, and True at its first
-        with pytest.raises(ValidationError, match=f"^{field} must be an int, got {value!r}$"):
+    @pytest.mark.parametrize("field, value, message", [
+        *(pytest.param(field, value, f"{field} must be an int, got {value!r}", id=f"{value}-{field}")
+          for value in (2.5, 2.0, True, "2") for field in ("confirm_hits", "max_misses")),
+        pytest.param("gate_distance", True, "gate_distance must be > 0 and finite, got True",
+                     id="True-gate_distance"),
+    ])
+    def test_hit_and_miss_counts_are_ints(self, field, value, message):
+        # confirm_hits=2.5 once confirmed a track at its third hit, and True at its first;
+        # gate_distance=True once gated at 1 px
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             TrackerConfig(**{field: value})
 
     def test_confirm_hits_one_fires_at_spawn(self):

@@ -57,11 +57,13 @@ class TestInit:
             FlowCheckMonitor(t_duration=-1.0)
 
     def test_non_finite_duration_rejected(self):
-        # nan once ran and wrote "t_duration_s":nan, which is not JSON
+        # nan once ran and wrote "t_duration_s":nan, which is not JSON; True once ran as 1 s
         with pytest.raises(ConfigError, match="t_duration must be finite and > 0"):
             FlowCheckMonitor(t_duration=float("nan"))
         with pytest.raises(ConfigError, match="t_duration must be finite and > 0"):
             FlowCheckMonitor(t_duration=float("inf"))
+        with pytest.raises(ConfigError, match="^t_duration must be finite and > 0, got True$"):
+            FlowCheckMonitor(t_duration=True)
 
     @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
     def test_non_finite_start_rejected(self, start):
